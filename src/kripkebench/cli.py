@@ -221,12 +221,10 @@ def cmd_export_dot(args) -> int:
         obj: Frame | Model = model_from_json(data)
     else:
         obj = frame_from_json(data)
-    dot = to_dot(obj)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(dot)
+        _write_dot(args.dot, obj)
     else:
-        print(dot, end="")
+        print(to_dot(obj), end="")
     return EXIT_OK
 
 

@@ -264,19 +264,18 @@ def gl_witness(fr: Frame) -> Countermodel:
     and y, z incomparable, and assigns p the upset of y and q the upset
     of z; the root x then forces neither implication.
     """
-    found = None
-    for x in range(fr.size):
-        for y in range(fr.size):
-            if not fr.le(x, y):
-                continue
-            for z in range(fr.size):
-                if fr.le(x, z) and not fr.le(y, z) and not fr.le(z, y):
-                    found = (x, y, z)
-                    break
-            if found:
-                break
-        if found:
-            break
+    worlds = range(fr.size)
+    found = next(
+        (
+            (x, y, z)
+            for x in worlds
+            for y in worlds
+            if fr.le(x, y)
+            for z in worlds
+            if fr.le(x, z) and not fr.le(y, z) and not fr.le(z, y)
+        ),
+        None,
+    )
     if found is None:
         raise PreconditionFailed("every cone of the frame is linear")
     x, y, z = found
@@ -291,19 +290,18 @@ def bd2_witness(fr: Frame) -> Countermodel:
     p the upset of y and q the upset of z; x then neither forces p nor
     the guarded implication (its witness y sees q undecided).
     """
-    found = None
-    for x in range(fr.size):
-        for y in range(fr.size):
-            if x == y or not fr.le(x, y):
-                continue
-            for z in range(fr.size):
-                if y != z and fr.le(y, z):
-                    found = (x, y, z)
-                    break
-            if found:
-                break
-        if found:
-            break
+    worlds = range(fr.size)
+    found = next(
+        (
+            (x, y, z)
+            for x in worlds
+            for y in worlds
+            if x != y and fr.le(x, y)
+            for z in worlds
+            if y != z and fr.le(y, z)
+        ),
+        None,
+    )
     if found is None:
         raise PreconditionFailed("the frame has no chain of three worlds")
     x, y, z = found

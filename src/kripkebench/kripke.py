@@ -406,6 +406,24 @@ def enumerate_frames(n: int, dedup: bool = False) -> Iterator[Frame]:
             yield fr
 
 
+def rooted_frames(n: int) -> Iterator[Frame]:
+    """One frame per isomorphism class of rooted posets on n worlds.
+
+    Each is a class representative on n-1 worlds with a new bottom world
+    0 added below all of them.  Deleting the bottom gives the original
+    back, so distinct classes stay distinct without canonical keys; these
+    are the classes counted by A000112(n-1).
+    """
+    if n < 1:
+        raise ValueError("frame enumeration needs n >= 1")
+    if n == 1:
+        yield Frame((1,))
+        return
+    root = (1 << n) - 1
+    for base in enumerate_frames(n - 1, dedup=True):
+        yield Frame((root,) + tuple(row << 1 for row in base.up))
+
+
 def _labeled_frames(n: int) -> Iterator[Frame]:
     # Grow by one world: the new world gets a strict upper set U and a
     # strict lower set D; the extension is a partial order exactly when U

@@ -15,7 +15,14 @@ from itertools import product
 from typing import Callable
 
 from .formula import And, Atom, Bottom, Formula, Imp, Not, Or, Top, atoms, substitute
-from .kripke import Countermodel, Frame, countermodel_to_json, enumerate_frames, frame_valid
+from .kripke import (
+    Countermodel,
+    Frame,
+    countermodel_to_json,
+    enumerate_frames,
+    frame_valid,
+    rooted_frames,
+)
 from .correspondence import BD2_CHAIN, LIN, eval_condition
 
 _A, _B = Atom("A"), Atom("B")
@@ -60,6 +67,10 @@ def _linear_and_shallow(fr: Frame) -> bool:
 @dataclass(frozen=True)
 class LogicSpec:
     """A logic given by its extra schemas and its class of frames.
+
+    frame_class must be isomorphism-invariant and closed under cones
+    (generated subframes): decide finds the smallest refuting size on
+    rooted frames alone, which is sound only for such classes.
 
     exact_bound, when set, is a frame size at which countermodel search
     over the class is complete: no countermodel up to that size means
@@ -115,22 +126,30 @@ class Decision:
 def decide(logic: LogicSpec, f: Formula, bound: int) -> Decision:
     """Search the logic's frame class for a countermodel to f.
 
-    Frames are enumerated by size, one representative per isomorphism
-    class (validity is isomorphism-invariant), and filtered through the
-    class predicate.  Refuted carries the minimal countermodel; Valid is
-    returned only when the class's exact completeness bound was covered;
-    otherwise the search was merely exhaustive up to the bound.
+    A world refuting f refutes it in its cone too, and the class is
+    closed under cones, so the smallest refuting frame size is the
+    smallest refuting rooted frame size.  The rooted phase finds that
+    size n by checking one rooted frame per isomorphism class, size by
+    size.  The exact phase then scans every isomorphism class on n
+    worlds in enumeration order, filtered through the class predicate,
+    so Refuted carries the first countermodel of the first refuting
+    class representative.  Valid is returned only when the class's
+    exact completeness bound was covered; otherwise the search was
+    merely exhaustive up to the bound.
     """
     if bound < 1:
         raise ValueError("decide needs bound >= 1")
     limit = bound if logic.exact_bound is None else min(bound, logic.exact_bound)
     for n in range(1, limit + 1):
-        for fr in enumerate_frames(n, dedup=True):
-            if not logic.frame_class(fr):
-                continue
-            cm = frame_valid(fr, f)
-            if cm is not None:
-                return Decision(Verdict.REFUTED, n, cm)
+        if any(
+            logic.frame_class(fr) and frame_valid(fr, f) is not None
+            for fr in rooted_frames(n)
+        ):
+            for fr in enumerate_frames(n, dedup=True):
+                if logic.frame_class(fr):
+                    cm = frame_valid(fr, f)
+                    if cm is not None:
+                        return Decision(Verdict.REFUTED, n, cm)
     if logic.exact_bound is not None and logic.exact_bound <= bound:
         return Decision(Verdict.VALID, limit)
     return Decision(Verdict.NO_COUNTERMODEL, bound)

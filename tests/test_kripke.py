@@ -24,6 +24,7 @@ from kripkebench.kripke import (
     make_model,
     model_from_json,
     model_to_json,
+    rooted_frames,
     to_dot,
 )
 from oracles import (
@@ -318,6 +319,30 @@ def test_enumerate_dedup_representatives_pairwise_distinct_at_five():
 def test_enumerate_rejects_bad_n():
     with pytest.raises(ValueError):
         list(enumerate_frames(0))
+
+
+def _has_root(fr):
+    return any(row == fr.full_mask for row in fr.up)
+
+
+def test_rooted_frames_counts_follow_a000112_shifted():
+    for n, expected in zip(range(1, 7), (1, 1, 2, 5, 16, 63)):
+        frames = list(rooted_frames(n))
+        assert len(frames) == expected
+        assert all(fr.size == n and _has_root(fr) for fr in frames)
+
+
+def test_rooted_frames_are_exactly_the_rooted_classes():
+    for n in range(1, 6):
+        frames = list(rooted_frames(n))
+        assert len(iso_classes(frames)) == len(frames)
+        rooted_reps = [fr for fr in enumerate_frames(n, dedup=True) if _has_root(fr)]
+        assert len(rooted_reps) == len(frames)
+
+
+def test_rooted_frames_rejects_bad_n():
+    with pytest.raises(ValueError):
+        list(rooted_frames(0))
 
 
 # --- models and validation ------------------------------------------------

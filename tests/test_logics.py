@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from kripkebench.formula import parse, render
@@ -14,12 +16,14 @@ from kripkebench.logics import (
     IPC,
     LEM_SCHEMA,
     LOGICS,
+    Decision,
     Verdict,
     classical_taut,
     decide,
     get_logic,
     schema_instance,
 )
+from oracles import random_formula
 
 # tautology flag is the classical truth-table verdict
 CORPUS = [
@@ -255,3 +259,69 @@ def test_logic_classes_use_conditions():
             assert GLBD2.frame_class(fr) == (
                 eval_condition(LIN, fr) and eval_condition(BD2_CHAIN, fr)
             )
+
+
+# --- decide against the single-phase reference ------------------------------
+
+_CLASSES = {n: list(enumerate_frames(n, dedup=True)) for n in range(1, 5)}
+
+
+def _reference_decide(logic, f, bound):
+    """Scan every isomorphism class of every size up to the bound."""
+    limit = bound if logic.exact_bound is None else min(bound, logic.exact_bound)
+    for n in range(1, limit + 1):
+        for fr in _CLASSES[n]:
+            if logic.frame_class(fr):
+                cm = frame_valid(fr, f)
+                if cm is not None:
+                    return Decision(Verdict.REFUTED, n, cm)
+    if logic.exact_bound is not None and logic.exact_bound <= bound:
+        return Decision(Verdict.VALID, limit)
+    return Decision(Verdict.NO_COUNTERMODEL, bound)
+
+
+# first refuted in ipc at 2, 3 and 4 worlds; bd2 at 3 and 4; gl at 4
+_DEEP_CASES = [
+    "p|~p",
+    "(p->q)|(q->p)",
+    "~p|~~p",
+    "p|(p->(q|~q))",
+    "p|(p->(q|(q->(r|~r))))",
+    "(p->(q|r))|(q->(p|r))|(r->(p|q))",
+]
+
+
+def _differential_formulas():
+    # half classical tautologies, so the search gets past one world
+    rng = random.Random(20261018)
+    tautologies, others = [], []
+    while len(tautologies) < 30 or len(others) < 30:
+        names = ["p", "q", "r"][: rng.randint(1, 3)]
+        f = random_formula(rng, rng.randint(2, 4), names)
+        bucket = tautologies if classical_taut(f) else others
+        if len(bucket) < 30:
+            bucket.append(f)
+    return [parse(text) for text in _DEEP_CASES] + tautologies + others
+
+
+def test_decide_matches_single_phase_reference():
+    refuted_at = set()
+    for f in _differential_formulas():
+        for logic in LOGICS.values():
+            for bound in range(1, 5):
+                got = decide(logic, f, bound)
+                assert got.to_json() == _reference_decide(logic, f, bound).to_json(), (
+                    logic.name, render(f), bound)
+                if got.verdict is Verdict.REFUTED:
+                    refuted_at.add(got.bound)
+    assert refuted_at == {1, 2, 3, 4}
+
+
+def test_frame_classes_closed_under_cones():
+    # decide's rooted phase is sound only for cone-closed classes
+    for logic in LOGICS.values():
+        for n in range(1, 6):
+            for fr in enumerate_frames(n, dedup=True):
+                if logic.frame_class(fr):
+                    for x in range(fr.size):
+                        assert logic.frame_class(fr.cone(x)[0]), (logic.name, fr.up, x)
