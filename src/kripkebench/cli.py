@@ -27,13 +27,13 @@ from .kripke import (
     to_dot,
 )
 from .correspondence import (
+    WITNESSES,
     PreconditionFailed,
-    bd2_witness,
     check_correspondence,
     condition_from_name,
-    gl_witness,
+    condition_spellings,
 )
-from .logics import Verdict, decide, get_logic
+from .logics import LOGICS, Verdict, decide, get_logic
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -180,8 +180,7 @@ def cmd_correspond(args) -> int:
 
 def cmd_witness(args) -> int:
     fr = frame_from_json(_load_json(args.frame))
-    builder = gl_witness if args.kind == "gl" else bd2_witness
-    cm = builder(fr)
+    cm = WITNESSES[args.kind](fr)
     _write_dot(args.dot, cm.model)
     if args.format == "json":
         _print_json(countermodel_to_json(cm))
@@ -255,18 +254,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", metavar="PATH", default=None)
 
     p = add("decide", cmd_decide, "bounded countermodel search in a logic's frame class")
-    p.add_argument("logic", help="one of: ipc, cpc, gl, bd2, gl+bd2")
+    p.add_argument("logic", help="one of: " + ", ".join(LOGICS))
     p.add_argument("formula")
     p.add_argument("--bound", type=int, default=4, metavar="K")
 
     p = add("correspond", cmd_correspond, "compare schema validity against a frame condition")
     p.add_argument("schema")
-    p.add_argument("condition", help="lin, bd2-paper, bd2-chain, discrete, depth-le-K, cone-size-le-K")
+    p.add_argument("condition", help=", ".join(condition_spellings()))
     p.add_argument("--max-n", type=int, default=4, metavar="K")
     p.add_argument("--dedup", action="store_true")
 
     p = add("witness", cmd_witness, "build the explicit countermodel on a violating frame")
-    p.add_argument("kind", choices=("gl", "bd2"))
+    p.add_argument("kind", choices=tuple(WITNESSES))
     p.add_argument("frame", help="frame JSON file")
     p.add_argument("--dot", metavar="PATH", default=None)
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from .formula import Atom, Formula, Imp, Not, Or, render
+
+from .formula import Atom, Formula, Imp, Not, Or, render, substitute
 from .kripke import (
     Countermodel,
     Frame,
@@ -35,14 +36,56 @@ class FrameCondition:
             return self.kind
         return f"{self.kind}({self.k})"
 
-    def holds(self, fr: Frame) -> bool:
-        return eval_condition(self, fr)
 
+def _lin(fr: Frame, _k) -> bool:
+    for x in range(fr.size):
+        cone = _bits(fr.up[x])
+        for a, y in enumerate(cone):
+            for z in cone[a + 1 :]:
+                if not fr.le(y, z) and not fr.le(z, y):
+                    return False
+    return True
+
+
+def _bd2_paper(fr: Frame, _k) -> bool:
+    for x in range(fr.size):
+        cone = _bits(fr.up[x])
+        for y in cone:
+            for z in cone:
+                if fr.le(y, z) and y != x and z != x:
+                    return False
+    return True
+
+
+def _bd2_chain(fr: Frame, _k) -> bool:
+    # A three-world chain exists iff some world has both a strict
+    # predecessor and a strict successor.
+    down = fr._down_masks()
+    for y in range(fr.size):
+        bit = 1 << y
+        if fr.up[y] & ~bit and down[y] & ~bit:
+            return False
+    return True
+
+
+# Each built-in kind: its predicate on (frame, k) and whether it takes the
+# bound k.  eval_condition and the CLI spellings read only this table.  A
+# new kind must be isomorphism-invariant, and closed under cones if a
+# logic's class uses it.
+CONDITIONS = {
+    "LIN": (_lin, False),
+    "BD2_PAPER": (_bd2_paper, False),
+    "BD2_CHAIN": (_bd2_chain, False),
+    "DISCRETE": (lambda fr, k: all(fr.up[i] == 1 << i for i in range(fr.size)), False),
+    "DEPTH_LE": (lambda fr, k: fr.depth() <= k, True),
+    "CONE_SIZE_LE": (lambda fr, k: all(bin(m).count("1") <= k for m in fr.up), True),
+}
 
 # Local linearity: any two worlds above a common world are comparable.
 LIN = FrameCondition("LIN")
-# The published two-branch form of the depth-2 condition, kept verbatim
-# for comparison; extensionally it coincides with DISCRETE (see README).
+# The published two-branch form of the depth-2 condition (x <= y, x <= z
+# and y <= z imply y = x or z = x), kept verbatim for comparison;
+# extensionally it coincides with DISCRETE (see README).
 BD2_PAPER = FrameCondition("BD2_PAPER")
 # No chain of three distinct worlds; the form the soundness argument and
 # the witness construction actually use.
@@ -62,86 +105,54 @@ def cone_size_le(k: int) -> FrameCondition:
 
 
 def eval_condition(cond: FrameCondition, fr: Frame) -> bool:
-    """Evaluate a built-in condition on a frame.
-
-    LIN: for all x, y, z with x <= y and x <= z, y <= z or z <= y.
-    BD2_PAPER: for all x, y, z with x <= y and x <= z, if y <= z then
-    y = x or z = x.  BD2_CHAIN: for all x <= y <= z, x = y or y = z.
-    DEPTH_LE(k), CONE_SIZE_LE(k), DISCRETE as their names say.
-    """
-    kind = cond.kind
-    if kind == "LIN":
-        return _lin(fr)
-    if kind == "BD2_PAPER":
-        return _bd2_paper(fr)
-    if kind == "BD2_CHAIN":
-        return _bd2_chain(fr)
-    if kind == "DEPTH_LE":
-        return fr.depth() <= cond.k
-    if kind == "CONE_SIZE_LE":
-        return all(bin(mask).count("1") <= cond.k for mask in fr.up)
-    if kind == "DISCRETE":
-        return all(fr.up[i] == 1 << i for i in range(fr.size))
-    raise ValueError(f"unknown frame condition kind {kind!r}")
+    """Evaluate a built-in condition on a frame."""
+    try:
+        predicate, _ = CONDITIONS[cond.kind]
+    except KeyError:
+        raise ValueError(f"unknown frame condition kind {cond.kind!r}") from None
+    return predicate(fr, cond.k)
 
 
-def _lin(fr: Frame) -> bool:
-    for x in range(fr.size):
-        cone = _bits(fr.up[x])
-        for a, y in enumerate(cone):
-            for z in cone[a + 1 :]:
-                if not fr.le(y, z) and not fr.le(z, y):
-                    return False
-    return True
-
-
-def _bd2_paper(fr: Frame) -> bool:
-    for x in range(fr.size):
-        cone = _bits(fr.up[x])
-        for y in cone:
-            for z in cone:
-                if fr.le(y, z) and y != x and z != x:
-                    return False
-    return True
-
-
-def _bd2_chain(fr: Frame) -> bool:
-    # A three-world chain exists iff some world has both a strict
-    # predecessor and a strict successor.
-    down = fr._down_masks()
-    for y in range(fr.size):
-        bit = 1 << y
-        if fr.up[y] & ~bit and down[y] & ~bit:
-            return False
-    return True
-
-
-_BY_NAME = {
-    "lin": LIN,
-    "bd2-paper": BD2_PAPER,
-    "bd2-chain": BD2_CHAIN,
-    "discrete": DISCRETE,
-}
+def condition_spellings() -> list[str]:
+    """The CLI spellings in table order; K stands for a positive bound."""
+    return [
+        kind.lower().replace("_", "-") + ("-K" if takes_k else "")
+        for kind, (_, takes_k) in CONDITIONS.items()
+    ]
 
 
 def condition_from_name(name: str) -> FrameCondition:
-    """Resolve a CLI spelling: lin, bd2-paper, bd2-chain, discrete,
-    depth-le-K, cone-size-le-K."""
+    """Resolve a spelling of condition_spellings(), case-insensitively, with
+    K written in ASCII digits."""
     low = name.lower()
-    if low in _BY_NAME:
-        return _BY_NAME[low]
-    for prefix, kind in (("depth-le-", "DEPTH_LE"), ("cone-size-le-", "CONE_SIZE_LE")):
-        if low.startswith(prefix):
-            suffix = low[len(prefix) :]
-            if suffix.isdigit() and int(suffix) >= 1:
-                return FrameCondition(kind, int(suffix))
+    for kind, spelling in zip(CONDITIONS, condition_spellings()):
+        stem = spelling.removesuffix("K")
+        if stem == spelling:
+            if low == spelling:
+                return FrameCondition(kind)
+        elif low.startswith(stem):
+            k = low[len(stem) :]
+            if k.isascii() and k.isdigit() and int(k) >= 1:
+                return FrameCondition(kind, int(k))
     raise ValueError(f"unknown frame condition {name!r}")
 
 
+_A, _B = Atom("A"), Atom("B")
+
+# Axiom schemas over the placeholders A and B.
+LEM_SCHEMA = Or(_A, Not(_A))
+GL_SCHEMA = Or(Imp(_A, _B), Imp(_B, _A))
+BD2_SCHEMA = Or(_A, Imp(_A, Or(_B, Not(_B))))
+
+
+def schema_instance(schema: Formula, left: str = "p", right: str = "q") -> Formula:
+    """Instantiate a schema's placeholders A and B with atoms."""
+    return substitute(schema, {"A": Atom(left), "B": Atom(right)})
+
+
 # The two schema instances whose frame validity the conditions track.
-_P, _Q = Atom("p"), Atom("q")
-GL_INSTANCE = Or(Imp(_P, _Q), Imp(_Q, _P))
-BD2_INSTANCE = Or(_P, Imp(_P, Or(_Q, Not(_Q))))
+GL_INSTANCE = schema_instance(GL_SCHEMA)
+BD2_INSTANCE = schema_instance(BD2_SCHEMA)
 
 
 @dataclass
@@ -265,22 +276,15 @@ def gl_witness(fr: Frame) -> Countermodel:
     of z; the root x then forces neither implication.
     """
     worlds = range(fr.size)
-    found = next(
-        (
-            (x, y, z)
-            for x in worlds
-            for y in worlds
-            if fr.le(x, y)
-            for z in worlds
-            if fr.le(x, z) and not fr.le(y, z) and not fr.le(z, y)
-        ),
-        None,
+    triples = (
+        (x, y, z)
+        for x in worlds
+        for y in worlds
+        if fr.le(x, y)
+        for z in worlds
+        if fr.le(x, z) and not fr.le(y, z) and not fr.le(z, y)
     )
-    if found is None:
-        raise PreconditionFailed("every cone of the frame is linear")
-    x, y, z = found
-    model = Model(fr, (("p", fr.up[y]), ("q", fr.up[z])))
-    return Countermodel(model, x, GL_INSTANCE)
+    return _witness(fr, triples, GL_INSTANCE, "every cone of the frame is linear")
 
 
 def bd2_witness(fr: Frame) -> Countermodel:
@@ -291,22 +295,28 @@ def bd2_witness(fr: Frame) -> Countermodel:
     the guarded implication (its witness y sees q undecided).
     """
     worlds = range(fr.size)
-    found = next(
-        (
-            (x, y, z)
-            for x in worlds
-            for y in worlds
-            if x != y and fr.le(x, y)
-            for z in worlds
-            if y != z and fr.le(y, z)
-        ),
-        None,
+    triples = (
+        (x, y, z)
+        for x in worlds
+        for y in worlds
+        if x != y and fr.le(x, y)
+        for z in worlds
+        if y != z and fr.le(y, z)
     )
+    return _witness(fr, triples, BD2_INSTANCE, "the frame has no chain of three worlds")
+
+
+def _witness(fr: Frame, triples, instance: Formula, missing: str) -> Countermodel:
+    found = next(triples, None)
     if found is None:
-        raise PreconditionFailed("the frame has no chain of three worlds")
+        raise PreconditionFailed(missing)
     x, y, z = found
     model = Model(fr, (("p", fr.up[y]), ("q", fr.up[z])))
-    return Countermodel(model, x, BD2_INSTANCE)
+    return Countermodel(model, x, instance)
+
+
+# The witness builders by the schema they refute, as the CLI names them.
+WITNESSES = {"gl": gl_witness, "bd2": bd2_witness}
 
 
 @dataclass

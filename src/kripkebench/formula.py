@@ -84,9 +84,16 @@ class ParseError(ValueError):
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+# Most connectives (~, &, |, ->) and deepest parenthesis nesting that parse
+# accepts.  Every node above an atom comes from one connective, so this
+# bounds the tree height and keeps the parser and every recursive walk
+# well inside Python's default recursion limit of 1000.
+NESTING_LIMIT = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     out = []
+    connectives = depth = 0
     i, n = 0, len(text)
     while i < n:
         c = text[i]
@@ -97,16 +104,26 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
             m = _IDENT.match(text, i)
             out.append((m.group(), i + 1))
             i = m.end()
-        elif c == "-":
-            if text[i : i + 2] != "->":
-                raise ParseError("expected '->'", i + 1)
-            out.append(("->", i + 1))
-            i += 2
-        elif c in "~&|()":
-            out.append((c, i + 1))
-            i += 1
+            continue
+        if c in "()":
+            depth += 1 if c == "(" else -1
+            if depth > NESTING_LIMIT:
+                raise ParseError(f"parentheses nest deeper than {NESTING_LIMIT}", i + 1)
+            tok = c
         else:
-            raise ParseError(f"unexpected character {c!r}", i + 1)
+            if c in "~&|":
+                tok = c
+            elif text.startswith("->", i):
+                tok = "->"
+            elif c == "-":
+                raise ParseError("expected '->'", i + 1)
+            else:
+                raise ParseError(f"unexpected character {c!r}", i + 1)
+            connectives += 1
+            if connectives > NESTING_LIMIT:
+                raise ParseError(f"more than {NESTING_LIMIT} connectives", i + 1)
+        out.append((tok, i + 1))
+        i += len(tok)
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .formula import And, Atom, Bottom, Formula, Or, Top, atoms, render
 
@@ -97,24 +97,9 @@ class Frame:
                 out.append((i, j))
         return out
 
-    def _upset_masks(self) -> list[int]:
-        out = []
-        for mask in range(1 << self.size):
-            if all(self.up[i] & ~mask == 0 for i in _bits(mask)):
-                out.append(mask)
-        return out
-
-    def _downset_masks(self) -> list[int]:
-        down = self._down_masks()
-        out = []
-        for mask in range(1 << self.size):
-            if all(down[i] & ~mask == 0 for i in _bits(mask)):
-                out.append(mask)
-        return out
-
     def upsets(self) -> list[frozenset[int]]:
         """All upward-closed world sets, ascending in bitmask order."""
-        return [_mask_to_set(m) for m in self._upset_masks()]
+        return [_mask_to_set(m) for m in _closed_masks(self.up)]
 
     def cone(self, x: int) -> tuple[Frame, tuple[int, ...]]:
         """Generated subframe on {y : x <= y} plus the index mapping.
@@ -155,6 +140,16 @@ class Frame:
             if all(mask & comparable[i] & ~(1 << i) == 0 for i in members):
                 best = max(best, len(members))
         return best
+
+
+def _closed_masks(rows: Sequence[int]) -> list[int]:
+    """Ascending masks holding rows[i] for each bit i they hold: the upsets
+    of the up rows, the downsets of the down rows."""
+    out = []
+    for mask in range(1 << len(rows)):
+        if all(rows[i] & ~mask == 0 for i in _bits(mask)):
+            out.append(mask)
+    return out
 
 
 def make_frame(size: int, pairs: Iterable[tuple[int, int]] = ()) -> Frame:
@@ -374,7 +369,7 @@ def frame_valid(fr: Frame, f: Formula) -> Countermodel | None:
     """
     names = sorted(atoms(f))
     prog = _compile(f, {name: i for i, name in enumerate(names)})
-    ups = fr._upset_masks()
+    ups = _closed_masks(fr.up)
     up, full = fr.up, fr.full_mask
     for combo in product(ups, repeat=len(names)):
         got = _eval(prog, up, full, combo)
@@ -435,8 +430,8 @@ def _labeled_frames(n: int) -> Iterator[Frame]:
     new = n - 1
     new_bit = 1 << new
     for base in _labeled_frames(n - 1):
-        downs = base._downset_masks()
-        for upper in base._upset_masks():
+        downs = _closed_masks(base._down_masks())
+        for upper in _closed_masks(base.up):
             for lower in downs:
                 if upper & lower:
                     continue

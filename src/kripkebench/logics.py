@@ -12,9 +12,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable
 
-from .formula import And, Atom, Bottom, Formula, Imp, Not, Or, Top, atoms, substitute
+from .formula import And, Atom, Bottom, Formula, Or, Top, atoms
 from .kripke import (
     Countermodel,
     Frame,
@@ -23,54 +22,23 @@ from .kripke import (
     frame_valid,
     rooted_frames,
 )
-from .correspondence import BD2_CHAIN, LIN, eval_condition
-
-_A, _B = Atom("A"), Atom("B")
-
-# Axiom schemas over the placeholders A and B.
-LEM_SCHEMA = Or(_A, Not(_A))
-GL_SCHEMA = Or(Imp(_A, _B), Imp(_B, _A))
-BD2_SCHEMA = Or(_A, Imp(_A, Or(_B, Not(_B))))
-
-
-def schema_instance(schema: Formula, left: str = "p", right: str = "q") -> Formula:
-    """Instantiate a schema's placeholders A and B with atoms."""
-    return substitute(schema, {"A": Atom(left), "B": Atom(right)})
-
+from .correspondence import BD2_CHAIN, DISCRETE, LIN, FrameCondition, eval_condition
+# The schemas live beside their conditions; they are re-exported from here.
+from .correspondence import BD2_SCHEMA, GL_INSTANCE, GL_SCHEMA, LEM_SCHEMA, schema_instance
 
 # Valid on every frame whose cones have at most two worlds, yet refutable
 # on the three-world fork: the combined class validates formulas beyond
 # the base logic even though neither restriction contains the other.
-INTERSECTION_WITNESS = schema_instance(GL_SCHEMA)
-
-
-def _every_frame(fr: Frame) -> bool:
-    return True
-
-
-def _trivial_frame(fr: Frame) -> bool:
-    return fr.size == 1
-
-
-def _locally_linear(fr: Frame) -> bool:
-    return eval_condition(LIN, fr)
-
-
-def _no_three_chain(fr: Frame) -> bool:
-    return eval_condition(BD2_CHAIN, fr)
-
-
-def _linear_and_shallow(fr: Frame) -> bool:
-    return eval_condition(LIN, fr) and eval_condition(BD2_CHAIN, fr)
+INTERSECTION_WITNESS = GL_INSTANCE
 
 
 @dataclass(frozen=True)
 class LogicSpec:
     """A logic given by its extra schemas and its class of frames.
 
-    frame_class must be isomorphism-invariant and closed under cones
-    (generated subframes): decide finds the smallest refuting size on
-    rooted frames alone, which is sound only for such classes.
+    The class, the frames meeting every condition, must be closed under
+    cones (generated subframes): decide finds the smallest refuting size
+    on rooted frames alone, which is sound only for such classes.
 
     exact_bound, when set, is a frame size at which countermodel search
     over the class is complete: no countermodel up to that size means
@@ -79,15 +47,19 @@ class LogicSpec:
 
     name: str
     axiom_schemas: tuple[Formula, ...]
-    frame_class: Callable[[Frame], bool]
+    conditions: tuple[FrameCondition, ...]
     exact_bound: int | None = None
 
+    def frame_class(self, fr: Frame) -> bool:
+        """Whether fr lies in the logic's class of frames."""
+        return all(eval_condition(cond, fr) for cond in self.conditions)
 
-IPC = LogicSpec("ipc", (), _every_frame)
-CPC = LogicSpec("cpc", (LEM_SCHEMA,), _trivial_frame, exact_bound=1)
-GL = LogicSpec("gl", (GL_SCHEMA,), _locally_linear)
-BD2 = LogicSpec("bd2", (BD2_SCHEMA,), _no_three_chain)
-GLBD2 = LogicSpec("gl+bd2", (GL_SCHEMA, BD2_SCHEMA), _linear_and_shallow, exact_bound=2)
+
+IPC = LogicSpec("ipc", (), ())
+CPC = LogicSpec("cpc", (LEM_SCHEMA,), (DISCRETE,), exact_bound=1)
+GL = LogicSpec("gl", (GL_SCHEMA,), (LIN,))
+BD2 = LogicSpec("bd2", (BD2_SCHEMA,), (BD2_CHAIN,))
+GLBD2 = LogicSpec("gl+bd2", (GL_SCHEMA, BD2_SCHEMA), (LIN, BD2_CHAIN), exact_bound=2)
 
 LOGICS = {logic.name: logic for logic in (IPC, CPC, GL, BD2, GLBD2)}
 

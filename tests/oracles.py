@@ -134,6 +134,67 @@ def _isomorphic(a, b) -> bool:
     return False
 
 
+# Frame conditions, each stated literally over the closed order rel (a set
+# of pairs (x, y) meaning x <= y, reflexive included) on worlds 0..n-1.
+# Keyed like correspondence.CONDITIONS; k is the bound of DEPTH_LE and
+# CONE_SIZE_LE.
+
+def _oracle_lin(n, rel, k) -> bool:
+    return all(
+        (y, z) in rel or (z, y) in rel
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+        if (x, y) in rel and (x, z) in rel
+    )
+
+
+def _oracle_bd2_paper(n, rel, k) -> bool:
+    return all(
+        y == x or z == x
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+        if (x, y) in rel and (x, z) in rel and (y, z) in rel
+    )
+
+
+def _oracle_bd2_chain(n, rel, k) -> bool:
+    return all(
+        x == y or y == z
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+        if (x, y) in rel and (y, z) in rel
+    )
+
+
+def _oracle_discrete(n, rel, k) -> bool:
+    return all(x == y for (x, y) in rel)
+
+
+def _oracle_depth_le(n, rel, k) -> bool:
+    # no k + 1 worlds w0 < w1 < ... < wk
+    return not any(
+        all(a != b and (a, b) in rel for a, b in zip(ws, ws[1:]))
+        for ws in product(range(n), repeat=k + 1)
+    )
+
+
+def _oracle_cone_size_le(n, rel, k) -> bool:
+    return all(sum((x, y) in rel for y in range(n)) <= k for x in range(n))
+
+
+CONDITION_ORACLES = {
+    "LIN": _oracle_lin,
+    "BD2_PAPER": _oracle_bd2_paper,
+    "BD2_CHAIN": _oracle_bd2_chain,
+    "DISCRETE": _oracle_discrete,
+    "DEPTH_LE": _oracle_depth_le,
+    "CONE_SIZE_LE": _oracle_cone_size_le,
+}
+
+
 # Randomized generators for property tests (always seeded by the caller).
 
 def random_frame(rng: random.Random, max_n: int):

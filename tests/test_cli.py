@@ -3,6 +3,8 @@ import json
 import pytest
 
 from kripkebench.cli import main
+from kripkebench.correspondence import condition_spellings
+from kripkebench.logics import LOGICS
 
 
 def write(tmp_path, name, data):
@@ -322,3 +324,93 @@ def test_outputs_are_byte_deterministic(capsys, chain3):
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[2]
     assert runs[1] == runs[3]
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [
+        "~" * 5000 + "p",
+        "(" * 3000 + "p|~p" + ")" * 3000,
+        "p->" * 3000 + "p",
+        "~" * 600 + "p",
+        "p&" * 600 + "p",
+    ],
+    ids=["not-5000", "parens-3000", "imp-3000", "not-600", "and-600"],
+)
+def test_deep_formulas_exit_2(capsys, chain3, formula):
+    assert main(["valid", chain3, formula]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: syntax error")
+    assert "Traceback" not in err
+
+
+# --- registries --------------------------------------------------------------
+
+def test_every_condition_spelling_resolves(capsys):
+    for spelling in condition_spellings():
+        name = spelling.replace("-K", "-2")
+        assert main(["correspond", "p", name, "--max-n", "2"]) in (0, 1), name
+    capsys.readouterr()
+
+
+def test_every_logic_decides(capsys):
+    for name in LOGICS:
+        assert main(["decide", name, "p|~p", "--bound", "2"]) in (0, 1, 3), name
+    capsys.readouterr()
+
+
+_HELP = {
+    "decide": """\
+usage: kripkebench decide [-h] [--format {text,json}] [--bound K]
+                          logic formula
+
+positional arguments:
+  logic                 one of: ipc, cpc, gl, bd2, gl+bd2
+  formula
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --bound K
+""",
+    "correspond": """\
+usage: kripkebench correspond [-h] [--format {text,json}] [--max-n K]
+                              [--dedup]
+                              schema condition
+
+positional arguments:
+  schema
+  condition             lin, bd2-paper, bd2-chain, discrete, depth-le-K, cone-
+                        size-le-K
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --max-n K
+  --dedup
+""",
+    "witness": """\
+usage: kripkebench witness [-h] [--format {text,json}] [--dot PATH]
+                           {gl,bd2} frame
+
+positional arguments:
+  {gl,bd2}
+  frame                 frame JSON file
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --dot PATH
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HELP))
+def test_help_text_lists_the_registries(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as err:
+        main([command, "--help"])
+    assert err.value.code == 0
+    # Python 3.10 titles the options section "optional arguments"
+    out = capsys.readouterr().out.replace("optional arguments:", "options:")
+    assert out == _HELP[command]

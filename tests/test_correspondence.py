@@ -13,6 +13,7 @@ from kripkebench.correspondence import (
     BD2_CHAIN,
     BD2_INSTANCE,
     BD2_PAPER,
+    CONDITIONS,
     DISCRETE,
     GL_INSTANCE,
     LIN,
@@ -27,7 +28,8 @@ from kripkebench.correspondence import (
     eval_condition,
     gl_witness,
 )
-from oracles import naive_forces
+from kripkebench.logics import LOGICS
+from oracles import CONDITION_ORACLES, brute_force_posets, naive_forces
 
 
 # --- condition evaluation -------------------------------------------------
@@ -77,6 +79,37 @@ def test_condition_ids_and_names():
         condition_from_name("depth-le-0")
     with pytest.raises(ValueError):
         eval_condition(FrameCondition("NOPE"), chain(2))
+    # the bound is ASCII digits only
+    with pytest.raises(ValueError, match="unknown frame condition"):
+        condition_from_name("depth-le-\u00b2")
+    with pytest.raises(ValueError, match="unknown frame condition"):
+        condition_from_name("depth-le-\u0663")
+    # spellings are case-insensitive, but a dotless i must not read as LIN
+    assert condition_from_name("BD2-Chain") == BD2_CHAIN
+    with pytest.raises(ValueError):
+        condition_from_name("l\u0131n")
+    with pytest.raises(ValueError):
+        condition_from_name("depth-le")
+
+
+def test_conditions_match_first_order_oracles():
+    # every kind in the table needs an oracle, so a new kind cannot slip by
+    for kind, (_, takes_k) in CONDITIONS.items():
+        oracle = CONDITION_ORACLES[kind]
+        for n in range(1, 5):
+            for rel in brute_force_posets(n):
+                fr = make_frame(n, rel)
+                for k in (1, 2, 3) if takes_k else (None,):
+                    assert eval_condition(FrameCondition(kind, k), fr) == oracle(n, rel, k), (
+                        kind, k, sorted(rel))
+
+
+def test_logic_classes_are_conjunctions_of_oracle_conditions():
+    for logic in LOGICS.values():
+        for n in range(1, 5):
+            for rel in brute_force_posets(n):
+                want = all(CONDITION_ORACLES[c.kind](n, rel, c.k) for c in logic.conditions)
+                assert logic.frame_class(make_frame(n, rel)) == want, (logic.name, sorted(rel))
 
 
 def test_condition_hierarchy_on_all_small_frames():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from kripkebench.formula import (
+    NESTING_LIMIT,
     And,
     Atom,
     Bottom,
@@ -11,12 +12,14 @@ from kripkebench.formula import (
     Or,
     ParseError,
     Top,
+    ast_repr,
     atoms,
     parse,
     render,
     subformulas,
     substitute,
 )
+from kripkebench.kripke import chain, countermodel_to_json, frame_valid
 from oracles import random_formula
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
@@ -156,3 +159,39 @@ def test_formula_nodes_hash_structurally():
     assert parse("p->q") == Imp(P, Q)
     assert hash(parse("p & q")) == hash(And(P, Q))
     assert len({parse("p|q"), Or(P, Q)}) == 1
+
+
+# --- nesting limit ------------------------------------------------------------
+
+def _deep(shape: str, k: int) -> str:
+    """k connectives or k nested parentheses of one shape."""
+    if shape == "not":
+        return "~" * k + "p"
+    if shape == "imp":
+        return "p->" * k + "q"
+    if shape == "and":
+        return "p&" * k + "p"
+    if shape == "parens":
+        return "(" * k + "p|q" + ")" * k
+    return "(p->" * k + "q" + ")" * k  # parentheses and connectives together
+
+
+_SHAPES = ("not", "imp", "and", "parens", "mixed")
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_formula_at_nesting_limit_goes_through_the_pipeline(shape):
+    f = parse(_deep(shape, NESTING_LIMIT))
+    assert parse(render(f)) == f
+    tree = ast_repr(f)
+    assert tree.count("(") == tree.count(")")
+    assert "p" not in atoms(substitute(f, {"p": Atom("r")}))
+    cm = frame_valid(chain(2), f)
+    assert cm is not None
+    assert countermodel_to_json(cm)["formula"] == render(f)
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_formula_beyond_nesting_limit_is_a_parse_error(shape):
+    with pytest.raises(ParseError, match="connectives|parentheses"):
+        parse(_deep(shape, NESTING_LIMIT + 1))
