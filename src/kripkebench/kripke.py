@@ -275,14 +275,14 @@ class Countermodel:
 
 # Forcing is evaluated bottom-up over the distinct subterms, one world
 # bitmask per subterm, which keeps exhaustive valuation search cheap.
+# Subterms are shared by their compiled node: equal subterms compile to
+# equal child indices, so looking up (op, a, b) never hashes a subtree.
 
 def _compile(f: Formula, slot: Mapping[str, int]) -> list[tuple[str, int, int]]:
     prog: list[tuple[str, int, int]] = []
-    index: dict[Formula, int] = {}
+    index: dict[tuple[str, int, int], int] = {}
 
     def walk(g: Formula) -> int:
-        if g in index:
-            return index[g]
         if isinstance(g, Atom):
             node = ("atom", slot[g.name], 0)
         elif isinstance(g, Top):
@@ -298,9 +298,10 @@ def _compile(f: Formula, slot: Mapping[str, int]) -> list[tuple[str, int, int]]:
                 node = ("or", a, b)
             else:
                 node = ("imp", a, b)
-        i = len(prog)
-        prog.append(node)
-        index[g] = i
+        i = index.get(node)
+        if i is None:
+            i = index[node] = len(prog)
+            prog.append(node)
         return i
 
     walk(f)
@@ -390,46 +391,40 @@ def enumerate_frames(n: int, dedup: bool = False) -> Iterator[Frame]:
     """
     if n < 1:
         raise ValueError("frame enumeration needs n >= 1")
-    if not dedup:
-        yield from _labeled_frames(n)
-        return
-    seen: set[tuple[int, ...]] = set()
-    for fr in _labeled_frames(n):
-        key = _canonical_key(fr)
-        if key not in seen:
-            seen.add(key)
-            yield fr
+    frames: Iterable[Frame] = (Frame(()),)  # grown from zero worlds
+    for _ in range(n):
+        frames = _grow(frames, dedup)
+    return iter(frames)
 
 
 def rooted_frames(n: int) -> Iterator[Frame]:
-    """One frame per isomorphism class of rooted posets on n worlds.
+    """The rooted frames of enumerate_frames(n, dedup=True), in that order.
 
-    Each is a class representative on n-1 worlds with a new bottom world
-    0 added below all of them.  Deleting the bottom gives the original
-    back, so distinct classes stay distinct without canonical keys; these
-    are the classes counted by A000112(n-1).
+    One per isomorphism class of posets with a least world: the classes
+    counted by A000112(n-1).
     """
     if n < 1:
         raise ValueError("frame enumeration needs n >= 1")
-    if n == 1:
-        yield Frame((1,))
-        return
-    root = (1 << n) - 1
-    for base in enumerate_frames(n - 1, dedup=True):
-        yield Frame((root,) + tuple(row << 1 for row in base.up))
+    bases = enumerate_frames(n - 1, dedup=True) if n > 1 else (Frame(()),)
+    return _grow(bases, dedup=True, rooted=True)
 
 
-def _labeled_frames(n: int) -> Iterator[Frame]:
-    # Grow by one world: the new world gets a strict upper set U and a
-    # strict lower set D; the extension is a partial order exactly when U
-    # is an upset, D a downset, the two are disjoint, and every world of D
-    # lies below every world of U already.
-    if n == 1:
-        yield Frame((1,))
-        return
-    new = n - 1
-    new_bit = 1 << new
-    for base in _labeled_frames(n - 1):
+def _grow(bases: Iterable[Frame], dedup: bool, rooted: bool = False) -> Iterator[Frame]:
+    # Add one world to each base, last in the labeling: the new world gets
+    # a strict upper set U and a strict lower set D; the extension is a
+    # partial order exactly when U is an upset, D a downset, the two are
+    # disjoint, and every world of D lies below every world of U already.
+    # With dedup only the first candidate of each class is kept.  The
+    # first labeled frame of a class has, as its base, the first labeled
+    # frame of that base's class (relabeling the base would otherwise give
+    # an earlier frame), so growing class representatives only yields
+    # exactly the first frame of every class.  With rooted, frames without
+    # a least world are skipped before keying; rootedness is a class
+    # property, so the kept frames are the rooted ones of the dedup order.
+    seen: set[tuple[int, ...]] = set()
+    for base in bases:
+        new_bit = 1 << base.size
+        full = (new_bit << 1) - 1
         downs = _closed_masks(base._down_masks())
         for upper in _closed_masks(base.up):
             for lower in downs:
@@ -441,7 +436,15 @@ def _labeled_frames(n: int) -> Iterator[Frame]:
                 for d in _bits(lower):
                     rows[d] |= new_bit
                 rows.append(upper | new_bit)
-                yield Frame(tuple(rows))
+                if rooted and full not in rows:
+                    continue
+                fr = Frame(tuple(rows))
+                if dedup:
+                    key = _canonical_key(fr)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                yield fr
 
 
 def _canonical_key(fr: Frame) -> tuple[int, ...]:

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .formula import And, Atom, Bottom, Formula, Or, Top, atoms
-from .kripke import (
-    Countermodel,
-    Frame,
-    countermodel_to_json,
-    enumerate_frames,
-    frame_valid,
-    rooted_frames,
-)
+from .kripke import Countermodel, Frame, countermodel_to_json, frame_valid, rooted_frames
 from .correspondence import BD2_CHAIN, DISCRETE, LIN, FrameCondition, eval_condition
 # The schemas live beside their conditions; they are re-exported from here.
 from .correspondence import BD2_SCHEMA, GL_INSTANCE, GL_SCHEMA, LEM_SCHEMA, schema_instance
@@ -98,30 +91,25 @@ class Decision:
 def decide(logic: LogicSpec, f: Formula, bound: int) -> Decision:
     """Search the logic's frame class for a countermodel to f.
 
-    A world refuting f refutes it in its cone too, and the class is
-    closed under cones, so the smallest refuting frame size is the
-    smallest refuting rooted frame size.  The rooted phase finds that
-    size n by checking one rooted frame per isomorphism class, size by
-    size.  The exact phase then scans every isomorphism class on n
-    worlds in enumeration order, filtered through the class predicate,
-    so Refuted carries the first countermodel of the first refuting
-    class representative.  Valid is returned only when the class's
-    exact completeness bound was covered; otherwise the search was
-    merely exhaustive up to the bound.
+    Sizes are tried in increasing order, and at each size the rooted
+    frames of the isomorphism-class representatives, in enumeration
+    order, filtered through the class predicate.  That is the whole
+    search: a world refuting f refutes it in its cone, and the class is
+    closed under cones, so at the smallest refuting size no frame without
+    a least world refutes, and Refuted carries the first countermodel of
+    the first refuting class representative of that size.  Valid is
+    returned only when the class's exact completeness bound was covered;
+    otherwise the search was merely exhaustive up to the bound.
     """
     if bound < 1:
         raise ValueError("decide needs bound >= 1")
     limit = bound if logic.exact_bound is None else min(bound, logic.exact_bound)
     for n in range(1, limit + 1):
-        if any(
-            logic.frame_class(fr) and frame_valid(fr, f) is not None
-            for fr in rooted_frames(n)
-        ):
-            for fr in enumerate_frames(n, dedup=True):
-                if logic.frame_class(fr):
-                    cm = frame_valid(fr, f)
-                    if cm is not None:
-                        return Decision(Verdict.REFUTED, n, cm)
+        for fr in rooted_frames(n):
+            if logic.frame_class(fr):
+                cm = frame_valid(fr, f)
+                if cm is not None:
+                    return Decision(Verdict.REFUTED, n, cm)
     if logic.exact_bound is not None and logic.exact_bound <= bound:
         return Decision(Verdict.VALID, limit)
     return Decision(Verdict.NO_COUNTERMODEL, bound)

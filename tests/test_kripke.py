@@ -1,15 +1,17 @@
+import hashlib
 import json
 import random
 
 import pytest
 
-from kripkebench.formula import parse, substitute
+from kripkebench.formula import And, Atom, Bottom, Or, Top, atoms, parse, substitute
 from kripkebench.kripke import (
     AntisymmetryViolation,
     Countermodel,
     InvalidModel,
     Model,
     UnknownWorld,
+    _compile,
     antichain,
     chain,
     countermodel_to_json,
@@ -124,6 +126,43 @@ def test_force_set_upward_closed():
             for y in range(fr.size):
                 if fr.le(x, y):
                     assert y in worlds
+
+
+def _structural_compile(f, slot):
+    # reference: share subterms by Formula equality, first occurrence wins
+    prog, index = [], {}
+
+    def walk(g):
+        if g in index:
+            return index[g]
+        if isinstance(g, Atom):
+            node = ("atom", slot[g.name], 0)
+        elif isinstance(g, Top):
+            node = ("top", 0, 0)
+        elif isinstance(g, Bottom):
+            node = ("bot", 0, 0)
+        else:
+            a, b = walk(g.left), walk(g.right)
+            op = "and" if isinstance(g, And) else "or" if isinstance(g, Or) else "imp"
+            node = (op, a, b)
+        index[g] = len(prog)
+        prog.append(node)
+        return index[g]
+
+    walk(f)
+    return prog
+
+
+def test_compile_matches_structural_sharing():
+    rng = random.Random(4242)
+    fixed = ["(p->q)&(p->q)", "((p|q)->(p|q))|~(p|q)", "T&T|F->F", "~~p->~~p&q"]
+    formulas = [parse(text) for text in fixed]
+    formulas += [random_formula(rng, rng.randint(0, 6), ["p", "q", "r"]) for _ in range(500)]
+    for f in formulas:
+        slot = {name: i for i, name in enumerate(sorted(atoms(f)))}
+        assert _compile(f, slot) == _structural_compile(f, slot), f
+    assert len(_compile(parse("(p->q)&(p->q)"), {"p": 0, "q": 1})) == 4
+    assert len(_compile(parse("~" * 100 + "p"), {"p": 0})) == 102
 
 
 # --- frame validity -------------------------------------------------------
@@ -307,6 +346,7 @@ def test_enumerate_dedup_matches_iso_grouping():
         classes = iso_classes(labeled)
         deduped = list(enumerate_frames(n, dedup=True))
         assert len(deduped) == len(classes)
+        assert [fr.up for fr in deduped] == [c[0].up for c in classes]
         # the representatives are pairwise non-isomorphic
         assert len(iso_classes(deduped)) == len(deduped)
 
@@ -316,9 +356,37 @@ def test_enumerate_dedup_representatives_pairwise_distinct_at_five():
     assert len(iso_classes(reps)) == len(reps)
 
 
+# sha256 of repr([fr.up for fr in enumerate_frames(n, dedup)]), first 16 hex
+# digits: the labeled and first-of-class orders as generate-then-filter gave them
+_LABELED_DIGESTS = {
+    1: "2f89a856b49d7814", 2: "97f69064bdcd0432", 3: "ac929a75bafa18ba",
+    4: "feffa2c7c3bb791e", 5: "83edf3573d7cd89c", 6: "2cd69bb4425295e7",
+}
+_DEDUP_DIGESTS = {
+    1: "2f89a856b49d7814", 2: "a47e87b4420e26e3", 3: "8ee7a863c58a6e12",
+    4: "4be4969525b9267b", 5: "fe0c2cf576ebb00c", 6: "a8b2c85235bb5fff",
+    7: "2f59b7185646ecaf",
+}
+
+
+def _order_digest(n, dedup):
+    ups = [fr.up for fr in enumerate_frames(n, dedup)]
+    return hashlib.sha256(repr(ups).encode()).hexdigest()[:16], len(ups)
+
+
+def test_enumeration_order_is_pinned():
+    for n, want in _LABELED_DIGESTS.items():
+        assert _order_digest(n, False)[0] == want, n
+    for n, want in _DEDUP_DIGESTS.items():
+        assert _order_digest(n, True)[0] == want, n
+    assert _order_digest(7, True)[1] == 2045  # A000112(7)
+
+
 def test_enumerate_rejects_bad_n():
     with pytest.raises(ValueError):
         list(enumerate_frames(0))
+    with pytest.raises(ValueError):
+        enumerate_frames(0)
 
 
 def _has_root(fr):
@@ -338,11 +406,16 @@ def test_rooted_frames_are_exactly_the_rooted_classes():
         assert len(iso_classes(frames)) == len(frames)
         rooted_reps = [fr for fr in enumerate_frames(n, dedup=True) if _has_root(fr)]
         assert len(rooted_reps) == len(frames)
+    for n in range(1, 7):
+        rooted_reps = [fr for fr in enumerate_frames(n, dedup=True) if _has_root(fr)]
+        assert list(rooted_frames(n)) == rooted_reps, n
 
 
 def test_rooted_frames_rejects_bad_n():
     with pytest.raises(ValueError):
         list(rooted_frames(0))
+    with pytest.raises(ValueError):
+        rooted_frames(0)
 
 
 # --- models and validation ------------------------------------------------

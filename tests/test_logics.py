@@ -23,7 +23,7 @@ from kripkebench.logics import (
     get_logic,
     schema_instance,
 )
-from oracles import random_formula
+from oracles import iso_classes, random_formula
 
 # tautology flag is the classical truth-table verdict
 CORPUS = [
@@ -263,7 +263,8 @@ def test_logic_classes_use_conditions():
 
 # --- decide against the single-phase reference ------------------------------
 
-_CLASSES = {n: list(enumerate_frames(n, dedup=True)) for n in range(1, 5)}
+# the first labeled frame of every class, grouped by the permutation oracle
+_CLASSES = {n: [c[0] for c in iso_classes(list(enumerate_frames(n)))] for n in range(1, 5)}
 
 
 def _reference_decide(logic, f, bound):
@@ -317,8 +318,21 @@ def test_decide_matches_single_phase_reference():
     assert refuted_at == {1, 2, 3, 4}
 
 
+def test_decide_pins_a_five_world_refutation():
+    # first refuted on the 5-chain; bd2 forbids three-world chains
+    f = parse("p|(p->(q|(q->(r|(r->(s|~s))))))")
+    chain5 = [[i, j] for i in range(5) for j in range(i + 1, 5)]
+    for logic in (IPC, GL):
+        got = decide(logic, f, 6).to_json()
+        assert got["verdict"] == "refuted" and got["bound"] == 5, logic.name
+        cm = got["countermodel"]
+        assert (cm["worlds"], cm["le"], cm["world"]) == (5, chain5, 0)
+        assert cm["valuation"] == {"p": [1, 2, 3, 4], "q": [2, 3, 4], "r": [3, 4], "s": [4]}
+    assert decide(BD2, f, 6).to_json() == {"verdict": "no-countermodel", "bound": 6}
+
+
 def test_frame_classes_closed_under_cones():
-    # decide's rooted phase is sound only for cone-closed classes
+    # decide's rooted search is sound only for cone-closed classes
     for logic in LOGICS.values():
         for n in range(1, 6):
             for fr in enumerate_frames(n, dedup=True):
