@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .formula import And, Atom, Bottom, Formula, Or, Top, atoms, render
 
@@ -120,36 +120,32 @@ class Frame:
 
     def depth(self) -> int:
         """Worlds in a longest chain; a single world has depth 1."""
-        memo: dict[int, int] = {}
-
-        def height(i: int) -> int:
-            if i not in memo:
-                above = _bits(self.up[i] & ~(1 << i))
-                memo[i] = 1 + max((height(j) for j in above), default=0)
-            return memo[i]
-
-        return max(height(i) for i in range(self.size))
+        # A world's strict successors have strictly smaller up rows, so
+        # visiting by row size sees them first.
+        height = [0] * self.size
+        for i in sorted(range(self.size), key=lambda i: self.up[i].bit_count()):
+            above = _bits(self.up[i] & ~(1 << i))
+            height[i] = 1 + max((height[j] for j in above), default=0)
+        return max(height)
 
     def width(self) -> int:
-        """Largest set of pairwise incomparable worlds."""
+        """Largest set of pairwise incomparable worlds: every antichain is
+        the set of minimal worlds of the upset it generates."""
         down = self._down_masks()
-        comparable = [self.up[i] | down[i] for i in range(self.size)]
-        best = 1
-        for mask in range(1, 1 << self.size):
-            members = _bits(mask)
-            if all(mask & comparable[i] & ~(1 << i) == 0 for i in members):
-                best = max(best, len(members))
-        return best
+        return max(
+            sum(down[x] & mask == 1 << x for x in _bits(mask))
+            for mask in _closed_masks(self.up)
+        )
 
 
-def _closed_masks(rows: Sequence[int]) -> list[int]:
-    """Ascending masks holding rows[i] for each bit i they hold: the upsets
-    of the up rows, the downsets of the down rows."""
-    out = []
-    for mask in range(1 << len(rows)):
-        if all(rows[i] & ~mask == 0 for i in _bits(mask)):
-            out.append(mask)
-    return out
+def _closed_masks(rows: Iterable[int]) -> list[int]:
+    """Every union of the given rows, ascending: the upsets of the up rows,
+    the downsets of the down rows (each is the union of the principal
+    sets of its members)."""
+    masks = {0}
+    for row in rows:
+        masks |= {m | row for m in masks}
+    return sorted(masks)
 
 
 def make_frame(size: int, pairs: Iterable[tuple[int, int]] = ()) -> Frame:
@@ -412,8 +408,10 @@ def rooted_frames(n: int) -> Iterator[Frame]:
 def _grow(bases: Iterable[Frame], dedup: bool, rooted: bool = False) -> Iterator[Frame]:
     # Add one world to each base, last in the labeling: the new world gets
     # a strict upper set U and a strict lower set D; the extension is a
-    # partial order exactly when U is an upset, D a downset, the two are
-    # disjoint, and every world of D lies below every world of U already.
+    # partial order exactly when U is an upset, D a downset, and every
+    # world of D lies below every world of U already.  The worlds outside
+    # U lying under all of U form a downset, below, so the lower sets D
+    # for U are the downsets inside it: the unions of its principal rows.
     # With dedup only the first candidate of each class is kept.  The
     # first labeled frame of a class has, as its base, the first labeled
     # frame of that base's class (relabeling the base would otherwise give
@@ -425,13 +423,12 @@ def _grow(bases: Iterable[Frame], dedup: bool, rooted: bool = False) -> Iterator
     for base in bases:
         new_bit = 1 << base.size
         full = (new_bit << 1) - 1
-        downs = _closed_masks(base._down_masks())
+        down = base._down_masks()
         for upper in _closed_masks(base.up):
-            for lower in downs:
-                if upper & lower:
-                    continue
-                if any(upper & ~base.up[d] for d in _bits(lower)):
-                    continue
+            below = base.full_mask & ~upper
+            for u in _bits(upper):
+                below &= down[u]
+            for lower in _closed_masks(down[d] for d in _bits(below)):
                 rows = list(base.up)
                 for d in _bits(lower):
                     rows[d] |= new_bit

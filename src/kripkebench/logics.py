@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import product
 
-from .formula import And, Atom, Bottom, Formula, Or, Top, atoms
+from .formula import Formula
 from .kripke import Countermodel, Frame, countermodel_to_json, frame_valid, rooted_frames
 from .correspondence import BD2_CHAIN, DISCRETE, LIN, FrameCondition, eval_condition
 # The schemas live beside their conditions; they are re-exported from here.
@@ -114,25 +113,3 @@ def decide(logic: LogicSpec, f: Formula, bound: int) -> Decision:
         return Decision(Verdict.VALID, limit)
     return Decision(Verdict.NO_COUNTERMODEL, bound)
 
-
-def classical_taut(f: Formula) -> bool:
-    """Two-valued truth-table check over the atoms of f."""
-    names = sorted(atoms(f))
-    for bits in product((False, True), repeat=len(names)):
-        if not _truth(f, dict(zip(names, bits))):
-            return False
-    return True
-
-
-def _truth(f: Formula, env: dict[str, bool]) -> bool:
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, Atom):
-        return env[f.name]
-    if isinstance(f, And):
-        return _truth(f.left, env) and _truth(f.right, env)
-    if isinstance(f, Or):
-        return _truth(f.left, env) or _truth(f.right, env)
-    return not _truth(f.left, env) or _truth(f.right, env)

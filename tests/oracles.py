@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from itertools import permutations, product
 
-from kripkebench.formula import And, Atom, Bottom, Formula, Imp, Or, Top
+from kripkebench.formula import And, Atom, Bottom, Formula, Imp, Or, Top, atoms
 
 
 def close_order(n: int, pairs) -> set[tuple[int, int]]:
@@ -69,6 +69,53 @@ def naive_frame_valid(n, pairs, formula, atom_names) -> bool:
             if not naive_forces(n, pairs, val, w, formula):
                 return False
     return True
+
+
+def naive_upsets(n, pairs) -> list[frozenset[int]]:
+    """Upward-closed world sets, by filtering all subsets in ascending
+    bitmask order."""
+    rel = close_order(n, pairs)
+    out = []
+    for bits in range(1 << n):
+        s = frozenset(i for i in range(n) if bits >> i & 1)
+        if all(y in s for (x, y) in rel if x in s):
+            out.append(s)
+    return out
+
+
+def naive_width(n, pairs) -> int:
+    """Size of the largest set of pairwise incomparable worlds, by trying
+    every subset."""
+    rel = close_order(n, pairs)
+    best = 0
+    for bits in range(1 << n):
+        s = [i for i in range(n) if bits >> i & 1]
+        if all((x, y) not in rel for x in s for y in s if x != y):
+            best = max(best, len(s))
+    return best
+
+
+def classical_taut(f: Formula) -> bool:
+    """Two-valued truth-table check over the atoms of f."""
+    names = sorted(atoms(f))
+    for bits in product((False, True), repeat=len(names)):
+        if not _truth(f, dict(zip(names, bits))):
+            return False
+    return True
+
+
+def _truth(f: Formula, env: dict[str, bool]) -> bool:
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Bottom):
+        return False
+    if isinstance(f, Atom):
+        return env[f.name]
+    if isinstance(f, And):
+        return _truth(f.left, env) and _truth(f.right, env)
+    if isinstance(f, Or):
+        return _truth(f.left, env) or _truth(f.right, env)
+    return not _truth(f.left, env) or _truth(f.right, env)
 
 
 def brute_force_posets(n: int) -> list[frozenset[tuple[int, int]]]:

@@ -32,11 +32,16 @@ from kripkebench.logics import (
     INTERSECTION_WITNESS,
     IPC,
     Verdict,
-    classical_taut,
     decide,
     schema_instance,
 )
-from oracles import brute_force_posets, random_formula, random_frame, random_model
+from oracles import (
+    brute_force_posets,
+    classical_taut,
+    random_formula,
+    random_frame,
+    random_model,
+)
 from test_logics import CORPUS
 
 

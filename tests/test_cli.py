@@ -62,8 +62,13 @@ def test_parse_json(capsys):
 
 # --- valid ------------------------------------------------------------------
 
-def test_valid_three_chain_linearity_schema(capsys, chain3):
+def test_valid_three_chain_linearity_schema(tmp_path, capsys, chain3):
     assert main(["valid", chain3, "(p->q)|(q->p)"]) == 0
+    assert "Valid" in capsys.readouterr().out
+    chain40 = write(
+        tmp_path, "40chain.json", {"worlds": 40, "le": [[i, i + 1] for i in range(39)]}
+    )
+    assert main(["valid", chain40, "(p->q)|(q->p)"]) == 0
     assert "Valid" in capsys.readouterr().out
 
 

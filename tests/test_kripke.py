@@ -11,6 +11,7 @@ from kripkebench.kripke import (
     InvalidModel,
     Model,
     UnknownWorld,
+    _closed_masks,
     _compile,
     antichain,
     chain,
@@ -35,6 +36,8 @@ from oracles import (
     iso_classes,
     naive_forces,
     naive_frame_valid,
+    naive_upsets,
+    naive_width,
     random_formula,
     random_frame,
     random_model,
@@ -301,6 +304,13 @@ def test_upsets():
                 for y in range(3):
                     if fr.le(x, y):
                         assert y in up
+    assert len(chain(40).upsets()) == 41
+    for n in range(1, 6):
+        for fr in enumerate_frames(n):
+            ups = fr.upsets()
+            assert ups == naive_upsets(n, fr.strict_pairs())
+            complements = sorted(fr.full_mask ^ sum(1 << x for x in up) for up in ups)
+            assert _closed_masks(fr._down_masks()) == complements
 
 
 def test_cone():
@@ -322,6 +332,11 @@ def test_depth_and_width():
     assert chain(3).width() == 1
     assert antichain(2).width() == 2
     assert make_frame(1).width() == 1
+    assert chain(40).depth() == 40 and chain(40).width() == 1
+    assert chain(1200).depth() == 1200
+    for n in range(1, 6):
+        for fr in enumerate_frames(n):
+            assert fr.width() == naive_width(n, fr.strict_pairs())
 
 
 # --- enumeration ----------------------------------------------------------

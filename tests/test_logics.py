@@ -18,12 +18,11 @@ from kripkebench.logics import (
     LOGICS,
     Decision,
     Verdict,
-    classical_taut,
     decide,
     get_logic,
     schema_instance,
 )
-from oracles import iso_classes, random_formula
+from oracles import classical_taut, iso_classes, random_formula
 
 # tautology flag is the classical truth-table verdict
 CORPUS = [

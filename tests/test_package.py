@@ -1,0 +1,22 @@
+"""Packaging guards: the library has no runtime dependency."""
+
+import ast
+import sys
+from pathlib import Path
+
+import kripkebench
+
+
+def test_runtime_imports_are_stdlib_only():
+    sources = sorted(Path(kripkebench.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
