@@ -284,15 +284,20 @@ def atoms(f: Formula) -> frozenset[str]:
 def subformulas(f: Formula) -> list[Formula]:
     """All distinct subterms in post-order, keeping first occurrences."""
     out: list[Formula] = []
-    seen: set[Formula] = set()
+    # Keyed by connective and child indices: equal subterms get equal
+    # keys without hashing whole subtrees.
+    index: dict[object, int] = {}
 
-    def walk(g: Formula) -> None:
+    def walk(g: Formula) -> int:
         if isinstance(g, (And, Or, Imp)):
-            walk(g.left)
-            walk(g.right)
-        if g not in seen:
-            seen.add(g)
+            key: object = (type(g), walk(g.left), walk(g.right))
+        else:
+            key = g
+        i = index.get(key)
+        if i is None:
+            i = index[key] = len(out)
             out.append(g)
+        return i
 
     walk(f)
     return out

@@ -129,13 +129,36 @@ class Frame:
         return max(height)
 
     def width(self) -> int:
-        """Largest set of pairwise incomparable worlds: every antichain is
-        the set of minimal worlds of the upset it generates."""
-        down = self._down_masks()
-        return max(
-            sum(down[x] & mask == 1 << x for x in _bits(mask))
-            for mask in _closed_masks(self.up)
-        )
+        """Largest set of pairwise incomparable worlds.
+
+        By Dilworth's theorem this is the fewest chains covering the
+        worlds: the size minus a maximum matching of worlds to strict
+        successors (Fulkerson 1956), grown by augmenting paths (Kuhn).
+        """
+        above = [-1] * self.size  # the successor a world is matched to
+        below = [-1] * self.size  # the world matched to a successor
+        for root in range(self.size):
+            _augment(self.up, root, above, below)
+        return above.count(-1)
+
+
+def _augment(up: tuple[int, ...], root: int, above: list[int], below: list[int]) -> None:
+    # Breadth-first search for a shortest alternating path from the
+    # unmatched root to an unmatched successor, then flip its edges.
+    prev: dict[int, int] = {}  # successor -> the world that reached it
+    queue = [root]
+    for x in queue:
+        for j in _bits(up[x] & ~(1 << x)):
+            if j in prev:
+                continue
+            prev[j] = x
+            if below[j] >= 0:
+                queue.append(below[j])
+                continue
+            while j >= 0:
+                x = prev[j]
+                below[j], above[x], j = x, j, above[x]
+            return
 
 
 def _closed_masks(rows: Iterable[int]) -> list[int]:
@@ -269,8 +292,11 @@ class Countermodel:
             )
 
 
-# Forcing is evaluated bottom-up over the distinct subterms, one world
-# bitmask per subterm, which keeps exhaustive valuation search cheap.
+# A formula compiles to one program over its distinct subterms, which two
+# evaluators run bottom-up: _eval keeps one world bitmask per subterm for
+# a single model (forces, force_set), and _eval_sliced keeps one int per
+# subterm holding those bitmasks for a whole chunk of valuations side by
+# side (frame_valid).
 # Subterms are shared by their compiled node: equal subterms compile to
 # equal child indices, so looking up (op, a, b) never hashes a subtree.
 
@@ -355,6 +381,38 @@ def force_set(model: Model, f: Formula) -> frozenset[int]:
     return _mask_to_set(_force_mask(model, f))
 
 
+def _eval_sliced(prog, ones: int, shifts, atom_regs) -> int:
+    # Bit j*n + x of a register: world x forces the subterm under valuation
+    # j of the chunk.  A -> B fails at x where some y >= x forces A but not
+    # B; each (y - x, mask) shift moves bit y of every valuation to bit x
+    # for all strict pairs x < y with that offset at once.
+    regs: list[int] = []
+    append = regs.append
+    for op, a, b in prog:
+        if op == "atom":
+            append(atom_regs[a])
+        elif op == "imp":
+            bad = regs[a] & ~regs[b]
+            acc = bad
+            for d, mask in shifts:
+                acc |= (bad >> d if d > 0 else bad << -d) & mask
+            append(ones & ~acc)
+        elif op == "and":
+            append(regs[a] & regs[b])
+        elif op == "or":
+            append(regs[a] | regs[b])
+        elif op == "top":
+            append(ones)
+        else:
+            append(0)
+    return regs[-1]
+
+
+# Most valuations per chunk in frame_valid: bounds the size of every
+# register while keeping the number of Python-level operations small.
+_CHUNK_VALUATIONS = 4096
+
+
 def frame_valid(fr: Frame, f: Formula) -> Countermodel | None:
     """Exhaustive search over monotone valuations of f's atoms.
 
@@ -367,14 +425,44 @@ def frame_valid(fr: Frame, f: Formula) -> Countermodel | None:
     names = sorted(atoms(f))
     prog = _compile(f, {name: i for i, name in enumerate(names)})
     ups = _closed_masks(fr.up)
-    up, full = fr.up, fr.full_mask
-    for combo in product(ups, repeat=len(names)):
-        got = _eval(prog, up, full, combo)
-        if got != full:
-            missing = ~got & full
-            world = (missing & -missing).bit_length() - 1
-            model = Model(fr, tuple(zip(names, combo)))
-            return Countermodel(model, world, f)
+    count, n, full = len(ups), fr.size, fr.full_mask
+    # Valuations are numbered in product(ups, ...) order.  The trailing
+    # atoms are bit-sliced: valuation j of a chunk is the j-th valuation
+    # of those atoms, while the leading atoms are fixed per chunk and the
+    # chunks run in product order, so the lowest failing bit of the first
+    # failing chunk is the first countermodel.
+    sliced, per_chunk = 0, 1
+    while sliced < len(names) and per_chunk * count <= _CHUNK_VALUATIONS:
+        sliced += 1
+        per_chunk *= count
+    ones = (1 << n * per_chunk) - 1
+    every = ones // full  # bit 0 of every valuation
+    slices = []
+    block = per_chunk
+    for _ in range(sliced):
+        # This atom takes upset c on the c-th block of valuations: pattern
+        # holds one copy per block, fill spreads it over the block, and the
+        # count blocks repeat until the chunk is full.
+        block //= count
+        span = n * block
+        pattern = 0
+        for mask in reversed(ups):
+            pattern = pattern << span | mask
+        fill = every >> n * (per_chunk - block)
+        slices.append(pattern * fill * (ones // ((1 << span * count) - 1)))
+    offsets: dict[int, int] = {}  # y - x -> bit x of every valuation, per x < y
+    for x, row in enumerate(fr.up):
+        for y in _bits(row ^ 1 << x):
+            offsets[y - x] = offsets.get(y - x, 0) | every << x
+    shifts = list(offsets.items())
+    for combo in product(ups, repeat=len(names) - sliced):
+        regs = [mask * every for mask in combo] + slices
+        root = _eval_sliced(prog, ones, shifts, regs)
+        if root != ones:
+            failing = ones & ~root
+            j, world = divmod((failing & -failing).bit_length() - 1, n)
+            masks = [reg >> j * n & full for reg in regs]
+            return Countermodel(Model(fr, tuple(zip(names, masks))), world, f)
     return None
 
 

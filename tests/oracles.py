@@ -35,40 +35,43 @@ def naive_forces(n, pairs, valuation, world, formula) -> bool:
     pairs is any generating relation (closed here); valuation maps atoms
     to world collections and is assumed monotone.
     """
+    return _sat(_successors(n, pairs), valuation, world, formula)
+
+
+def _successors(n, pairs) -> list[list[int]]:
     rel = close_order(n, pairs)
-    succ = [[y for y in range(n) if (x, y) in rel] for x in range(n)]
-
-    def sat(x: int, f: Formula) -> bool:
-        if isinstance(f, Top):
-            return True
-        if isinstance(f, Bottom):
-            return False
-        if isinstance(f, Atom):
-            return x in set(valuation.get(f.name, ()))
-        if isinstance(f, And):
-            return sat(x, f.left) and sat(x, f.right)
-        if isinstance(f, Or):
-            return sat(x, f.left) or sat(x, f.right)
-        return all(not sat(y, f.left) or sat(y, f.right) for y in succ[x])
-
-    return sat(world, formula)
+    return [[y for y in range(n) if (x, y) in rel] for x in range(n)]
 
 
-def naive_frame_valid(n, pairs, formula, atom_names) -> bool:
-    """Frame validity by filtering all subsets into upsets and trying
-    every assignment of upsets to the given atoms."""
-    rel = close_order(n, pairs)
-    subsets = []
-    for bits in range(1 << n):
-        s = {i for i in range(n) if bits >> i & 1}
-        if all(y in s for x in s for (x2, y) in rel if x2 == x):
-            subsets.append(s)
-    for combo in product(subsets, repeat=len(atom_names)):
+def _sat(succ, valuation, x: int, f: Formula) -> bool:
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Bottom):
+        return False
+    if isinstance(f, Atom):
+        return x in set(valuation.get(f.name, ()))
+    if isinstance(f, And):
+        return _sat(succ, valuation, x, f.left) and _sat(succ, valuation, x, f.right)
+    if isinstance(f, Or):
+        return _sat(succ, valuation, x, f.left) or _sat(succ, valuation, x, f.right)
+    return all(
+        not _sat(succ, valuation, y, f.left) or _sat(succ, valuation, y, f.right)
+        for y in succ[x]
+    )
+
+
+def naive_first_countermodel(n, pairs, formula, atom_names):
+    """The first (valuation, world) refuting formula, or None if the frame
+    validates it: every assignment of upsets to the given atoms, upsets
+    ascending by bitmask and the first atom most significant, then the
+    lowest world that fails to force it."""
+    succ = _successors(n, pairs)
+    for combo in product(naive_upsets(n, pairs), repeat=len(atom_names)):
         val = dict(zip(atom_names, combo))
         for w in range(n):
-            if not naive_forces(n, pairs, val, w, formula):
-                return False
-    return True
+            if not _sat(succ, val, w, formula):
+                return val, w
+    return None
 
 
 def naive_upsets(n, pairs) -> list[frozenset[int]]:

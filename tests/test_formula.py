@@ -155,6 +155,31 @@ def test_subformulas_postorder_dedup():
     assert subformulas(Not(P)) == [P, Bottom(), Imp(P, Bottom())]
 
 
+def _hashing_subformulas(f):
+    # reference: a set of whole subtrees, first occurrence wins
+    out, seen = [], set()
+
+    def walk(g):
+        if isinstance(g, (And, Or, Imp)):
+            walk(g.left)
+            walk(g.right)
+        if g not in seen:
+            seen.add(g)
+            out.append(g)
+
+    walk(f)
+    return out
+
+
+def test_subformulas_match_structural_dedup():
+    rng = random.Random(3131)
+    formulas = [parse("~" * 100 + "p"), parse("(p->q)&(p->q)"), parse("T&T|F->F")]
+    formulas += [random_formula(rng, rng.randint(0, 6), ["p", "q", "r"]) for _ in range(500)]
+    for f in formulas:
+        assert subformulas(f) == _hashing_subformulas(f), f
+    assert len(subformulas(parse("~" * 100 + "p"))) == 102
+
+
 def test_formula_nodes_hash_structurally():
     assert parse("p->q") == Imp(P, Q)
     assert hash(parse("p & q")) == hash(And(P, Q))

@@ -32,10 +32,11 @@ from kripkebench.kripke import (
 )
 from oracles import (
     brute_force_posets,
+    classical_taut,
     frame_pairs,
     iso_classes,
     naive_forces,
-    naive_frame_valid,
+    naive_first_countermodel,
     naive_upsets,
     naive_width,
     random_formula,
@@ -191,6 +192,11 @@ def test_frame_valid_fork():
     assert cm.model.valuation_dict() == {"p": frozenset({1}), "q": frozenset({2})}
 
 
+def _first_countermodel(fr, f):
+    cm = frame_valid(fr, f)
+    return None if cm is None else (cm.model.valuation_dict(), cm.world)
+
+
 def test_frame_valid_agrees_with_naive_oracle():
     corpus = [
         "p->p",
@@ -201,14 +207,38 @@ def test_frame_valid_agrees_with_naive_oracle():
         "~~(p|~p)",
         "((p->q)->p)->p",
         "p&q->p",
+        "T",
+        "F",
+        "T->F",
     ]
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         for fr in enumerate_frames(n):
             for text in corpus:
                 f = parse(text)
                 names = sorted({a for a in ("p", "q") if a in text})
-                expected = naive_frame_valid(n, fr.strict_pairs(), f, names)
-                assert (frame_valid(fr, f) is None) == expected
+                expected = naive_first_countermodel(n, fr.strict_pairs(), f, names)
+                assert _first_countermodel(fr, f) == expected, (fr.up, text)
+
+
+def test_frame_valid_first_countermodel_across_chunks():
+    # 4 atoms on antichain(4) and antichain(5) take 16**4 and 32**4
+    # valuations, more than one chunk of frame_valid's bit-sliced search.
+    # The first countermodels of p -> q|r|s (both frames) and p|q -> r|s
+    # (antichain(5)) lie past the first chunk; p|q -> r|s has another
+    # minimal refutation, first if the last atom were most significant.
+    refuted = ["p|q->r|s", "p->q|r|s", "(s->r)|(q->p)", "s->p|q&r", "p&q&r&s->F"]
+    # Each world of an antichain is its own cone, so validity there is
+    # classical validity.
+    valid = ["(p->q)|(q->r)|(r->s)|(s->p)", "(p->q)|(q->r)|(r->p)|~~s"]
+    for fr in (antichain(4), antichain(5)):
+        for text in refuted:
+            f = parse(text)
+            expected = naive_first_countermodel(fr.size, (), f, ["p", "q", "r", "s"])
+            assert expected is not None
+            assert _first_countermodel(fr, f) == expected, (fr.size, text)
+        for text in valid:
+            assert classical_taut(parse(text))
+            assert frame_valid(fr, parse(text)) is None, (fr.size, text)
 
 
 def test_frame_valid_countermodel_self_check():
