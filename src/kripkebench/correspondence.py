@@ -70,8 +70,8 @@ def _bd2_chain(fr: Frame, _k) -> bool:
 
 # Each built-in kind: its predicate on (frame, k) and whether it takes the
 # bound k.  eval_condition and the CLI spellings read only this table.  A
-# new kind must be isomorphism-invariant, and closed under cones if a
-# logic's class uses it.
+# new kind must be isomorphism-invariant, and hereditary (closed under
+# deleting a world) if a logic's class uses it.
 CONDITIONS = {
     "LIN": (_lin, False),
     "BD2_PAPER": (_bd2_paper, False),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .formula import And, Atom, Bottom, Formula, Or, Top, atoms, render
 
@@ -120,13 +120,17 @@ class Frame:
 
     def depth(self) -> int:
         """Worlds in a longest chain; a single world has depth 1."""
-        # A world's strict successors have strictly smaller up rows, so
-        # visiting by row size sees them first.
-        height = [0] * self.size
-        for i in sorted(range(self.size), key=lambda i: self.up[i].bit_count()):
-            above = _bits(self.up[i] & ~(1 << i))
-            height[i] = 1 + max((height[j] for j in above), default=0)
-        return max(height)
+        # Each round removes the maximal worlds of what is left, and with
+        # them the top world of every longest chain left.
+        left, rounds = self.full_mask, 0
+        while left:
+            top = 0
+            for i in _bits(left):
+                if self.up[i] & left == 1 << i:
+                    top |= 1 << i
+            left ^= top
+            rounds += 1
+        return rounds
 
     def width(self) -> int:
         """Largest set of pairwise incomparable worlds.
@@ -422,6 +426,8 @@ def frame_valid(fr: Frame, f: Formula) -> Countermodel | None:
     lexicographic order: upsets ascending per atom with the first atom
     most significant, then lowest world index.
     """
+    if not fr.up:
+        return None  # no world to fail
     names = sorted(atoms(f))
     prog = _compile(f, {name: i for i, name in enumerate(names)})
     ups = _closed_masks(fr.up)
@@ -481,19 +487,9 @@ def enumerate_frames(n: int, dedup: bool = False) -> Iterator[Frame]:
     return iter(frames)
 
 
-def rooted_frames(n: int) -> Iterator[Frame]:
-    """The rooted frames of enumerate_frames(n, dedup=True), in that order.
-
-    One per isomorphism class of posets with a least world: the classes
-    counted by A000112(n-1).
-    """
-    if n < 1:
-        raise ValueError("frame enumeration needs n >= 1")
-    bases = enumerate_frames(n - 1, dedup=True) if n > 1 else (Frame(()),)
-    return _grow(bases, dedup=True, rooted=True)
-
-
-def _grow(bases: Iterable[Frame], dedup: bool, rooted: bool = False) -> Iterator[Frame]:
+def _grow(
+    bases: Iterable[Frame], dedup: bool, keep: Callable[[Frame], bool] | None = None
+) -> Iterator[Frame]:
     # Add one world to each base, last in the labeling: the new world gets
     # a strict upper set U and a strict lower set D; the extension is a
     # partial order exactly when U is an upset, D a downset, and every
@@ -504,13 +500,14 @@ def _grow(bases: Iterable[Frame], dedup: bool, rooted: bool = False) -> Iterator
     # first labeled frame of a class has, as its base, the first labeled
     # frame of that base's class (relabeling the base would otherwise give
     # an earlier frame), so growing class representatives only yields
-    # exactly the first frame of every class.  With rooted, frames without
-    # a least world are skipped before keying; rootedness is a class
-    # property, so the kept frames are the rooted ones of the dedup order.
+    # exactly the first frame of every class.  Candidates failing keep are
+    # skipped before keying.  When keep is isomorphism-invariant and the
+    # bases are the dedup frames of a class holding every kept frame with
+    # a world deleted, the kept frames are the keep subsequence of the
+    # dedup order: a hereditary class grows from its own frames alone.
     seen: set[tuple[int, ...]] = set()
     for base in bases:
         new_bit = 1 << base.size
-        full = (new_bit << 1) - 1
         down = base._down_masks()
         for upper in _closed_masks(base.up):
             below = base.full_mask & ~upper
@@ -521,9 +518,9 @@ def _grow(bases: Iterable[Frame], dedup: bool, rooted: bool = False) -> Iterator
                 for d in _bits(lower):
                     rows[d] |= new_bit
                 rows.append(upper | new_bit)
-                if rooted and full not in rows:
-                    continue
                 fr = Frame(tuple(rows))
+                if keep is not None and not keep(fr):
+                    continue
                 if dedup:
                     key = _canonical_key(fr)
                     if key in seen:

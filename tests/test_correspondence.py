@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 
 from kripkebench.kripke import (
@@ -29,7 +31,7 @@ from kripkebench.correspondence import (
     gl_witness,
 )
 from kripkebench.logics import LOGICS
-from oracles import CONDITION_ORACLES, brute_force_posets, naive_forces
+from oracles import CONDITION_ORACLES, brute_force_posets, frame_pairs, naive_forces
 
 
 # --- condition evaluation -------------------------------------------------
@@ -110,6 +112,31 @@ def test_logic_classes_are_conjunctions_of_oracle_conditions():
             for rel in brute_force_posets(n):
                 want = all(CONDITION_ORACLES[c.kind](n, rel, c.k) for c in logic.conditions)
                 assert logic.frame_class(make_frame(n, rel)) == want, (logic.name, sorted(rel))
+
+
+def _induced(rel, worlds):
+    """The order rel restricted to worlds, relabeled 0.. in their order."""
+    pos = {w: i for i, w in enumerate(worlds)}
+    return len(worlds), frozenset((pos[a], pos[b]) for a, b in rel if a in pos and b in pos)
+
+
+def test_conditions_are_hereditary_and_cone_closed():
+    # decide grows each size from the class frames of the size before and
+    # searches rooted frames alone, which is sound only if deleting a world
+    # or taking a cone never leaves a class
+    frames = [(n, frame_pairs(fr)) for n in range(1, 6) for fr in enumerate_frames(n)]
+    for kind, (_, takes_k) in CONDITIONS.items():
+        oracle = CONDITION_ORACLES[kind]
+        for k in (1, 2, 3) if takes_k else (None,):
+            holds = lru_cache(maxsize=None)(lambda n, rel: oracle(n, rel, k))
+            for n, rel in frames:
+                if not holds(n, rel):
+                    continue
+                for w in range(n):
+                    rest = [v for v in range(n) if v != w]
+                    assert holds(*_induced(rel, rest)), (kind, k, sorted(rel), w)
+                    cone = [v for v in range(n) if (w, v) in rel]
+                    assert holds(*_induced(rel, cone)), (kind, k, sorted(rel), w)
 
 
 def test_condition_hierarchy_on_all_small_frames():

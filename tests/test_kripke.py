@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import count
 
 import pytest
 
@@ -8,11 +9,13 @@ from kripkebench.formula import And, Atom, Bottom, Or, Top, atoms, parse, substi
 from kripkebench.kripke import (
     AntisymmetryViolation,
     Countermodel,
+    Frame,
     InvalidModel,
     Model,
     UnknownWorld,
     _closed_masks,
     _compile,
+    _grow,
     antichain,
     chain,
     countermodel_to_json,
@@ -27,10 +30,11 @@ from kripkebench.kripke import (
     make_model,
     model_from_json,
     model_to_json,
-    rooted_frames,
     to_dot,
 )
+from kripkebench.logics import LOGICS
 from oracles import (
+    CONDITION_ORACLES,
     brute_force_posets,
     classical_taut,
     frame_pairs,
@@ -241,6 +245,12 @@ def test_frame_valid_first_countermodel_across_chunks():
             assert frame_valid(fr, parse(text)) is None, (fr.size, text)
 
 
+def test_frame_valid_on_no_worlds():
+    # with no world there is nothing to fail
+    for text in ("p", "F", "T->F"):
+        assert frame_valid(Frame(()), parse(text)) is None
+
+
 def test_frame_valid_countermodel_self_check():
     cm = frame_valid(chain(2), parse("p|~p"))
     assert cm.world == 0
@@ -364,9 +374,12 @@ def test_depth_and_width():
     assert make_frame(1).width() == 1
     assert chain(40).depth() == 40 and chain(40).width() == 1
     assert chain(1200).depth() == 1200
+    depth_le = CONDITION_ORACLES["DEPTH_LE"]
     for n in range(1, 6):
         for fr in enumerate_frames(n):
             assert fr.width() == naive_width(n, fr.strict_pairs())
+            rel = frame_pairs(fr)
+            assert fr.depth() == next(k for k in count(1) if depth_le(n, rel, k)), fr.up
 
 
 # --- enumeration ----------------------------------------------------------
@@ -438,29 +451,39 @@ def _has_root(fr):
     return any(row == fr.full_mask for row in fr.up)
 
 
-def test_rooted_frames_counts_follow_a000112_shifted():
+@pytest.fixture(scope="module")
+def dedup_frames():
+    frames = {n: list(enumerate_frames(n, dedup=True)) for n in range(1, 7)}
+    return {0: [Frame(())], **frames}
+
+
+def test_class_growth_is_the_class_subsequence(dedup_frames):
+    for logic in LOGICS.values():
+        classes = [Frame(())]
+        for n in range(1, 7):
+            classes = list(_grow(classes, True, logic.frame_class))
+            want = [fr for fr in dedup_frames[n] if logic.frame_class(fr)]
+            assert classes == want, (logic.name, n)
+
+
+def test_rooted_growth_is_the_rooted_subsequence(dedup_frames):
+    for logic in LOGICS.values():
+        def rooted(fr):
+            return _has_root(fr) and logic.frame_class(fr)
+
+        for n in range(1, 7):
+            bases = [fr for fr in dedup_frames[n - 1] if logic.frame_class(fr)]
+            want = [fr for fr in dedup_frames[n] if rooted(fr)]
+            assert list(_grow(bases, True, rooted)) == want, (logic.name, n)
+
+
+def test_rooted_growth_counts_follow_a000112_shifted(dedup_frames):
     for n, expected in zip(range(1, 7), (1, 1, 2, 5, 16, 63)):
-        frames = list(rooted_frames(n))
+        frames = list(_grow(dedup_frames[n - 1], True, _has_root))
         assert len(frames) == expected
         assert all(fr.size == n and _has_root(fr) for fr in frames)
-
-
-def test_rooted_frames_are_exactly_the_rooted_classes():
-    for n in range(1, 6):
-        frames = list(rooted_frames(n))
-        assert len(iso_classes(frames)) == len(frames)
-        rooted_reps = [fr for fr in enumerate_frames(n, dedup=True) if _has_root(fr)]
-        assert len(rooted_reps) == len(frames)
-    for n in range(1, 7):
-        rooted_reps = [fr for fr in enumerate_frames(n, dedup=True) if _has_root(fr)]
-        assert list(rooted_frames(n)) == rooted_reps, n
-
-
-def test_rooted_frames_rejects_bad_n():
-    with pytest.raises(ValueError):
-        list(rooted_frames(0))
-    with pytest.raises(ValueError):
-        rooted_frames(0)
+        if n <= 5:
+            assert len(iso_classes(frames)) == len(frames)
 
 
 # --- models and validation ------------------------------------------------

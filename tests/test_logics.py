@@ -17,7 +17,9 @@ from kripkebench.logics import (
     LEM_SCHEMA,
     LOGICS,
     Decision,
+    LogicSpec,
     Verdict,
+    audit_schemas,
     decide,
     get_logic,
     schema_instance,
@@ -219,6 +221,15 @@ def test_schemas_sound_over_their_classes():
                         assert frame_valid(fr, schema_instance(schema, a, b)) is None
                 if CPC.frame_class(fr):
                     assert frame_valid(fr, schema_instance(LEM_SCHEMA, a, b)) is None
+
+
+def test_axiom_schemas_sound_on_grown_class_frames():
+    for logic in LOGICS.values():
+        assert audit_schemas(logic, 5) is None, logic.name
+    # a schema its class does not validate is caught on the first such frame
+    cm = audit_schemas(LogicSpec("lin+lem", (LEM_SCHEMA,), (LIN,)), 5)
+    assert cm is not None and cm.model.frame == chain(2)
+    assert cm.formula == schema_instance(LEM_SCHEMA)
 
 
 def test_restricted_refutations_are_ipc_refutations():
