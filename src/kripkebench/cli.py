@@ -43,7 +43,10 @@ EXIT_INCONCLUSIVE = 3
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError("JSON nests too deeply") from None
 
 
 def _print_json(data) -> None:

@@ -100,7 +100,7 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
         if c.isspace():
             i += 1
             continue
-        if c.isalpha() or c == "_":
+        if c.isascii() and (c.isalpha() or c == "_"):
             m = _IDENT.match(text, i)
             out.append((m.group(), i + 1))
             i = m.end()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .formula import And, Atom, Bottom, Formula, Or, Top, atoms, render
+from .formula import And, Atom, Bottom, Formula, Or, Top, render
 
 
 class UnknownWorld(ValueError):
@@ -296,21 +296,23 @@ class Countermodel:
             )
 
 
-# A formula compiles to one program over its distinct subterms, which two
-# evaluators run bottom-up: _eval keeps one world bitmask per subterm for
-# a single model (forces, force_set), and _eval_sliced keeps one int per
-# subterm holding those bitmasks for a whole chunk of valuations side by
-# side (frame_valid).
+# A formula compiles to one program over its distinct subterms, which
+# _eval runs bottom-up with one int per subterm.  frame_valid packs the
+# world bitmasks of a whole chunk of valuations side by side into each
+# int; forces and force_set run the same program on a one-valuation chunk.
 # Subterms are shared by their compiled node: equal subterms compile to
 # equal child indices, so looking up (op, a, b) never hashes a subtree.
 
-def _compile(f: Formula, slot: Mapping[str, int]) -> list[tuple[str, int, int]]:
+def _compile(f: Formula) -> tuple[list[str], list[tuple[str, int, int]]]:
+    """The sorted atom names of f and its program; atom nodes hold the
+    index of their name in that list."""
     prog: list[tuple[str, int, int]] = []
     index: dict[tuple[str, int, int], int] = {}
+    slot: dict[str, int] = {}  # atom name -> order of first occurrence
 
     def walk(g: Formula) -> int:
         if isinstance(g, Atom):
-            node = ("atom", slot[g.name], 0)
+            node = ("atom", slot.setdefault(g.name, len(slot)), 0)
         elif isinstance(g, Top):
             node = ("top", 0, 0)
         elif isinstance(g, Bottom):
@@ -331,61 +333,26 @@ def _compile(f: Formula, slot: Mapping[str, int]) -> list[tuple[str, int, int]]:
         return i
 
     walk(f)
-    return prog
+    names = sorted(slot)
+    rank = {slot[name]: i for i, name in enumerate(names)}
+    return names, [(op, rank[a], b) if op == "atom" else (op, a, b) for op, a, b in prog]
 
 
-def _eval(prog, up: tuple[int, ...], full: int, slots) -> int:
-    n = len(up)
-    regs: list[int] = []
-    append = regs.append
-    for op, a, b in prog:
-        if op == "atom":
-            append(slots[a])
-        elif op == "imp":
-            bad = regs[a] & ~regs[b] & full
-            if bad:
-                v = 0
-                for x in range(n):
-                    if not up[x] & bad:
-                        v |= 1 << x
-                append(v)
-            else:
-                append(full)
-        elif op == "and":
-            append(regs[a] & regs[b])
-        elif op == "or":
-            append(regs[a] | regs[b])
-        elif op == "top":
-            append(full)
-        else:
-            append(0)
-    return regs[-1]
+def _shifts(up: tuple[int, ...]) -> list[tuple[int, int]]:
+    # (y - x, mask) with bit x of mask set for every strict pair x < y at
+    # that offset.
+    offsets: dict[int, int] = {}
+    for x, row in enumerate(up):
+        row ^= 1 << x
+        while row:
+            low = row & -row
+            d = low.bit_length() - 1 - x
+            offsets[d] = offsets.get(d, 0) | 1 << x
+            row ^= low
+    return list(offsets.items())
 
 
-def _force_mask(model: Model, f: Formula) -> int:
-    names = sorted(atoms(f))
-    prog = _compile(f, {name: i for i, name in enumerate(names)})
-    slots = [model.atom_mask(name) for name in names]
-    return _eval(prog, model.frame.up, model.frame.full_mask, slots)
-
-
-def forces(model: Model, x: int, f: Formula) -> bool:
-    """Forcing at world x.
-
-    Atoms hold by membership in the valuation, T always, F never, & and |
-    pointwise, and A -> B holds at x iff every y >= x forcing A forces B.
-    """
-    if not 0 <= x < model.frame.size:
-        raise UnknownWorld(x)
-    return _force_mask(model, f) >> x & 1 == 1
-
-
-def force_set(model: Model, f: Formula) -> frozenset[int]:
-    """All worlds forcing f; upward closed for every legal model."""
-    return _mask_to_set(_force_mask(model, f))
-
-
-def _eval_sliced(prog, ones: int, shifts, atom_regs) -> int:
+def _eval(prog, ones: int, shifts, atom_regs) -> int:
     # Bit j*n + x of a register: world x forces the subterm under valuation
     # j of the chunk.  A -> B fails at x where some y >= x forces A but not
     # B; each (y - x, mask) shift moves bit y of every valuation to bit x
@@ -412,6 +379,29 @@ def _eval_sliced(prog, ones: int, shifts, atom_regs) -> int:
     return regs[-1]
 
 
+def _force_mask(model: Model, f: Formula) -> int:
+    names, prog = _compile(f)
+    fr = model.frame
+    slots = [model.atom_mask(name) for name in names]
+    return _eval(prog, fr.full_mask, _shifts(fr.up), slots)
+
+
+def forces(model: Model, x: int, f: Formula) -> bool:
+    """Forcing at world x.
+
+    Atoms hold by membership in the valuation, T always, F never, & and |
+    pointwise, and A -> B holds at x iff every y >= x forcing A forces B.
+    """
+    if not 0 <= x < model.frame.size:
+        raise UnknownWorld(x)
+    return _force_mask(model, f) >> x & 1 == 1
+
+
+def force_set(model: Model, f: Formula) -> frozenset[int]:
+    """All worlds forcing f; upward closed for every legal model."""
+    return _mask_to_set(_force_mask(model, f))
+
+
 # Most valuations per chunk in frame_valid: bounds the size of every
 # register while keeping the number of Python-level operations small.
 _CHUNK_VALUATIONS = 4096
@@ -428,8 +418,7 @@ def frame_valid(fr: Frame, f: Formula) -> Countermodel | None:
     """
     if not fr.up:
         return None  # no world to fail
-    names = sorted(atoms(f))
-    prog = _compile(f, {name: i for i, name in enumerate(names)})
+    names, prog = _compile(f)
     ups = _closed_masks(fr.up)
     count, n, full = len(ups), fr.size, fr.full_mask
     # Valuations are numbered in product(ups, ...) order.  The trailing
@@ -456,14 +445,10 @@ def frame_valid(fr: Frame, f: Formula) -> Countermodel | None:
             pattern = pattern << span | mask
         fill = every >> n * (per_chunk - block)
         slices.append(pattern * fill * (ones // ((1 << span * count) - 1)))
-    offsets: dict[int, int] = {}  # y - x -> bit x of every valuation, per x < y
-    for x, row in enumerate(fr.up):
-        for y in _bits(row ^ 1 << x):
-            offsets[y - x] = offsets.get(y - x, 0) | every << x
-    shifts = list(offsets.items())
+    shifts = [(d, mask * every) for d, mask in _shifts(fr.up)]
     for combo in product(ups, repeat=len(names) - sliced):
         regs = [mask * every for mask in combo] + slices
-        root = _eval_sliced(prog, ones, shifts, regs)
+        root = _eval(prog, ones, shifts, regs)
         if root != ones:
             failing = ones & ~root
             j, world = divmod((failing & -failing).bit_length() - 1, n)

@@ -349,6 +349,19 @@ def test_deep_formulas_exit_2(capsys, chain3, formula):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["valid", "{}", "p"], ["eval", "{}", "p"], ["witness", "bd2", "{}"], ["export-dot", "{}"]],
+    ids=["valid", "eval", "witness", "export-dot"],
+)
+def test_deep_json_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main([arg.format(path) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: JSON nests too deeply\n"
+
+
 # --- registries --------------------------------------------------------------
 
 def test_every_condition_spelling_resolves(capsys):

@@ -67,6 +67,8 @@ def test_parse_whitespace_insensitive():
         ("p $", 3),
         ("p - q", 3),
         ("p | | q", 5),
+        ("é", 1),
+        ("pé", 2),
     ],
 )
 def test_parse_errors_carry_position(text, position):

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from itertools import count
+from itertools import count, product
 
 import pytest
 
@@ -116,11 +116,30 @@ def test_forces_agrees_with_naive_oracle_randomized():
         fr = random_frame(rng, 4)
         model = random_model(rng, fr, ["p", "q"])
         f = random_formula(rng, 4, ["p", "q"])
+        val = model.valuation_dict()
+        expected = {
+            w for w in range(fr.size) if naive_forces(fr.size, fr.strict_pairs(), val, w, f)
+        }
+        assert force_set(model, f) == expected
         w = rng.randrange(fr.size)
-        expected = naive_forces(
-            fr.size, fr.strict_pairs(), model.valuation_dict(), w, f
-        )
-        assert forces(model, w, f) == expected
+        assert forces(model, w, f) == (w in expected)
+
+
+@pytest.mark.parametrize(
+    "text", ["T", "F", "T->F", "p->q", "(p->q)->p", "~~p->p", "(p->q)|(q->p)"]
+)
+def test_force_set_agrees_with_naive_oracle_on_every_small_model(text):
+    # Labeled frames order worlds both ways, so both signs of the offset
+    # y - x of a strict pair x < y occur.
+    f = parse(text)
+    for n in range(1, 4):
+        for rel in brute_force_posets(n):
+            pairs = sorted(rel)
+            fr = make_frame(n, pairs)
+            for p, q in product(naive_upsets(n, pairs), repeat=2):
+                val = {"p": p, "q": q}
+                expected = {w for w in range(n) if naive_forces(n, pairs, val, w, f)}
+                assert force_set(make_model(fr, val), f) == expected, (pairs, val)
 
 
 def test_force_set_upward_closed():
@@ -167,10 +186,11 @@ def test_compile_matches_structural_sharing():
     formulas = [parse(text) for text in fixed]
     formulas += [random_formula(rng, rng.randint(0, 6), ["p", "q", "r"]) for _ in range(500)]
     for f in formulas:
-        slot = {name: i for i, name in enumerate(sorted(atoms(f)))}
-        assert _compile(f, slot) == _structural_compile(f, slot), f
-    assert len(_compile(parse("(p->q)&(p->q)"), {"p": 0, "q": 1})) == 4
-    assert len(_compile(parse("~" * 100 + "p"), {"p": 0})) == 102
+        names = sorted(atoms(f))
+        slot = {name: i for i, name in enumerate(names)}
+        assert _compile(f) == (names, _structural_compile(f, slot)), f
+    assert len(_compile(parse("(p->q)&(p->q)"))[1]) == 4
+    assert len(_compile(parse("~" * 100 + "p"))[1]) == 102
 
 
 # --- frame validity -------------------------------------------------------
