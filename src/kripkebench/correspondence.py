@@ -12,7 +12,7 @@ from .kripke import (
     Frame,
     Model,
     _bits,
-    enumerate_frames,
+    _frames_upto,
     frame_to_json,
     frame_valid,
 )
@@ -37,14 +37,26 @@ class FrameCondition:
         return f"{self.kind}({self.k})"
 
 
-def _lin(fr: Frame, _k) -> bool:
+def _branching(fr: Frame) -> tuple[int, int, int] | None:
+    # The first x <= y, x <= z in index order with y, z incomparable.
+    up = fr.up
     for x in range(fr.size):
-        cone = _bits(fr.up[x])
-        for a, y in enumerate(cone):
-            for z in cone[a + 1 :]:
-                if not fr.le(y, z) and not fr.le(z, y):
-                    return False
-    return True
+        for y in _bits(up[x]):
+            for z in _bits(up[x] & ~up[y]):
+                if not up[z] >> y & 1:
+                    return x, y, z
+    return None
+
+
+def _three_chain(fr: Frame) -> tuple[int, int, int] | None:
+    # The first strict chain x < y < z in index order.
+    up = fr.up
+    for x in range(fr.size):
+        for y in _bits(up[x] & ~(1 << x)):
+            above = up[y] & ~(1 << y)
+            if above:
+                return x, y, (above & -above).bit_length() - 1
+    return None
 
 
 def _bd2_paper(fr: Frame, _k) -> bool:
@@ -57,25 +69,14 @@ def _bd2_paper(fr: Frame, _k) -> bool:
     return True
 
 
-def _bd2_chain(fr: Frame, _k) -> bool:
-    # A three-world chain exists iff some world has both a strict
-    # predecessor and a strict successor.
-    down = fr._down_masks()
-    for y in range(fr.size):
-        bit = 1 << y
-        if fr.up[y] & ~bit and down[y] & ~bit:
-            return False
-    return True
-
-
 # Each built-in kind: its predicate on (frame, k) and whether it takes the
 # bound k.  eval_condition and the CLI spellings read only this table.  A
 # new kind must be isomorphism-invariant, and hereditary (closed under
 # deleting a world) if a logic's class uses it.
 CONDITIONS = {
-    "LIN": (_lin, False),
+    "LIN": (lambda fr, k: _branching(fr) is None, False),
     "BD2_PAPER": (_bd2_paper, False),
-    "BD2_CHAIN": (_bd2_chain, False),
+    "BD2_CHAIN": (lambda fr, k: _three_chain(fr) is None, False),
     "DISCRETE": (lambda fr, k: all(fr.up[i] == 1 << i for i in range(fr.size)), False),
     "DEPTH_LE": (lambda fr, k: fr.depth() <= k, True),
     "CONE_SIZE_LE": (lambda fr, k: all(bin(m).count("1") <= k for m in fr.up), True),
@@ -249,22 +250,20 @@ def check_correspondence(
     if max_n < 1:
         raise ValueError("check_correspondence needs max_n >= 1")
     report = CorrespondenceReport(schema, condition, max_n, dedup)
-    for n in range(1, max_n + 1):
-        tally = SizeTally()
-        report.sizes[n] = tally
-        for fr in enumerate_frames(n, dedup):
-            tally.frames += 1
-            valid = frame_valid(fr, schema) is None
-            holds = eval_condition(condition, fr)
-            if valid:
-                tally.schema_valid += 1
-            if holds:
-                tally.condition_true += 1
-            if valid != holds:
-                tally.mismatches += 1
-                if report.first_mismatch is None:
-                    side = "schema" if valid else "condition"
-                    report.first_mismatch = (n, fr, side)
+    for fr in _frames_upto(max_n, dedup):
+        tally = report.sizes.setdefault(fr.size, SizeTally())
+        tally.frames += 1
+        valid = frame_valid(fr, schema) is None
+        holds = eval_condition(condition, fr)
+        if valid:
+            tally.schema_valid += 1
+        if holds:
+            tally.condition_true += 1
+        if valid != holds:
+            tally.mismatches += 1
+            if report.first_mismatch is None:
+                side = "schema" if valid else "condition"
+                report.first_mismatch = (fr.size, fr, side)
     return report
 
 
@@ -272,42 +271,24 @@ def gl_witness(fr: Frame) -> Countermodel:
     """Countermodel to (p -> q) | (q -> p) on a frame with a branching.
 
     Picks the lexicographically first triple x, y, z with x <= y, x <= z
-    and y, z incomparable, and assigns p the upset of y and q the upset
-    of z; the root x then forces neither implication.
+    and y, z incomparable, the one LIN finds, and assigns p the upset of
+    y and q the upset of z; the root x then forces neither implication.
     """
-    worlds = range(fr.size)
-    triples = (
-        (x, y, z)
-        for x in worlds
-        for y in worlds
-        if fr.le(x, y)
-        for z in worlds
-        if fr.le(x, z) and not fr.le(y, z) and not fr.le(z, y)
-    )
-    return _witness(fr, triples, GL_INSTANCE, "every cone of the frame is linear")
+    return _witness(fr, _branching(fr), GL_INSTANCE, "every cone of the frame is linear")
 
 
 def bd2_witness(fr: Frame) -> Countermodel:
     """Countermodel to p | (p -> (q | ~q)) on a frame with a 3-chain.
 
-    Picks the lexicographically first strict chain x < y < z and assigns
-    p the upset of y and q the upset of z; x then neither forces p nor
-    the guarded implication (its witness y sees q undecided).
+    Picks the lexicographically first strict chain x < y < z, the one
+    BD2_CHAIN finds, and assigns p the upset of y and q the upset of z;
+    x then neither forces p nor the guarded implication (its witness y
+    sees q undecided).
     """
-    worlds = range(fr.size)
-    triples = (
-        (x, y, z)
-        for x in worlds
-        for y in worlds
-        if x != y and fr.le(x, y)
-        for z in worlds
-        if y != z and fr.le(y, z)
-    )
-    return _witness(fr, triples, BD2_INSTANCE, "the frame has no chain of three worlds")
+    return _witness(fr, _three_chain(fr), BD2_INSTANCE, "the frame has no chain of three worlds")
 
 
-def _witness(fr: Frame, triples, instance: Formula, missing: str) -> Countermodel:
-    found = next(triples, None)
+def _witness(fr: Frame, found, instance: Formula, missing: str) -> Countermodel:
     if found is None:
         raise PreconditionFailed(missing)
     x, y, z = found
@@ -378,31 +359,29 @@ def collapse_check(max_n: int) -> CollapseReport:
         raise ValueError("collapse_check needs max_n >= 1")
     cone2 = cone_size_le(2)
     report = CollapseReport(max_n)
-    for n in range(1, max_n + 1):
-        count = 0
-        for fr in enumerate_frames(n):
-            count += 1
-            both = eval_condition(LIN, fr) and eval_condition(BD2_CHAIN, fr)
-            small_cones = eval_condition(cone2, fr)
-            if both != small_cones:
-                report.violations.append(
-                    CollapseViolation(
-                        n,
-                        fr,
-                        "cone-bound",
-                        f"LIN and BD2_CHAIN {both} but CONE_SIZE_LE(2) {small_cones}",
-                    )
+    for fr in _frames_upto(max_n, False):
+        n = fr.size
+        report.frames[n] = report.frames.get(n, 0) + 1
+        both = eval_condition(LIN, fr) and eval_condition(BD2_CHAIN, fr)
+        small_cones = eval_condition(cone2, fr)
+        if both != small_cones:
+            report.violations.append(
+                CollapseViolation(
+                    n,
+                    fr,
+                    "cone-bound",
+                    f"LIN and BD2_CHAIN {both} but CONE_SIZE_LE(2) {small_cones}",
                 )
-            if n <= 2:
-                for instance in (GL_INSTANCE, BD2_INSTANCE):
-                    if frame_valid(fr, instance) is not None:
-                        report.violations.append(
-                            CollapseViolation(
-                                n,
-                                fr,
-                                "small-frame-validity",
-                                f"{render(instance)} fails on a {n}-world frame",
-                            )
+            )
+        if n <= 2:
+            for instance in (GL_INSTANCE, BD2_INSTANCE):
+                if frame_valid(fr, instance) is not None:
+                    report.violations.append(
+                        CollapseViolation(
+                            n,
+                            fr,
+                            "small-frame-validity",
+                            f"{render(instance)} fails on a {n}-world frame",
                         )
-        report.frames[n] = count
+                    )
     return report

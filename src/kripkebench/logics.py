@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 
 from .formula import Formula
-from .kripke import Countermodel, Frame, _grow, countermodel_to_json, frame_valid
+from .kripke import Countermodel, Frame, _frames_upto, countermodel_to_json, frame_valid
 from .correspondence import BD2_CHAIN, DISCRETE, LIN, FrameCondition, eval_condition
 # The schemas live beside their conditions; they are re-exported from here.
 from .correspondence import BD2_SCHEMA, GL_INSTANCE, GL_SCHEMA, LEM_SCHEMA, schema_instance
@@ -96,27 +96,21 @@ def decide(logic: LogicSpec, f: Formula, bound: int) -> Decision:
     its cone, and the class is closed under cones, so at the smallest
     refuting size no frame without a least world refutes, and Refuted
     carries the first countermodel of the first refuting class
-    representative of that size.  The class is hereditary, so each size
-    grows from the previous size's class representatives alone, and the
-    last size grows only rooted ones.  Valid is returned only when the
-    class's exact completeness bound was covered; otherwise the search
-    was merely exhaustive up to the bound.
+    representative of that size.  The class is hereditary, so one walk
+    grows each size once, from the previous size's class representatives
+    alone, and its filter admits only rooted ones at the last size.
+    Valid is returned only when the class's exact completeness bound was
+    covered; otherwise the search was merely exhaustive up to the bound.
     """
     if bound < 1:
         raise ValueError("decide needs bound >= 1")
     limit = bound if logic.exact_bound is None else min(bound, logic.exact_bound)
-    classes = [Frame(())]
-    for n in range(1, limit + 1):
-        keep = logic.frame_class
-        if n == limit:
-            keep = lambda fr: fr.full_mask in fr.up and logic.frame_class(fr)
-        bases, classes = classes, []
-        for fr in _grow(bases, True, keep):
-            if fr.full_mask in fr.up:
-                cm = frame_valid(fr, f)
-                if cm is not None:
-                    return Decision(Verdict.REFUTED, n, cm)
-            classes.append(fr)
+    keep = lambda fr: (fr.size < limit or fr.full_mask in fr.up) and logic.frame_class(fr)
+    for fr in _frames_upto(limit, True, keep):
+        if fr.full_mask in fr.up:
+            cm = frame_valid(fr, f)
+            if cm is not None:
+                return Decision(Verdict.REFUTED, fr.size, cm)
     if logic.exact_bound is not None and logic.exact_bound <= bound:
         return Decision(Verdict.VALID, limit)
     return Decision(Verdict.NO_COUNTERMODEL, bound)
@@ -125,17 +119,14 @@ def decide(logic: LogicSpec, f: Formula, bound: int) -> Decision:
 def audit_schemas(logic: LogicSpec, max_n: int) -> Countermodel | None:
     """Check that the logic's class validates its axiom schemas.
 
-    Grows the class representatives up to max_n worlds as decide does and
+    Walks the class representatives up to max_n worlds as decide does and
     returns the first countermodel to a schema's p, q instance, or None
     when every class frame validates every schema.
     """
     instances = [schema_instance(s) for s in logic.axiom_schemas]
-    classes = [Frame(())]
-    for _ in range(max_n):
-        classes = list(_grow(classes, True, logic.frame_class))
-        for fr in classes:
-            for f in instances:
-                cm = frame_valid(fr, f)
-                if cm is not None:
-                    return cm
+    for fr in _frames_upto(max_n, True, logic.frame_class):
+        for f in instances:
+            cm = frame_valid(fr, f)
+            if cm is not None:
+                return cm
     return None

@@ -245,6 +245,36 @@ CONDITION_ORACLES = {
 }
 
 
+# The lexicographically first triple of each witness shape, or None.
+
+def first_branching(n, rel):
+    """x <= y and x <= z with y and z incomparable."""
+    return next(
+        (
+            (x, y, z)
+            for x in range(n)
+            for y in range(n)
+            for z in range(n)
+            if (x, y) in rel and (x, z) in rel and (y, z) not in rel and (z, y) not in rel
+        ),
+        None,
+    )
+
+
+def first_three_chain(n, rel):
+    """x < y < z, three distinct worlds."""
+    return next(
+        (
+            (x, y, z)
+            for x in range(n)
+            for y in range(n)
+            for z in range(n)
+            if x != y and y != z and (x, y) in rel and (y, z) in rel
+        ),
+        None,
+    )
+
+
 # Randomized generators for property tests (always seeded by the caller).
 
 def random_frame(rng: random.Random, max_n: int):
@@ -254,7 +284,11 @@ def random_frame(rng: random.Random, max_n: int):
     pairs = [
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4
     ]
-    return make_frame(n, pairs)
+    # Relabel by a random permutation, so that a strict pair x < y occurs
+    # with y - x of either sign.
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return make_frame(n, [(perm[i], perm[j]) for i, j in pairs])
 
 
 def random_model(rng: random.Random, frame, names):

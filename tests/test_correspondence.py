@@ -31,7 +31,14 @@ from kripkebench.correspondence import (
     gl_witness,
 )
 from kripkebench.logics import LOGICS
-from oracles import CONDITION_ORACLES, brute_force_posets, frame_pairs, naive_forces
+from oracles import (
+    CONDITION_ORACLES,
+    brute_force_posets,
+    first_branching,
+    first_three_chain,
+    frame_pairs,
+    naive_forces,
+)
 
 
 # --- condition evaluation -------------------------------------------------
@@ -295,6 +302,27 @@ def test_witnesses_verify_on_every_violating_frame():
             if not eval_condition(BD2_CHAIN, fr):
                 cm = bd2_witness(fr)
                 assert forces(cm.model, cm.world, cm.formula) is False
+
+
+def test_witnesses_pick_the_first_triple():
+    # x is the world, p the upset of y and q the upset of z, for the
+    # lexicographically first triple of the shape
+    shapes = ((gl_witness, first_branching), (bd2_witness, first_three_chain))
+    for n in range(1, 6):
+        for fr in enumerate_frames(n):
+            rel = frame_pairs(fr)
+            for witness, first in shapes:
+                found = first(n, rel)
+                if found is None:
+                    with pytest.raises(PreconditionFailed):
+                        witness(fr)
+                    continue
+                x, y, z = found
+                up = {w: frozenset(v for v in range(n) if (w, v) in rel) for w in (y, z)}
+                cm = witness(fr)
+                assert cm.world == x, (witness.__name__, sorted(rel))
+                assert cm.model.valuation_dict() == {"p": up[y], "q": up[z]}, (
+                    witness.__name__, sorted(rel))
 
 
 # --- soundness and incomparability ------------------------------------------

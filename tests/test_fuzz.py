@@ -15,7 +15,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kripkebench.cli import main
@@ -47,6 +47,10 @@ MODELS = st.fixed_dictionaries(
 DOCUMENTS = MODELS | FRAMES | JUNK
 FORMULA_TEXT = st.text() | st.text(" pqTF()~&|->")
 FORMULAS = st.sampled_from(["p", "p -> q", "~p | p", "(p->q)|(q->p)"]) | FORMULA_TEXT
+CONDITION_TEXT = (
+    st.sampled_from(["lin", "bd2-chain", "BD2-Paper", "discrete", "depth-le-2", "cone-size-le-0"])
+    | st.text(max_size=12)
+)
 
 
 def run(argv) -> int:
@@ -79,6 +83,23 @@ def test_eval_fuzz(doc, formula, world):
     with json_file(doc) as path:
         argv = ["eval", path, formula] + ([] if world is None else ["--world", str(world)])
         assert run(argv) in (0, 1, 2, 3)
+
+
+@FUZZ
+@given(st.sampled_from(["gl", "bd2"]), DOCUMENTS)
+@example("gl", {"worlds": 3, "le": [[0, 1], [0, 2]]})
+@example("bd2", {"worlds": 3, "le": [[0, 1], [1, 2]]})
+def test_witness_fuzz(schema, doc):
+    with json_file(doc) as path:
+        assert run(["witness", schema, path]) in (0, 1, 2, 3)
+
+
+# The schema has one atom, so a sweep up to three worlds stays cheap.
+@FUZZ
+@given(CONDITION_TEXT, st.integers(-1, 3), st.booleans())
+def test_correspond_fuzz(condition, max_n, dedup):
+    argv = ["correspond", "p", condition, "--max-n", str(max_n)] + (["--dedup"] if dedup else [])
+    assert run(argv) in (0, 1, 2, 3)
 
 
 @FUZZ

@@ -15,6 +15,7 @@ from kripkebench.kripke import (
     UnknownWorld,
     _closed_masks,
     _compile,
+    _frames_upto,
     _grow,
     antichain,
     chain,
@@ -484,6 +485,14 @@ def test_class_growth_is_the_class_subsequence(dedup_frames):
             classes = list(_grow(classes, True, logic.frame_class))
             want = [fr for fr in dedup_frames[n] if logic.frame_class(fr)]
             assert classes == want, (logic.name, n)
+    # the walk yields the same sequences, one size after another
+    labeled = {n: list(enumerate_frames(n)) for n in range(1, 6)}
+    keeps = {None: None, **{logic.name: logic.frame_class for logic in LOGICS.values()}}
+    for name, keep in keeps.items():
+        for dedup, frames in ((True, dedup_frames), (False, labeled)):
+            for n in range(1, max(frames) + 1):
+                want = [fr for k in range(1, n + 1) for fr in frames[k] if keep is None or keep(fr)]
+                assert list(_frames_upto(n, dedup, keep)) == want, (name, dedup, n)
 
 
 def test_rooted_growth_is_the_rooted_subsequence(dedup_frames):
