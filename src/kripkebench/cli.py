@@ -101,7 +101,6 @@ def cmd_parse(args) -> int:
 def cmd_eval(args) -> int:
     model = model_from_json(_load_json(args.model))
     f = parse(args.formula)
-    forced = force_set(model, f)
     if args.world is not None:
         verdict = forces(model, args.world, f)
         if args.format == "json":
@@ -115,6 +114,7 @@ def cmd_eval(args) -> int:
                 + f" {render(f)}"
             )
         return EXIT_OK if verdict else EXIT_REFUTED
+    forced = force_set(model, f)
     every = len(forced) == model.frame.size
     if args.format == "json":
         _print_json(

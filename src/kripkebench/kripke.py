@@ -109,14 +109,7 @@ class Frame:
         if not 0 <= x < self.size:
             raise UnknownWorld(x)
         members = _bits(self.up[x])
-        pos = {w: i for i, w in enumerate(members)}
-        rows = []
-        for w in members:
-            m = 0
-            for v in _bits(self.up[w]):
-                m |= 1 << pos[v]
-            rows.append(m)
-        return Frame(tuple(rows)), tuple(members)
+        return Frame(_relabel(self.up, members)), tuple(members)
 
     def depth(self) -> int:
         """Worlds in a longest chain; a single world has depth 1."""
@@ -535,43 +528,32 @@ def _grow(
 def _canonical_key(fr: Frame) -> tuple[int, ...]:
     """Isomorphism-invariant key: minimal relabeled relation matrix.
 
-    Worlds are first partitioned by an iterated up/down neighborhood
-    profile; only permutations that respect the partition are tried.
+    Worlds are grouped once by (successor count, predecessor count), which
+    every isomorphism preserves; only the orders listing the groups in
+    ascending order of that pair are tried.
     """
-    n = fr.size
-    up = fr.up
     down = fr._down_masks()
-    inv = [0] * n
-    for _ in range(n):
-        sig = []
-        for i in range(n):
-            ups = tuple(sorted(inv[j] for j in _bits(up[i] & ~(1 << i))))
-            downs = tuple(sorted(inv[j] for j in _bits(down[i] & ~(1 << i))))
-            sig.append((inv[i], ups, downs))
-        rank = {s: r for r, s in enumerate(sorted(set(sig)))}
-        new = [rank[s] for s in sig]
-        if new == inv:
-            break
-        inv = new
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(inv[i], []).append(i)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, row in enumerate(fr.up):
+        groups.setdefault((row.bit_count(), down[i].bit_count()), []).append(i)
     blocks = [groups[k] for k in sorted(groups)]
-    best: tuple[int, ...] | None = None
-    for combo in product(*(permutations(block) for block in blocks)):
-        order = [w for block in combo for w in block]
-        pos = {w: i for i, w in enumerate(order)}
-        rows = []
-        for w in order:
-            m = 0
-            for v in _bits(up[w]):
-                m |= 1 << pos[v]
-            rows.append(m)
-        key = tuple(rows)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best
+    return min(
+        _relabel(fr.up, [w for block in combo for w in block])
+        for combo in product(*(permutations(block) for block in blocks))
+    )
+
+
+def _relabel(up: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
+    """The rows of the worlds in order, each world renamed to its position
+    in order; order must list every successor of the worlds it lists."""
+    pos = {w: i for i, w in enumerate(order)}
+    rows = []
+    for w in order:
+        m = 0
+        for v in _bits(up[w]):
+            m |= 1 << pos[v]
+        rows.append(m)
+    return tuple(rows)
 
 
 # JSON formats.  Frame: {"worlds": n, "le": [[i, j], ...]} with the pairs

@@ -13,6 +13,7 @@ from kripkebench.kripke import (
     InvalidModel,
     Model,
     UnknownWorld,
+    _canonical_key,
     _closed_masks,
     _compile,
     _frames_upto,
@@ -36,6 +37,7 @@ from kripkebench.kripke import (
 from kripkebench.logics import LOGICS
 from oracles import (
     CONDITION_ORACLES,
+    _isomorphic,
     brute_force_posets,
     classical_taut,
     frame_pairs,
@@ -513,6 +515,23 @@ def test_rooted_growth_counts_follow_a000112_shifted(dedup_frames):
         assert all(fr.size == n and _has_root(fr) for fr in frames)
         if n <= 5:
             assert len(iso_classes(frames)) == len(frames)
+
+
+def test_canonical_key_is_a_complete_invariant(dedup_frames):
+    rng = random.Random(7)
+    for n in range(1, 7):
+        keys = set()
+        for fr in dedup_frames[n]:
+            key = _canonical_key(fr)
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                moved = make_frame(n, [(perm[i], perm[j]) for i, j in fr.strict_pairs()])
+                assert _canonical_key(moved) == key, (fr.up, perm)
+            if n <= 5:
+                assert _isomorphic(Frame(key), fr), fr.up
+            keys.add(key)
+        assert len(keys) == len(dedup_frames[n]), n
 
 
 # --- models and validation ------------------------------------------------
