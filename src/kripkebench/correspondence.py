@@ -12,9 +12,10 @@ from .kripke import (
     Frame,
     Model,
     _bits,
+    _compile,
+    _first_failure,
     _frames_upto,
     frame_to_json,
-    frame_valid,
 )
 
 
@@ -25,10 +26,20 @@ class PreconditionFailed(Exception):
 @dataclass(frozen=True)
 class FrameCondition:
     """A first-order frame property, decided by exhaustive quantification
-    over worlds.  All built-in conditions are isomorphism-invariant."""
+    over worlds.  All built-in conditions are isomorphism-invariant.  kind
+    is a key of CONDITIONS; k is a positive int if it takes a bound, else None."""
 
     kind: str
     k: int | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in CONDITIONS:
+            raise ValueError(f"unknown frame condition kind {self.kind!r}")
+        if CONDITIONS[self.kind][1]:
+            if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
+                raise ValueError(f"{self.kind} needs a positive int bound, not {self.k!r}")
+        elif self.k is not None:
+            raise ValueError(f"{self.kind} takes no bound, got {self.k!r}")
 
     @property
     def id(self) -> str:
@@ -107,10 +118,7 @@ def cone_size_le(k: int) -> FrameCondition:
 
 def eval_condition(cond: FrameCondition, fr: Frame) -> bool:
     """Evaluate a built-in condition on a frame."""
-    try:
-        predicate, _ = CONDITIONS[cond.kind]
-    except KeyError:
-        raise ValueError(f"unknown frame condition kind {cond.kind!r}") from None
+    predicate, _ = CONDITIONS[cond.kind]
     return predicate(fr, cond.k)
 
 
@@ -250,10 +258,11 @@ def check_correspondence(
     if max_n < 1:
         raise ValueError("check_correspondence needs max_n >= 1")
     report = CorrespondenceReport(schema, condition, max_n, dedup)
+    program = _compile(schema)
     for fr in _frames_upto(max_n, dedup):
         tally = report.sizes.setdefault(fr.size, SizeTally())
         tally.frames += 1
-        valid = frame_valid(fr, schema) is None
+        valid = _first_failure(fr, program) is None
         holds = eval_condition(condition, fr)
         if valid:
             tally.schema_valid += 1
@@ -358,6 +367,7 @@ def collapse_check(max_n: int) -> CollapseReport:
     if max_n < 1:
         raise ValueError("collapse_check needs max_n >= 1")
     cone2 = cone_size_le(2)
+    programs = [(instance, _compile(instance)) for instance in (GL_INSTANCE, BD2_INSTANCE)]
     report = CollapseReport(max_n)
     for fr in _frames_upto(max_n, False):
         n = fr.size
@@ -374,8 +384,8 @@ def collapse_check(max_n: int) -> CollapseReport:
                 )
             )
         if n <= 2:
-            for instance in (GL_INSTANCE, BD2_INSTANCE):
-                if frame_valid(fr, instance) is not None:
+            for instance, program in programs:
+                if _first_failure(fr, program) is not None:
                     report.violations.append(
                         CollapseViolation(
                             n,

@@ -279,25 +279,3 @@ def atoms(f: Formula) -> frozenset[str]:
             stack.append(g.left)
             stack.append(g.right)
     return frozenset(out)
-
-
-def subformulas(f: Formula) -> list[Formula]:
-    """All distinct subterms in post-order, keeping first occurrences."""
-    out: list[Formula] = []
-    # Keyed by connective and child indices: equal subterms get equal
-    # keys without hashing whole subtrees.
-    index: dict[object, int] = {}
-
-    def walk(g: Formula) -> int:
-        if isinstance(g, (And, Or, Imp)):
-            key: object = (type(g), walk(g.left), walk(g.right))
-        else:
-            key = g
-        i = index.get(key)
-        if i is None:
-            i = index[key] = len(out)
-            out.append(g)
-        return i
-
-    walk(f)
-    return out

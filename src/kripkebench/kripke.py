@@ -290,7 +290,7 @@ class Countermodel:
 
 
 # A formula compiles to one program over its distinct subterms, which
-# _eval runs bottom-up with one int per subterm.  frame_valid packs the
+# _eval runs bottom-up with one int per subterm.  _first_failure packs the
 # world bitmasks of a whole chunk of valuations side by side into each
 # int; forces and force_set run the same program on a one-valuation chunk.
 # Subterms are shared by their compiled node: equal subterms compile to
@@ -395,7 +395,7 @@ def force_set(model: Model, f: Formula) -> frozenset[int]:
     return _mask_to_set(_force_mask(model, f))
 
 
-# Most valuations per chunk in frame_valid: bounds the size of every
+# Most valuations per chunk in _first_failure: bounds the size of every
 # register while keeping the number of Python-level operations small.
 _CHUNK_VALUATIONS = 4096
 
@@ -409,9 +409,21 @@ def frame_valid(fr: Frame, f: Formula) -> Countermodel | None:
     lexicographic order: upsets ascending per atom with the first atom
     most significant, then lowest world index.
     """
+    program = _compile(f)
+    found = _first_failure(fr, program)
+    if found is None:
+        return None
+    masks, world = found
+    return Countermodel(Model(fr, tuple(zip(program[0], masks))), world, f)
+
+
+def _first_failure(fr: Frame, program) -> tuple[list[int], int] | None:
+    """frame_valid's search on a compiled formula: the atom masks and world
+    of its first countermodel, or None.  A sweep compiles its formula once
+    and asks this on every frame."""
+    names, prog = program
     if not fr.up:
         return None  # no world to fail
-    names, prog = _compile(f)
     ups = _closed_masks(fr.up)
     count, n, full = len(ups), fr.size, fr.full_mask
     # Valuations are numbered in product(ups, ...) order.  The trailing
@@ -445,8 +457,7 @@ def frame_valid(fr: Frame, f: Formula) -> Countermodel | None:
         if root != ones:
             failing = ones & ~root
             j, world = divmod((failing & -failing).bit_length() - 1, n)
-            masks = [reg >> j * n & full for reg in regs]
-            return Countermodel(Model(fr, tuple(zip(names, masks))), world, f)
+            return [reg >> j * n & full for reg in regs], world
     return None
 
 

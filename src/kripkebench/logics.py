@@ -13,15 +13,11 @@ import enum
 from dataclasses import dataclass
 
 from .formula import Formula
-from .kripke import Countermodel, Frame, _frames_upto, countermodel_to_json, frame_valid
+from .kripke import Countermodel, Frame, _compile, _first_failure, _frames_upto
+from .kripke import countermodel_to_json, frame_valid
 from .correspondence import BD2_CHAIN, DISCRETE, LIN, FrameCondition, eval_condition
 # The schemas live beside their conditions; they are re-exported from here.
-from .correspondence import BD2_SCHEMA, GL_INSTANCE, GL_SCHEMA, LEM_SCHEMA, schema_instance
-
-# Valid on every frame whose cones have at most two worlds, yet refutable
-# on the three-world fork: the combined class validates formulas beyond
-# the base logic even though neither restriction contains the other.
-INTERSECTION_WITNESS = GL_INSTANCE
+from .correspondence import BD2_SCHEMA, GL_SCHEMA, LEM_SCHEMA, schema_instance
 
 
 @dataclass(frozen=True)
@@ -106,11 +102,10 @@ def decide(logic: LogicSpec, f: Formula, bound: int) -> Decision:
         raise ValueError("decide needs bound >= 1")
     limit = bound if logic.exact_bound is None else min(bound, logic.exact_bound)
     keep = lambda fr: (fr.size < limit or fr.full_mask in fr.up) and logic.frame_class(fr)
+    program = _compile(f)
     for fr in _frames_upto(limit, True, keep):
-        if fr.full_mask in fr.up:
-            cm = frame_valid(fr, f)
-            if cm is not None:
-                return Decision(Verdict.REFUTED, fr.size, cm)
+        if fr.full_mask in fr.up and _first_failure(fr, program) is not None:
+            return Decision(Verdict.REFUTED, fr.size, frame_valid(fr, f))
     if logic.exact_bound is not None and logic.exact_bound <= bound:
         return Decision(Verdict.VALID, limit)
     return Decision(Verdict.NO_COUNTERMODEL, bound)
@@ -123,10 +118,9 @@ def audit_schemas(logic: LogicSpec, max_n: int) -> Countermodel | None:
     returns the first countermodel to a schema's p, q instance, or None
     when every class frame validates every schema.
     """
-    instances = [schema_instance(s) for s in logic.axiom_schemas]
+    instances = [(f, _compile(f)) for f in map(schema_instance, logic.axiom_schemas)]
     for fr in _frames_upto(max_n, True, logic.frame_class):
-        for f in instances:
-            cm = frame_valid(fr, f)
-            if cm is not None:
-                return cm
+        for f, program in instances:
+            if _first_failure(fr, program) is not None:
+                return frame_valid(fr, f)
     return None

@@ -29,7 +29,6 @@ from kripkebench.kripke import (
 from kripkebench.logics import (
     GLBD2,
     GL_SCHEMA,
-    INTERSECTION_WITNESS,
     IPC,
     Verdict,
     decide,
@@ -186,13 +185,13 @@ def test_acceptance_8_no_countermodel_for_stable_excluded_middle():
     searched = (
         decision.verdict is Verdict.NO_COUNTERMODEL and decision.bound == 5
     )
-    witness_is_gl_instance = INTERSECTION_WITNESS == schema_instance(GL_SCHEMA)
+    witness_is_gl_instance = GL_INSTANCE == schema_instance(GL_SCHEMA)
     small_frames_validate = all(
-        frame_valid(fr, INTERSECTION_WITNESS) is None
+        frame_valid(fr, GL_INSTANCE) is None
         for n in (1, 2)
         for fr in enumerate_frames(n)
     )
-    fork_refutes = frame_valid(fork(), INTERSECTION_WITNESS) is not None
+    fork_refutes = frame_valid(fork(), GL_INSTANCE) is not None
     ok = (
         searched
         and witness_is_gl_instance

@@ -2,6 +2,7 @@ from functools import lru_cache
 
 import pytest
 
+from kripkebench.formula import atoms, parse
 from kripkebench.kripke import (
     antichain,
     chain,
@@ -37,6 +38,7 @@ from oracles import (
     first_branching,
     first_three_chain,
     frame_pairs,
+    naive_first_countermodel,
     naive_forces,
 )
 
@@ -86,8 +88,19 @@ def test_condition_ids_and_names():
         condition_from_name("total")
     with pytest.raises(ValueError):
         condition_from_name("depth-le-0")
-    with pytest.raises(ValueError):
-        eval_condition(FrameCondition("NOPE"), chain(2))
+    # a malformed condition cannot be built: an unknown kind, a missing or
+    # non-positive int bound on a kind that takes one, any bound on a kind
+    # that does not
+    malformed = [
+        ("NOPE", None), ("lin", None), (["LIN"], None),
+        ("DEPTH_LE", None), ("DEPTH_LE", 0), ("DEPTH_LE", -1), ("CONE_SIZE_LE", 0),
+        ("DEPTH_LE", True), ("DEPTH_LE", 2.0), ("DEPTH_LE", "2"),
+        ("LIN", 3), ("LIN", 0), ("DISCRETE", False),
+    ]
+    for kind, k in malformed:
+        with pytest.raises(ValueError):
+            FrameCondition(kind, k)
+    assert FrameCondition("DEPTH_LE", 2) == depth_le(2)
     # the bound is ASCII digits only
     with pytest.raises(ValueError, match="unknown frame condition"):
         condition_from_name("depth-le-\u00b2")
@@ -195,6 +208,37 @@ def test_gl_correspondence_holds_up_to_four():
 def test_bd2_chain_correspondence_holds_up_to_four():
     report = check_correspondence(BD2_INSTANCE, BD2_CHAIN, 4)
     assert report.ok
+
+
+@pytest.mark.parametrize(
+    "schema, cond, agree",
+    [
+        (GL_INSTANCE, LIN, True),
+        (BD2_INSTANCE, BD2_CHAIN, True),
+        (BD2_INSTANCE, BD2_PAPER, False),
+        (parse("p|~p"), LIN, False),
+    ],
+    ids=["gl-lin", "bd2-bd2_chain", "bd2-bd2_paper", "lem-lin"],
+)
+def test_sweep_tallies_match_oracles(schema, cond, agree):
+    # per-size tallies of the labeled sweep against the naive valuation
+    # search and the first-order condition, on brute-force posets
+    report = check_correspondence(schema, cond, 4)
+    names = sorted(atoms(schema))
+    total = 0
+    for n in range(1, 5):
+        want = {"frames": 0, "schema_valid": 0, "condition_true": 0, "mismatches": 0}
+        for rel in brute_force_posets(n):
+            valid = naive_first_countermodel(n, rel, schema, names) is None
+            holds = CONDITION_ORACLES[cond.kind](n, rel, cond.k)
+            want["frames"] += 1
+            want["schema_valid"] += valid
+            want["condition_true"] += holds
+            want["mismatches"] += valid != holds
+        assert report.to_json()["sizes"][str(n)] == want, n
+        total += want["mismatches"]
+    assert report.total_mismatches == total
+    assert report.ok == (total == 0) == agree
 
 
 def test_bd2_paper_correspondence_minimal_mismatch():

@@ -16,7 +16,6 @@ from kripkebench.formula import (
     atoms,
     parse,
     render,
-    subformulas,
     substitute,
 )
 from kripkebench.kripke import chain, countermodel_to_json, frame_valid
@@ -149,37 +148,6 @@ def test_atoms():
     assert atoms(parse("(p->q)|(q->p)")) == {"p", "q"}
     assert atoms(Top()) == frozenset()
     assert atoms(parse("~~(p|~p)")) == {"p"}
-
-
-def test_subformulas_postorder_dedup():
-    assert subformulas(parse("p->q")) == [P, Q, Imp(P, Q)]
-    assert subformulas(And(P, P)) == [P, And(P, P)]
-    assert subformulas(Not(P)) == [P, Bottom(), Imp(P, Bottom())]
-
-
-def _hashing_subformulas(f):
-    # reference: a set of whole subtrees, first occurrence wins
-    out, seen = [], set()
-
-    def walk(g):
-        if isinstance(g, (And, Or, Imp)):
-            walk(g.left)
-            walk(g.right)
-        if g not in seen:
-            seen.add(g)
-            out.append(g)
-
-    walk(f)
-    return out
-
-
-def test_subformulas_match_structural_dedup():
-    rng = random.Random(3131)
-    formulas = [parse("~" * 100 + "p"), parse("(p->q)&(p->q)"), parse("T&T|F->F")]
-    formulas += [random_formula(rng, rng.randint(0, 6), ["p", "q", "r"]) for _ in range(500)]
-    for f in formulas:
-        assert subformulas(f) == _hashing_subformulas(f), f
-    assert len(subformulas(parse("~" * 100 + "p"))) == 102
 
 
 def test_formula_nodes_hash_structurally():

@@ -12,7 +12,6 @@ from kripkebench.logics import (
     GL,
     GLBD2,
     GL_SCHEMA,
-    INTERSECTION_WITNESS,
     IPC,
     LEM_SCHEMA,
     LOGICS,
@@ -252,13 +251,12 @@ def test_single_world_refutation_carries_to_glbd2():
 
 
 def test_intersection_witness():
-    assert INTERSECTION_WITNESS == schema_instance(GL_SCHEMA)
-    assert INTERSECTION_WITNESS == GL_INSTANCE
+    assert GL_INSTANCE == schema_instance(GL_SCHEMA)
     # valid on every frame of the combined class at its completeness bound
-    assert decide(GLBD2, INTERSECTION_WITNESS, 2).verdict is Verdict.VALID
+    assert decide(GLBD2, GL_INSTANCE, 2).verdict is Verdict.VALID
     # yet refutable on a plain intuitionistic frame
     fr = make_frame(3, [(0, 1), (0, 2)])
-    assert frame_valid(fr, INTERSECTION_WITNESS) is not None
+    assert frame_valid(fr, GL_INSTANCE) is not None
 
 
 def test_logic_classes_use_conditions():
