@@ -3,7 +3,9 @@
 Subcommands: parse, eval, valid, decide, correspond, witness, enumerate,
 export-dot.  Exit codes are a contract: 0 positive verdict, 1 a
 countermodel or mismatch was produced, 2 malformed input, 3 inconclusive
-or precondition failed.  All output is byte-deterministic.
+or precondition failed.  All output is byte-deterministic.  Each
+subcommand returns its exit code, its JSON object (None for export-dot,
+whose only output is DOT) and its text lines, and main prints one of them.
 """
 
 from __future__ import annotations
@@ -49,10 +51,6 @@ def _load_json(path: str):
             raise ValueError("JSON nests too deeply") from None
 
 
-def _print_json(data) -> None:
-    print(json.dumps(data, sort_keys=True, indent=2))
-
-
 def _write_dot(path: str | None, obj) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as handle:
@@ -79,120 +77,79 @@ def _countermodel_text(cm: Countermodel) -> list[str]:
     return lines
 
 
-def cmd_parse(args) -> int:
+def cmd_parse(args) -> tuple[int, dict | None, list[str]]:
     f = parse(args.formula)
-    names = sorted(atoms(f))
-    if args.format == "json":
-        _print_json(
-            {
-                "input": args.formula,
-                "formula": render(f),
-                "ast": ast_repr(f),
-                "atoms": names,
-            }
-        )
-    else:
-        print(f"formula: {render(f)}")
-        print(f"ast: {ast_repr(f)}")
-        print("atoms: " + (" ".join(names) if names else "(none)"))
-    return EXIT_OK
+    text, tree, names = render(f), ast_repr(f), sorted(atoms(f))
+    data = {"input": args.formula, "formula": text, "ast": tree, "atoms": names}
+    lines = [
+        f"formula: {text}",
+        f"ast: {tree}",
+        "atoms: " + (" ".join(names) if names else "(none)"),
+    ]
+    return EXIT_OK, data, lines
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple[int, dict | None, list[str]]:
     model = model_from_json(_load_json(args.model))
     f = parse(args.formula)
+    text = render(f)
     if args.world is not None:
         verdict = forces(model, args.world, f)
-        if args.format == "json":
-            _print_json(
-                {"formula": render(f), "world": args.world, "forced": verdict}
-            )
-        else:
-            print(
-                f"world {args.world} "
-                + ("forces" if verdict else "does not force")
-                + f" {render(f)}"
-            )
-        return EXIT_OK if verdict else EXIT_REFUTED
+        data = {"formula": text, "world": args.world, "forced": verdict}
+        lines = [f"world {args.world} {'forces' if verdict else 'does not force'} {text}"]
+        return (EXIT_OK if verdict else EXIT_REFUTED), data, lines
     forced = force_set(model, f)
     every = len(forced) == model.frame.size
-    if args.format == "json":
-        _print_json(
-            {
-                "formula": render(f),
-                "forced_worlds": sorted(forced),
-                "all_forced": every,
-            }
-        )
-    else:
-        for w in range(model.frame.size):
-            mark = "forces" if w in forced else "does not force"
-            print(f"world {w} {mark} {render(f)}")
-    return EXIT_OK if every else EXIT_REFUTED
+    data = {"formula": text, "forced_worlds": sorted(forced), "all_forced": every}
+    lines = [
+        f"world {w} {'forces' if w in forced else 'does not force'} {text}"
+        for w in range(model.frame.size)
+    ]
+    return (EXIT_OK if every else EXIT_REFUTED), data, lines
 
 
-def cmd_valid(args) -> int:
+def cmd_valid(args) -> tuple[int, dict | None, list[str]]:
     fr = frame_from_json(_load_json(args.frame))
     f = parse(args.formula)
     cm = frame_valid(fr, f)
     if cm is None:
-        if args.format == "json":
-            _print_json({"verdict": "valid", "formula": render(f)})
-        else:
-            print("Valid")
-        return EXIT_OK
+        return EXIT_OK, {"verdict": "valid", "formula": render(f)}, ["Valid"]
     _write_dot(args.dot, cm.model)
-    if args.format == "json":
-        _print_json({"verdict": "countermodel", **countermodel_to_json(cm)})
-    else:
-        print("\n".join(_countermodel_text(cm)))
-    return EXIT_REFUTED
+    data = {"verdict": "countermodel", **countermodel_to_json(cm)}
+    return EXIT_REFUTED, data, _countermodel_text(cm)
 
 
-def cmd_decide(args) -> int:
+def cmd_decide(args) -> tuple[int, dict | None, list[str]]:
     logic = get_logic(args.logic)
     f = parse(args.formula)
     decision = decide(logic, f, args.bound)
-    if args.format == "json":
-        _print_json({"logic": logic.name, "formula": render(f), **decision.to_json()})
-    else:
-        if decision.verdict is Verdict.VALID:
-            print(f"valid in {logic.name} (search complete at n <= {decision.bound})")
-        elif decision.verdict is Verdict.REFUTED:
-            print(f"refuted in {logic.name}")
-            print("\n".join(_countermodel_text(decision.countermodel)))
-        else:
-            print(f"no countermodel in {logic.name} up to n = {decision.bound}")
+    data = {"logic": logic.name, "formula": render(f), **decision.to_json()}
     if decision.verdict is Verdict.VALID:
-        return EXIT_OK
+        head = f"valid in {logic.name} (search complete at n <= {decision.bound})"
+        return EXIT_OK, data, [head]
     if decision.verdict is Verdict.REFUTED:
-        return EXIT_REFUTED
-    return EXIT_INCONCLUSIVE
+        lines = [f"refuted in {logic.name}", *_countermodel_text(decision.countermodel)]
+        return EXIT_REFUTED, data, lines
+    head = f"no countermodel in {logic.name} up to n = {decision.bound}"
+    return EXIT_INCONCLUSIVE, data, [head]
 
 
-def cmd_correspond(args) -> int:
+def cmd_correspond(args) -> tuple[int, dict | None, list[str]]:
     schema = parse(args.schema)
     condition = condition_from_name(args.condition)
     report = check_correspondence(schema, condition, args.max_n, args.dedup)
-    if args.format == "json":
-        _print_json(report.to_json())
-    else:
-        print(report.format_text())
-    return EXIT_OK if report.ok else EXIT_REFUTED
+    code = EXIT_OK if report.ok else EXIT_REFUTED
+    return code, report.to_json(), [report.format_text()]
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args) -> tuple[int, dict | None, list[str]]:
     fr = frame_from_json(_load_json(args.frame))
     cm = WITNESSES[args.kind](fr)
     _write_dot(args.dot, cm.model)
-    if args.format == "json":
-        _print_json(countermodel_to_json(cm))
-    else:
-        print("\n".join(_countermodel_text(cm)))
-    return EXIT_REFUTED
+    return EXIT_REFUTED, countermodel_to_json(cm), _countermodel_text(cm)
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> tuple[int, dict | None, list[str]]:
     histogram: dict[tuple[int, int], int] = {}
     count = 0
     for fr in enumerate_frames(args.n, args.dedup):
@@ -201,33 +158,23 @@ def cmd_enumerate(args) -> int:
             key = (fr.depth(), fr.width())
             histogram[key] = histogram.get(key, 0) + 1
     kind = "isomorphism classes" if args.dedup else "labeled frames"
-    if args.format == "json":
-        data = {"n": args.n, "dedup": args.dedup, "count": count}
-        if args.stats:
-            data["stats"] = [
-                {"depth": d, "width": w, "count": c}
-                for (d, w), c in sorted(histogram.items())
-            ]
-        _print_json(data)
-    else:
-        print(f"n={args.n}: {count} {kind}")
-        if args.stats:
-            for (d, w), c in sorted(histogram.items()):
-                print(f"  depth={d} width={w}: {c}")
-    return EXIT_OK
+    data = {"n": args.n, "dedup": args.dedup, "count": count}
+    lines = [f"n={args.n}: {count} {kind}"]
+    if args.stats:
+        stats = sorted(histogram.items())
+        data["stats"] = [{"depth": d, "width": w, "count": c} for (d, w), c in stats]
+        lines += [f"  depth={d} width={w}: {c}" for (d, w), c in stats]
+    return EXIT_OK, data, lines
 
 
-def cmd_export_dot(args) -> int:
-    data = _load_json(args.input)
-    if isinstance(data, dict) and "valuation" in data:
-        obj: Frame | Model = model_from_json(data)
+def cmd_export_dot(args) -> tuple[int, dict | None, list[str]]:
+    source = _load_json(args.input)
+    if isinstance(source, dict) and "valuation" in source:
+        obj: Frame | Model = model_from_json(source)
     else:
-        obj = frame_from_json(data)
-    if args.dot:
-        _write_dot(args.dot, obj)
-    else:
-        print(to_dot(obj), end="")
-    return EXIT_OK
+        obj = frame_from_json(source)
+    _write_dot(args.dot, obj)
+    return EXIT_OK, None, [] if args.dot else to_dot(obj).splitlines()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -287,7 +234,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, data, lines = args.func(args)
+        if data is not None and args.format == "json":
+            print(json.dumps(data, sort_keys=True, indent=2))
+        elif lines:
+            print("\n".join(lines))
+        return code
     except PreconditionFailed as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

@@ -7,8 +7,8 @@ its own: ~A is parsed to, and printed back from, A -> F.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 
 class Formula:

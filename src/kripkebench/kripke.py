@@ -8,12 +8,11 @@ after construction and safe to share between threads.
 
 from __future__ import annotations
 
-import re
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Callable, Iterable, Iterator, Mapping
 
-from .formula import And, Atom, Bottom, Formula, Or, Top, render
+from .formula import And, Atom, Bottom, Formula, Or, Top, _IDENT, render
 
 
 class UnknownWorld(ValueError):
@@ -209,9 +208,6 @@ def antichain(n: int) -> Frame:
     return make_frame(n)
 
 
-_ATOM_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
 @dataclass(frozen=True)
 class Model:
     """A frame with a monotone valuation.
@@ -230,7 +226,7 @@ class Model:
             raise InvalidModel("valuation atoms must be unique and sorted")
         full = self.frame.full_mask
         for name, mask in self.valuation:
-            if not _ATOM_NAME.match(name) or name in ("T", "F"):
+            if not _IDENT.fullmatch(name) or name in ("T", "F"):
                 raise InvalidModel(f"bad atom name {name!r}")
             if mask & ~full:
                 raise InvalidModel(f"valuation of {name!r} mentions unknown worlds")
@@ -625,7 +621,7 @@ def countermodel_to_json(cm: Countermodel) -> dict:
     return data
 
 
-def to_dot(obj: Frame | Model, graph_name: str = "kripke") -> str:
+def to_dot(obj: Frame | Model) -> str:
     """Graphviz source: one node per world, one edge per covering pair.
 
     With a model, each node label lists the valuation's atoms; a '-'
@@ -635,7 +631,7 @@ def to_dot(obj: Frame | Model, graph_name: str = "kripke") -> str:
         fr, model = obj.frame, obj
     else:
         fr, model = obj, None
-    lines = [f"digraph {graph_name} {{", "  rankdir=BT;", "  node [shape=box];"]
+    lines = ["digraph kripke {", "  rankdir=BT;", "  node [shape=box];"]
     for i in range(fr.size):
         label = f"w{i}"
         if model is not None and model.valuation:

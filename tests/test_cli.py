@@ -1,4 +1,7 @@
+import hashlib
+import io
 import json
+import sys
 
 import pytest
 
@@ -320,6 +323,16 @@ def test_unknown_flag_is_an_error():
     assert err.value.code == 2
 
 
+def test_write_error_exits_2(capsys, monkeypatch):
+    class FullDevice(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", FullDevice())
+    assert main(["enumerate", "--n", "2", "--format", "json"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+
 def test_outputs_are_byte_deterministic(capsys, chain3):
     runs = []
     for _ in range(2):
@@ -329,6 +342,75 @@ def test_outputs_are_byte_deterministic(capsys, chain3):
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[2]
     assert runs[1] == runs[3]
+
+
+# Every return branch of every subcommand, in both formats: the exit code and
+# the sha256 of stdout.  A change to any of these outputs is a change to the
+# CLI contract and must be made on purpose.
+_BRANCHES = {
+    "parse": ["parse", "(p->q)|(q->p)"],
+    "eval-world-forced": ["eval", "{model2}", "~~p", "--world", "0"],
+    "eval-world-not-forced": ["eval", "{model2}", "p|~p", "--world", "0"],
+    "eval-all-forced": ["eval", "{model2}", "p->p"],
+    "eval-not-all-forced": ["eval", "{model2}", "p"],
+    "valid-valid": ["valid", "{chain3}", "(p->q)|(q->p)"],
+    "valid-countermodel": ["valid", "{fork3}", "(p->q)|(q->p)"],
+    "decide-valid": ["decide", "cpc", "p|~p"],
+    "decide-refuted": ["decide", "ipc", "p|~p", "--bound", "2"],
+    "decide-no-countermodel": ["decide", "ipc", "~~(p|~p)", "--bound", "3"],
+    "correspond-equivalent": ["correspond", "(p->q)|(q->p)", "lin", "--max-n", "3"],
+    "correspond-mismatch": ["correspond", "p|(p->(q|~q))", "bd2-paper", "--max-n", "3"],
+    "witness": ["witness", "bd2", "{chain3}"],
+    "enumerate": ["enumerate", "--n", "3"],
+    "enumerate-stats": ["enumerate", "--n", "4", "--dedup", "--stats"],
+    "export-dot": ["export-dot", "{model2}"],
+}
+
+_PINNED = {
+    ("parse", "text"): (0, "0d714ea08c6e47cb5df3696f9f4ee2d73d4e1d9dfb04be71533bab001c7fa8e7"),
+    ("parse", "json"): (0, "29387c81a82e14fa9a4fb9bac490e6b5ea60c9848fae1d3dd1f096aadc4f0fe1"),
+    ("eval-world-forced", "text"): (0, "cc0136d4cf7214cfa67f696cfafbd9b8e9cfc691dee7b86cfd9903981c67ea64"),
+    ("eval-world-forced", "json"): (0, "d7358eff4177d2f783f9fbab0f2082af36ec6899a7980f25e3192e393195b609"),
+    ("eval-world-not-forced", "text"): (1, "04e1126072649af1aa38860ddfda1eb26d20a8fe277b0bf9773fcabca96d3006"),
+    ("eval-world-not-forced", "json"): (1, "c3de5658f8a194b9522307918e6f5cb37558edc8921c134d6b04bc5158a16d4d"),
+    ("eval-all-forced", "text"): (0, "ac78921e298cf7e8bc94a672bcee887f7e3eb1e273f0dd50d99e6136b39693a3"),
+    ("eval-all-forced", "json"): (0, "0e2886c9e626dff6fc972865c7a74bcb00d0d49d5f6809b8cbc5c0f98fb9785c"),
+    ("eval-not-all-forced", "text"): (1, "a3f008089b1a7143768d5f3d3aa23ac4deb7652ddeb5f2e9ed468134d6578d47"),
+    ("eval-not-all-forced", "json"): (1, "742d712e9584226e539b37a962c92eff06d25974674fb801cb291af18c52a02a"),
+    ("valid-valid", "text"): (0, "a18788a1530726e7c74604b4a6b8b0d543f5c05840ab4bc2d0a0664533f99758"),
+    ("valid-valid", "json"): (0, "fb7bfb6a2161be99e87b6cac2bf92392c558ab3be99bbc387ebac39caf356996"),
+    ("valid-countermodel", "text"): (1, "237594b5db5c03ddf7a4f8d1494726a7d73043dd3fcc5be7ca1704c2742450d2"),
+    ("valid-countermodel", "json"): (1, "e343853672304d41ae3361d23d7d4d1ef1b4382c93287edd2b2b9e2aad9dba8d"),
+    ("decide-valid", "text"): (0, "b98c8c791ef5aa3d6cbad79927324b25c2c7700749583c6c8c84d4bf5410a8c2"),
+    ("decide-valid", "json"): (0, "46236059233fa8a62231e52ac6ab1f1f06aa3313df06060900828733c7701da0"),
+    ("decide-refuted", "text"): (1, "5c126a0d6f552ba01b46dfed2bb82415b64e88059ddf1dd3b36609daeedd8a1b"),
+    ("decide-refuted", "json"): (1, "4af17c5c8fe36f97bef85271d536bba1c7e40fab53f35c7544e0e8ce2b142676"),
+    ("decide-no-countermodel", "text"): (3, "4f8a28fbade93a86cd2fcb8a2e7d3defd8093eb23613755257af31d0a4a7797d"),
+    ("decide-no-countermodel", "json"): (3, "fc9fb38f7a6ea2612aaf08278a136b77f095d144c6e6907cb134e1fec4c5a1c2"),
+    ("correspond-equivalent", "text"): (0, "44f203ce0c5353065ca127c727e06f8e50341dc06b74d95b6d94a4d289f72f8a"),
+    ("correspond-equivalent", "json"): (0, "7229344bbee184bd90ce3c10491053f4d452e1d275014be8db7c54de49bf01cb"),
+    ("correspond-mismatch", "text"): (1, "f211431a9eff69c877996aa2d5c3e1c917676bed172895c87182804f7e53c94b"),
+    ("correspond-mismatch", "json"): (1, "01ddb0792f559e06f8418d2d710402827252b7fbe9eef905f5b04bdedd957df3"),
+    ("witness", "text"): (1, "c13196b9704a0b084c4f4358557117e876ac8d494bf12d7f125c831ff1e31c7c"),
+    ("witness", "json"): (1, "5bd9185700a760e940fc5149872a2a0807c4ef83616a4edd8e14385f016ec3fd"),
+    ("enumerate", "text"): (0, "6a61c5f0d41e78d17e0c0569272ebf7c045179e95f6f6de5525cd884b4ea10f8"),
+    ("enumerate", "json"): (0, "1b9bf3d25745f899af9fd6e14ae687fac4901ce0e2ab92ead5ff12bd072e770b"),
+    ("enumerate-stats", "text"): (0, "d7aa2b30ff371934f719ecffe81687c2423e20dbe1638c5e9cd169f84cf81f85"),
+    ("enumerate-stats", "json"): (0, "b595fd9358250d7cd9e662458321173a6fb2cbed2e74ad7ca2d1694937b54c2d"),
+    ("export-dot", "text"): (0, "885096485f5d99006df0fc9da0c74c15837478165259f47b1c5b6be190b97cb4"),
+    ("export-dot", "json"): (0, "885096485f5d99006df0fc9da0c74c15837478165259f47b1c5b6be190b97cb4"),
+}
+
+
+@pytest.mark.parametrize("branch, fmt", sorted(_PINNED))
+def test_pinned_outputs(capsys, chain3, fork3, model2, branch, fmt):
+    files = {"chain3": chain3, "fork3": fork3, "model2": model2}
+    argv = [arg.format(**files) for arg in _BRANCHES[branch]]
+    code = main(argv + ["--format", fmt])
+    captured = capsys.readouterr()
+    digest = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+    assert (code, digest) == _PINNED[branch, fmt]
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize(

@@ -552,6 +552,24 @@ def test_make_model_rejects_unknown_world_and_bad_name():
         make_model(chain(2), {"2p": [1]})
 
 
+@pytest.mark.parametrize(
+    "valuation, message",
+    [
+        ((("q", 2), ("p", 2)), "unique and sorted"),
+        ((("p", 2), ("p", 2)), "unique and sorted"),
+        ((("p", 4),), "mentions unknown worlds"),
+        ((("p\n", 2),), "bad atom name"),
+        ((("F", 2),), "bad atom name"),
+    ],
+    ids=["unsorted", "duplicate", "unknown-world", "trailing-newline", "constant"],
+)
+def test_model_checks_its_own_valuation(valuation, message):
+    # Model itself, not make_model, which sorts names and rejects unknown
+    # worlds before Model sees them.
+    with pytest.raises(InvalidModel, match=message):
+        Model(chain(2), valuation)
+
+
 def test_model_accepts_empty_and_full_sets():
     model = make_model(chain(2), {"p": [], "q": [0, 1]})
     assert model.valuation_dict() == {

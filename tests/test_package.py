@@ -1,6 +1,8 @@
 """Packaging guards: the library has no runtime dependency."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,3 +22,18 @@ def test_runtime_imports_are_stdlib_only():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_cli_import_does_not_load_typing():
+    # Annotations stay unevaluated, so collections.abc serves them and the
+    # CLI's start-up does not pay for importing typing.
+    src = Path(kripkebench.__file__).parent.parent
+    code = "import sys, kripkebench.cli; print('typing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "False\n"
