@@ -127,100 +127,61 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return out
 
 
-class _Parser:
-    """Recursive descent over the grammar
-
-        formula := imp
-        imp     := or ("->" imp)?
-        or      := and ("|" and)*
-        and     := neg ("&" neg)*
-        neg     := "~" neg | atomexpr
-        atomexpr:= "T" | "F" | ident | "(" formula ")"
-
-    with -> right-associative and & , | left-associative.
-    """
-
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.end = len(text) + 1
-
-    def _peek(self) -> str | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][0]
-        return None
-
-    def _here(self) -> int:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][1]
-        return self.end
-
-    def _advance(self) -> str:
-        tok = self.tokens[self.pos][0]
-        self.pos += 1
-        return tok
-
-    def imp(self) -> Formula:
-        left = self.disjunction()
-        if self._peek() == "->":
-            self._advance()
-            return Imp(left, self.imp())
-        return left
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self._peek() == "|":
-            self._advance()
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.negation()
-        while self._peek() == "&":
-            self._advance()
-            f = And(f, self.negation())
-        return f
-
-    def negation(self) -> Formula:
-        if self._peek() == "~":
-            self._advance()
-            return Imp(self.negation(), Bottom())
-        return self.atomexpr()
-
-    def atomexpr(self) -> Formula:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.end)
-        if tok == "T":
-            self._advance()
-            return Top()
-        if tok == "F":
-            self._advance()
-            return Bottom()
-        if tok == "(":
-            self._advance()
-            f = self.imp()
-            if self._peek() != ")":
-                raise ParseError("expected ')'", self._here())
-            self._advance()
-            return f
-        if tok[0].isalpha() or tok[0] == "_":
-            self._advance()
-            return Atom(tok)
-        raise ParseError(f"unexpected {tok!r}", self._here())
+# The binary connectives: symbol -> (precedence, node class); higher binds
+# tighter.  -> is right-associative, & and | left-associative.  parse and
+# render both read this table; ~ binds tighter than all of them.
+_BINARY = {"->": (1, Imp), "|": (2, Or), "&": (3, And)}
+_SYMBOL = {cls: (symbol, prec) for symbol, (prec, cls) in _BINARY.items()}
+_NEG = 4
 
 
 def parse(text: str) -> Formula:
-    """Parse concrete syntax to a Formula; ~A desugars to A -> F."""
-    p = _Parser(text)
-    f = p.imp()
-    if p.pos < len(p.tokens):
-        raise ParseError(f"unexpected {p._peek()!r} after formula", p._here())
+    """Parse concrete syntax to a Formula; ~A desugars to A -> F.
+
+    Precedence climbing over _BINARY: binary(min_prec) reads an operand,
+    then every connective that binds at least as tightly as min_prec.
+    """
+    tokens = _tokenize(text)
+    tokens.append((None, len(text) + 1))  # end of input
+    pos = 0
+
+    def operand() -> Formula:
+        nonlocal pos
+        tok, at = tokens[pos]
+        pos += 1
+        if tok == "~":
+            return Imp(operand(), Bottom())
+        if tok == "(":
+            f = binary(1)
+            if tokens[pos][0] != ")":
+                raise ParseError("expected ')'", tokens[pos][1])
+            pos += 1
+            return f
+        if tok == "T":
+            return Top()
+        if tok == "F":
+            return Bottom()
+        if tok is None:
+            raise ParseError("unexpected end of input", at)
+        if tok[0].isalpha() or tok[0] == "_":
+            return Atom(tok)
+        raise ParseError(f"unexpected {tok!r}", at)
+
+    def binary(min_prec: int) -> Formula:
+        nonlocal pos
+        left = operand()
+        while True:
+            prec, cls = _BINARY.get(tokens[pos][0], (0, None))
+            if prec < min_prec:
+                return left
+            pos += 1
+            left = cls(left, binary(prec + (cls is not Imp)))
+
+    f = binary(1)
+    tok, at = tokens[pos]
+    if tok is not None:
+        raise ParseError(f"unexpected {tok!r} after formula", at)
     return f
-
-
-# Printer precedence levels; higher binds tighter.
-_IMP, _OR, _AND, _NEG = 1, 2, 3, 4
 
 
 def render(f: Formula) -> str:
@@ -238,17 +199,13 @@ def _render(f: Formula, min_prec: int) -> str:
         return "F"
     if isinstance(f, Atom):
         return f.name
-    if isinstance(f, Imp) and isinstance(f.right, Bottom):
+    cls = type(f)
+    if cls is Imp and isinstance(f.right, Bottom):
         text, prec = "~" + _render(f.left, _NEG), _NEG
-    elif isinstance(f, Imp):
-        text = _render(f.left, _IMP + 1) + " -> " + _render(f.right, _IMP)
-        prec = _IMP
-    elif isinstance(f, Or):
-        text = _render(f.left, _OR) + " | " + _render(f.right, _OR + 1)
-        prec = _OR
     else:
-        text = _render(f.left, _AND) + " & " + _render(f.right, _AND + 1)
-        prec = _AND
+        symbol, prec = _SYMBOL[cls]
+        left = _render(f.left, prec + (cls is Imp))
+        text = f"{left} {symbol} {_render(f.right, prec + (cls is not Imp))}"
     if prec < min_prec:
         return "(" + text + ")"
     return text

@@ -222,12 +222,13 @@ class Model:
 
     def __post_init__(self):
         names = [name for name, _ in self.valuation]
+        for name in names:
+            if not isinstance(name, str) or not _IDENT.fullmatch(name) or name in ("T", "F"):
+                raise InvalidModel(f"bad atom name {name!r}")
         if names != sorted(set(names)):
             raise InvalidModel("valuation atoms must be unique and sorted")
         full = self.frame.full_mask
         for name, mask in self.valuation:
-            if not _IDENT.fullmatch(name) or name in ("T", "F"):
-                raise InvalidModel(f"bad atom name {name!r}")
             if mask & ~full:
                 raise InvalidModel(f"valuation of {name!r} mentions unknown worlds")
             _check_upward_closed(self.frame, mask, name)
@@ -255,6 +256,9 @@ def _check_upward_closed(frame: Frame, mask: int, name: str) -> None:
 
 def make_model(frame: Frame, valuation: Mapping[str, Iterable[int]]) -> Model:
     """Build a Model from atom -> world-set, validating upward closure."""
+    for name in valuation:
+        if not isinstance(name, str):
+            raise InvalidModel(f"bad atom name {name!r}")
     entries = []
     for name in sorted(valuation):
         mask = 0

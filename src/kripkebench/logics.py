@@ -118,6 +118,8 @@ def audit_schemas(logic: LogicSpec, max_n: int) -> Countermodel | None:
     returns the first countermodel to a schema's p, q instance, or None
     when every class frame validates every schema.
     """
+    if max_n < 1:
+        raise ValueError("audit_schemas needs max_n >= 1")
     instances = [(f, _compile(f)) for f in map(schema_instance, logic.axiom_schemas)]
     for fr in _frames_upto(max_n, True, logic.frame_class):
         for f, program in instances:

@@ -54,27 +54,34 @@ def test_parse_whitespace_insensitive():
     assert parse("  p ->  q ") == Imp(P, Q)
 
 
+# The full error text of each case; together the cases reach every raise in
+# _tokenize and parse.
+_PARSE_ERRORS = [
+    ("p->", 4, "unexpected end of input"),
+    ("", 1, "unexpected end of input"),
+    ("p q", 3, "unexpected 'q' after formula"),
+    (")", 1, "unexpected ')'"),
+    ("(p", 3, "expected ')'"),
+    ("~", 2, "unexpected end of input"),
+    ("p $", 3, "unexpected character '$'"),
+    ("p - q", 3, "expected '->'"),
+    ("p | | q", 5, "unexpected '|'"),
+    ("é", 1, "unexpected character 'é'"),
+    ("pé", 2, "unexpected character 'é'"),
+]
+
+
 @pytest.mark.parametrize(
-    "text,position",
-    [
-        ("p->", 4),
-        ("", 1),
-        ("p q", 3),
-        (")", 1),
-        ("(p", 3),
-        ("~", 2),
-        ("p $", 3),
-        ("p - q", 3),
-        ("p | | q", 5),
-        ("é", 1),
-        ("pé", 2),
-    ],
+    "text,position,message",
+    _PARSE_ERRORS,
+    ids=[f"{text}-{position}" for text, position, _ in _PARSE_ERRORS],
 )
-def test_parse_errors_carry_position(text, position):
+def test_parse_errors_carry_position(text, position, message):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert err.value.position == position
     assert f"position {position}" in str(err.value)
+    assert str(err.value) == f"syntax error at position {position}: {message}"
 
 
 def test_render_examples():
@@ -105,6 +112,38 @@ def test_roundtrip_random_formulas():
     for _ in range(600):
         f = random_formula(rng, rng.randint(0, 6), ["p", "q", "r", "s_1"])
         assert parse(render(f)) == f
+
+
+def _formulas_of_depth_at_most(depth: int) -> set:
+    """Every formula over p, q, T, F of height <= depth; ~A is A -> F."""
+    level = {P, Q, Top(), Bottom()}
+    for _ in range(depth):
+        level |= {cls(a, b) for cls in (And, Or, Imp) for a in level for b in level}
+    return level
+
+
+def _without_one_pair_of_parentheses(text: str):
+    """text with each matching pair of parentheses deleted in turn."""
+    opened = []
+    for i, c in enumerate(text):
+        if c == "(":
+            opened.append(i)
+        elif c == ")":
+            j = opened.pop()
+            yield text[:j] + text[j + 1 : i] + text[i + 1 :]
+
+
+def test_render_roundtrips_with_minimal_parentheses_up_to_depth_2():
+    formulas = _formulas_of_depth_at_most(2)
+    assert len(formulas) == 8116
+    for f in formulas:
+        text = render(f)
+        assert parse(text) == f, text
+        for shorter in _without_one_pair_of_parentheses(text):
+            try:
+                assert parse(shorter) != f, (text, shorter)
+            except ParseError:
+                pass
 
 
 def test_substitute_schema_instances():

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kripkebench.cli import main
+from kripkebench.formula import ParseError, parse, render
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -75,6 +76,19 @@ def json_file(doc):
 @given(FORMULA_TEXT)
 def test_parse_fuzz(text):
     assert run(["parse", text]) in (0, 1, 2, 3)
+
+
+@FUZZ
+@given(FORMULA_TEXT)
+def test_parse_render_contract_fuzz(text):
+    # Every text either parses to a formula that render prints back to
+    # itself, or fails with a position inside the text or just past its end.
+    try:
+        f = parse(text)
+    except ParseError as err:
+        assert 1 <= err.position <= len(text) + 1
+    else:
+        assert parse(render(f)) == f
 
 
 @FUZZ

@@ -550,6 +550,10 @@ def test_make_model_rejects_unknown_world_and_bad_name():
         make_model(chain(2), {"T": [1]})
     with pytest.raises(InvalidModel):
         make_model(chain(2), {"2p": [1]})
+    with pytest.raises(InvalidModel, match="bad atom name 1"):
+        make_model(chain(1), {1: [0]})
+    with pytest.raises(InvalidModel, match="bad atom name 1"):
+        make_model(chain(1), {"p": [0], 1: [0]})
 
 
 @pytest.mark.parametrize(
@@ -560,8 +564,18 @@ def test_make_model_rejects_unknown_world_and_bad_name():
         ((("p", 4),), "mentions unknown worlds"),
         ((("p\n", 2),), "bad atom name"),
         ((("F", 2),), "bad atom name"),
+        (((1, 2),), "bad atom name 1"),
+        ((("p", 2), (1, 2)), "bad atom name 1"),
     ],
-    ids=["unsorted", "duplicate", "unknown-world", "trailing-newline", "constant"],
+    ids=[
+        "unsorted",
+        "duplicate",
+        "unknown-world",
+        "trailing-newline",
+        "constant",
+        "int-name",
+        "str-and-int-names",
+    ],
 )
 def test_model_checks_its_own_valuation(valuation, message):
     # Model itself, not make_model, which sorts names and rejects unknown

@@ -170,6 +170,13 @@ def test_decide_rejects_bad_bound():
         decide(IPC, parse("p"), 0)
 
 
+@pytest.mark.parametrize("max_n", [0, -3])
+def test_audit_schemas_rejects_bad_bound(max_n):
+    # A bound below 1 checks no frame, so None would claim a vacuous pass.
+    with pytest.raises(ValueError, match="max_n >= 1"):
+        audit_schemas(GL, max_n)
+
+
 def test_decision_json():
     decision = decide(IPC, parse("p|~p"), 2)
     data = decision.to_json()
