@@ -81,9 +81,11 @@ class Frame:
 
     def _down_masks(self) -> list[int]:
         down = [0] * self.size
-        for i in range(self.size):
-            for j in _bits(self.up[i]):
-                down[j] |= 1 << i
+        for i, row in enumerate(self.up):
+            while row:
+                low = row & -row
+                down[low.bit_length() - 1] |= 1 << i
+                row ^= low
         return down
 
     def covers(self) -> list[tuple[int, int]]:
@@ -229,6 +231,8 @@ class Model:
             raise InvalidModel("valuation atoms must be unique and sorted")
         full = self.frame.full_mask
         for name, mask in self.valuation:
+            if not isinstance(mask, int) or isinstance(mask, bool):
+                raise InvalidModel(f"valuation of {name!r} must be a world bitmask")
             if mask & ~full:
                 raise InvalidModel(f"valuation of {name!r} mentions unknown worlds")
             _check_upward_closed(self.frame, mask, name)
@@ -261,8 +265,11 @@ def make_model(frame: Frame, valuation: Mapping[str, Iterable[int]]) -> Model:
             raise InvalidModel(f"bad atom name {name!r}")
     entries = []
     for name in sorted(valuation):
+        worlds = valuation[name]
+        if not isinstance(worlds, Iterable):
+            raise InvalidModel(f"valuation of {name!r} must be a set of worlds")
         mask = 0
-        for w in valuation[name]:
+        for w in worlds:
             if not isinstance(w, int) or isinstance(w, bool) or not 0 <= w < frame.size:
                 raise InvalidModel(f"valuation of {name!r} names unknown world {w!r}")
             mask |= 1 << w
@@ -331,25 +338,16 @@ def _compile(f: Formula) -> tuple[list[str], list[tuple[str, int, int]]]:
     return names, [(op, rank[a], b) if op == "atom" else (op, a, b) for op, a, b in prog]
 
 
-def _shifts(up: tuple[int, ...]) -> list[tuple[int, int]]:
-    # (y - x, mask) with bit x of mask set for every strict pair x < y at
-    # that offset.
-    offsets: dict[int, int] = {}
-    for x, row in enumerate(up):
-        row ^= 1 << x
-        while row:
-            low = row & -row
-            d = low.bit_length() - 1 - x
-            offsets[d] = offsets.get(d, 0) | 1 << x
-            row ^= low
-    return list(offsets.items())
+def _below(fr: Frame) -> list[tuple[int, int]]:
+    # (y, worlds strictly below y) for every world y with any.
+    return [(y, row ^ 1 << y) for y, row in enumerate(fr._down_masks()) if row != 1 << y]
 
 
-def _eval(prog, ones: int, shifts, atom_regs) -> int:
+def _eval(prog, ones: int, every: int, below, atom_regs) -> int:
     # Bit j*n + x of a register: world x forces the subterm under valuation
-    # j of the chunk.  A -> B fails at x where some y >= x forces A but not
-    # B; each (y - x, mask) shift moves bit y of every valuation to bit x
-    # for all strict pairs x < y with that offset at once.
+    # j of the chunk; every sets bit 0 of each valuation.  A -> B fails at x
+    # where some y >= x forces A but not B: y's failure bits times the worlds
+    # strictly below y (a row below 2**n, so no carry) mark them all at once.
     regs: list[int] = []
     append = regs.append
     for op, a, b in prog:
@@ -358,8 +356,8 @@ def _eval(prog, ones: int, shifts, atom_regs) -> int:
         elif op == "imp":
             bad = regs[a] & ~regs[b]
             acc = bad
-            for d, mask in shifts:
-                acc |= (bad >> d if d > 0 else bad << -d) & mask
+            for y, down in below:
+                acc |= (bad >> y & every) * down
             append(ones & ~acc)
         elif op == "and":
             append(regs[a] & regs[b])
@@ -376,7 +374,7 @@ def _force_mask(model: Model, f: Formula) -> int:
     names, prog = _compile(f)
     fr = model.frame
     slots = [model.atom_mask(name) for name in names]
-    return _eval(prog, fr.full_mask, _shifts(fr.up), slots)
+    return _eval(prog, fr.full_mask, 1, _below(fr), slots)
 
 
 def forces(model: Model, x: int, f: Formula) -> bool:
@@ -450,10 +448,10 @@ def _first_failure(fr: Frame, program) -> tuple[list[int], int] | None:
             pattern = pattern << span | mask
         fill = every >> n * (per_chunk - block)
         slices.append(pattern * fill * (ones // ((1 << span * count) - 1)))
-    shifts = [(d, mask * every) for d, mask in _shifts(fr.up)]
+    below = _below(fr)
     for combo in product(ups, repeat=len(names) - sliced):
         regs = [mask * every for mask in combo] + slices
-        root = _eval(prog, ones, shifts, regs)
+        root = _eval(prog, ones, every, below, regs)
         if root != ones:
             failing = ones & ~root
             j, world = divmod((failing & -failing).bit_length() - 1, n)

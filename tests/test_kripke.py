@@ -132,8 +132,8 @@ def test_forces_agrees_with_naive_oracle_randomized():
     "text", ["T", "F", "T->F", "p->q", "(p->q)->p", "~~p->p", "(p->q)|(q->p)"]
 )
 def test_force_set_agrees_with_naive_oracle_on_every_small_model(text):
-    # Labeled frames order worlds both ways, so both signs of the offset
-    # y - x of a strict pair x < y occur.
+    # Labeled frames order worlds both ways, so a strict pair x < y has
+    # its lower world on either side of its upper one in the labeling.
     f = parse(text)
     for n in range(1, 4):
         for rel in brute_force_posets(n):
@@ -224,48 +224,75 @@ def _first_countermodel(fr, f):
     return None if cm is None else (cm.model.valuation_dict(), cm.world)
 
 
+# frame_valid is checked against the naive oracle on every labeled poset
+# up to 4 worlds here, and in CI on the implication formulas at 5 worlds.
+ORACLE_CORPUS = [
+    "p->p",
+    "p|~p",
+    "~~p->p",
+    "(p->q)|(q->p)",
+    "p|(p->(q|~q))",
+    "~~(p|~p)",
+    "((p->q)->p)->p",
+    "p&q->p",
+    "T",
+    "F",
+    "T->F",
+]
+
+
+def check_against_naive_oracle(n, corpus):
+    for fr in enumerate_frames(n):
+        for text in corpus:
+            f = parse(text)
+            names = sorted({a for a in ("p", "q") if a in text})
+            expected = naive_first_countermodel(n, fr.strict_pairs(), f, names)
+            assert _first_countermodel(fr, f) == expected, (fr.up, text)
+
+
 def test_frame_valid_agrees_with_naive_oracle():
-    corpus = [
-        "p->p",
-        "p|~p",
-        "~~p->p",
-        "(p->q)|(q->p)",
-        "p|(p->(q|~q))",
-        "~~(p|~p)",
-        "((p->q)->p)->p",
-        "p&q->p",
-        "T",
-        "F",
-        "T->F",
-    ]
     for n in (1, 2, 3, 4):
-        for fr in enumerate_frames(n):
-            for text in corpus:
-                f = parse(text)
-                names = sorted({a for a in ("p", "q") if a in text})
-                expected = naive_first_countermodel(n, fr.strict_pairs(), f, names)
-                assert _first_countermodel(fr, f) == expected, (fr.up, text)
+        check_against_naive_oracle(n, ORACLE_CORPUS)
 
 
 def test_frame_valid_first_countermodel_across_chunks():
-    # 4 atoms on antichain(4) and antichain(5) take 16**4 and 32**4
-    # valuations, more than one chunk of frame_valid's bit-sliced search.
-    # The first countermodels of p -> q|r|s (both frames) and p|q -> r|s
-    # (antichain(5)) lie past the first chunk; p|q -> r|s has another
-    # minimal refutation, first if the last atom were most significant.
-    refuted = ["p|q->r|s", "p->q|r|s", "(s->r)|(q->p)", "s->p|q&r", "p&q&r&s->F"]
-    # Each world of an antichain is its own cone, so validity there is
-    # classical validity.
-    valid = ["(p->q)|(q->r)|(r->s)|(s->p)", "(p->q)|(q->r)|(r->p)|~~s"]
-    for fr in (antichain(4), antichain(5)):
+    # 4 atoms on antichain(4), antichain(5) and the 5-world frame with
+    # 3 < 0, 3 < 1 and 4 < 2 take 16**4, 32**4 and 15**4 valuations, more
+    # than one chunk of frame_valid's bit-sliced search.  The first
+    # countermodels of p -> q|r|s (all three frames), p|q -> r|s
+    # (antichain(5)) and (p->q)|(r->s)|~~(p&s) (the last frame) lie past
+    # the first chunk; p|q -> r|s has another minimal refutation, first if
+    # the last atom were most significant.
+    refuted = [
+        "p|q->r|s",
+        "p->q|r|s",
+        "(s->r)|(q->p)",
+        "s->p|q&r",
+        "p&q&r&s->F",
+        "(p->q)|(r->s)|~~(p&s)",
+    ]
+    names = ["p", "q", "r", "s"]
+    last = make_frame(5, [(3, 0), (3, 1), (4, 2)])
+    for fr in (antichain(4), antichain(5), last):
         for text in refuted:
             f = parse(text)
-            expected = naive_first_countermodel(fr.size, (), f, ["p", "q", "r", "s"])
+            expected = naive_first_countermodel(fr.size, fr.strict_pairs(), f, names)
             assert expected is not None
-            assert _first_countermodel(fr, f) == expected, (fr.size, text)
-        for text in valid:
-            assert classical_taut(parse(text))
-            assert frame_valid(fr, parse(text)) is None, (fr.size, text)
+            assert _first_countermodel(fr, f) == expected, (fr.up, text)
+    # Each world of an antichain is its own cone, so validity there is
+    # classical validity.  The last frame's labels run against its order,
+    # and its cone at 3 is a fork: the first tautology first fails there at
+    # 3, past the first chunk, so implication carries failures down in
+    # valuations other than a chunk's first.
+    tautologies = ["(p->q)|(q->r)|(r->s)|(s->p)", "(p->q)|(q->r)|(r->p)|~~s"]
+    for text in tautologies:
+        f = parse(text)
+        assert classical_taut(f)
+        for fr in (antichain(4), antichain(5)):
+            assert frame_valid(fr, f) is None, (fr.size, text)
+        expected = naive_first_countermodel(5, last.strict_pairs(), f, names)
+        assert _first_countermodel(last, f) == expected, text
+    assert _first_countermodel(last, parse(tautologies[0]))[1] == 3
 
 
 def test_frame_valid_on_no_worlds():
@@ -554,6 +581,8 @@ def test_make_model_rejects_unknown_world_and_bad_name():
         make_model(chain(1), {1: [0]})
     with pytest.raises(InvalidModel, match="bad atom name 1"):
         make_model(chain(1), {"p": [0], 1: [0]})
+    with pytest.raises(InvalidModel, match="must be a set of worlds"):
+        make_model(chain(1), {"p": 1})
 
 
 @pytest.mark.parametrize(
@@ -566,6 +595,8 @@ def test_make_model_rejects_unknown_world_and_bad_name():
         ((("F", 2),), "bad atom name"),
         (((1, 2),), "bad atom name 1"),
         ((("p", 2), (1, 2)), "bad atom name 1"),
+        ((("p", "x"),), "must be a world bitmask"),
+        ((("p", True),), "must be a world bitmask"),
     ],
     ids=[
         "unsorted",
@@ -575,6 +606,8 @@ def test_make_model_rejects_unknown_world_and_bad_name():
         "constant",
         "int-name",
         "str-and-int-names",
+        "str-mask",
+        "bool-mask",
     ],
 )
 def test_model_checks_its_own_valuation(valuation, message):
