@@ -477,16 +477,15 @@ def enumerate_frames(n: int, dedup: bool = False) -> Iterator[Frame]:
     return iter(frames)
 
 
-def _frames_upto(
-    max_n: int, dedup: bool, keep: Callable[[Frame], bool] | None = None
-) -> Iterator[Frame]:
-    # Every frame _grow yields for sizes 1..max_n, smallest size first.
-    # Each size grows from the frames of the size before, the only list
-    # kept; the last size is streamed.
+def _frames_upto(max_n: int, dedup: bool) -> Iterator[Frame]:
+    # Every frame of sizes 1..max_n, smallest size first, for the sweeps
+    # (decide keeps its own class lists in logics).  Each size grows from
+    # the frames of the size before, the only list kept; the last size is
+    # streamed.
     frames = [Frame(())]
     for n in range(1, max_n + 1):
         bases, frames = frames, []
-        for fr in _grow(bases, dedup, keep):
+        for fr in _grow(bases, dedup):
             if n < max_n:
                 frames.append(fr)
             yield fr

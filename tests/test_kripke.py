@@ -34,7 +34,7 @@ from kripkebench.kripke import (
     model_to_json,
     to_dot,
 )
-from kripkebench.logics import LOGICS
+from kripkebench.logics import LOGICS, _class_reps
 from oracles import (
     CONDITION_ORACLES,
     _isomorphic,
@@ -514,14 +514,17 @@ def test_class_growth_is_the_class_subsequence(dedup_frames):
             classes = list(_grow(classes, True, logic.frame_class))
             want = [fr for fr in dedup_frames[n] if logic.frame_class(fr)]
             assert classes == want, (logic.name, n)
-    # the walk yields the same sequences, one size after another
+    # the sweeps' walk yields the same sequences, one size after another,
+    # and decide's store holds each class's, size by size
     labeled = {n: list(enumerate_frames(n)) for n in range(1, 6)}
-    keeps = {None: None, **{logic.name: logic.frame_class for logic in LOGICS.values()}}
-    for name, keep in keeps.items():
-        for dedup, frames in ((True, dedup_frames), (False, labeled)):
-            for n in range(1, max(frames) + 1):
-                want = [fr for k in range(1, n + 1) for fr in frames[k] if keep is None or keep(fr)]
-                assert list(_frames_upto(n, dedup, keep)) == want, (name, dedup, n)
+    for dedup, frames in ((True, dedup_frames), (False, labeled)):
+        for n in range(1, max(frames) + 1):
+            want = [fr for k in range(1, n + 1) for fr in frames[k]]
+            assert list(_frames_upto(n, dedup)) == want, (dedup, n)
+    for logic in LOGICS.values():
+        for n in range(1, 7):
+            want = [fr for fr in dedup_frames[n] if logic.frame_class(fr)]
+            assert list(_class_reps(logic, n, False)) == want, (logic.name, n)
 
 
 def test_rooted_growth_is_the_rooted_subsequence(dedup_frames):
@@ -533,6 +536,7 @@ def test_rooted_growth_is_the_rooted_subsequence(dedup_frames):
             bases = [fr for fr in dedup_frames[n - 1] if logic.frame_class(fr)]
             want = [fr for fr in dedup_frames[n] if rooted(fr)]
             assert list(_grow(bases, True, rooted)) == want, (logic.name, n)
+            assert list(_class_reps(logic, n, True)) == want, (logic.name, n)
 
 
 def test_rooted_growth_counts_follow_a000112_shifted(dedup_frames):

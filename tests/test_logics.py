@@ -1,9 +1,12 @@
 import random
+import sys
+import threading
 
 import pytest
 
 from kripkebench.formula import parse, render
 from kripkebench.kripke import chain, enumerate_frames, frame_valid, make_frame
+from kripkebench import logics
 from kripkebench.correspondence import BD2_CHAIN, GL_INSTANCE, LIN, eval_condition
 from kripkebench.logics import (
     BD2,
@@ -344,6 +347,68 @@ def test_decide_pins_a_five_world_refutation():
         assert (cm["worlds"], cm["le"], cm["world"]) == (5, chain5, 0)
         assert cm["valuation"] == {"p": [1, 2, 3, 4], "q": [2, 3, 4], "r": [3, 4], "s": [4]}
     assert decide(BD2, f, 6).to_json() == {"verdict": "no-countermodel", "bound": 6}
+
+
+def test_decide_answers_the_same_cold_and_warm():
+    # the store of grown class representatives changes no answer, however
+    # earlier calls filled it
+    cases = [(logic, f) for f in _differential_formulas() for logic in LOGICS.values()]
+    cold = {}
+    for logic, f in cases:
+        for bound in range(1, 5):
+            logics._CLASS_REPS.clear()
+            cold[logic.name, f, bound] = decide(logic, f, bound).to_json()
+            assert decide(logic, f, bound).to_json() == cold[logic.name, f, bound]
+    for bounds in (range(1, 5), range(4, 0, -1)):
+        for logic, f in cases:
+            logics._CLASS_REPS.clear()
+            for bound in bounds:
+                assert decide(logic, f, bound).to_json() == cold[logic.name, f, bound], (
+                    logic.name, render(f), bound, list(bounds))
+    # lin+lem shares gl's conditions, so it walks the lists gl's call grew
+    lin_lem = LogicSpec("lin+lem", (LEM_SCHEMA,), (LIN,))
+    logics._CLASS_REPS.clear()
+    cold_audit = audit_schemas(lin_lem, 5)
+    logics._CLASS_REPS.clear()
+    decide(GL, parse("~~(p|~p)"), 5)
+    assert audit_schemas(lin_lem, 5) == cold_audit
+    # conditions given as a list share the entries of their tuple
+    lin_list = LogicSpec("lin-list", (), [LIN])
+    assert decide(lin_list, parse("~~(p|~p)"), 5) == decide(GL, parse("~~(p|~p)"), 5)
+    assert decide(lin_list, parse("p|(p->(q|~q))"), 5) == decide(GL, parse("p|(p->(q|~q))"), 5)
+
+
+def test_decide_threads_share_the_store():
+    texts = ["~~(p|~p)", "p|~p", "(p->q)|(q->p)", "p|(p->(q|~q))"]
+    jobs = [(logic, parse(text)) for text in texts for logic in LOGICS.values()]
+    logics._CLASS_REPS.clear()
+    want = [decide(logic, f, 6).to_json() for logic, f in jobs]
+    store = dict(logics._CLASS_REPS)
+    logics._CLASS_REPS.clear()
+    results = [None] * 4
+    start = threading.Barrier(4, timeout=60)
+
+    def work(i):
+        # the threads start together, each at another job, so they grow
+        # and read entries at once
+        order = jobs[i * 5:] + jobs[:i * 5]
+        start.wait()
+        got = {id(job): decide(*job, 6).to_json() for job in order}
+        results[i] = [got[id(job)] for job in jobs]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [want] * 4
+    assert logics._CLASS_REPS == store
 
 
 def test_frame_classes_closed_under_cones():
