@@ -19,8 +19,8 @@ from .kripke import (
     Countermodel,
     Frame,
     Model,
+    _class_reps,
     countermodel_to_json,
-    enumerate_frames,
     force_set,
     forces,
     frame_from_json,
@@ -150,13 +150,15 @@ def cmd_witness(args) -> tuple[int, dict | None, list[str]]:
 
 
 def cmd_enumerate(args) -> tuple[int, dict | None, list[str]]:
+    # The n!/|Aut| labeled frames of a class share its depth and width.
+    frames, labelings = _class_reps((), None, args.n, False)
+    weights = [1] * len(frames) if args.dedup else labelings
+    count = sum(weights)
     histogram: dict[tuple[int, int], int] = {}
-    count = 0
-    for fr in enumerate_frames(args.n, args.dedup):
-        count += 1
-        if args.stats:
+    if args.stats:
+        for fr, weight in zip(frames, weights):
             key = (fr.depth(), fr.width())
-            histogram[key] = histogram.get(key, 0) + 1
+            histogram[key] = histogram.get(key, 0) + weight
     kind = "isomorphism classes" if args.dedup else "labeled frames"
     data = {"n": args.n, "dedup": args.dedup, "count": count}
     lines = [f"n={args.n}: {count} {kind}"]

@@ -12,9 +12,9 @@ from .kripke import (
     Frame,
     Model,
     _bits,
+    _class_reps,
     _compile,
     _first_failure,
-    _frames_upto,
     frame_to_json,
 )
 
@@ -254,25 +254,30 @@ def check_correspondence(
 ) -> CorrespondenceReport:
     """Compare frame validity of the schema against the condition on every
     frame with at most max_n worlds, recording the minimal mismatch
-    (smallest size first, then enumeration order)."""
+    (smallest size first, then enumeration order).  Both sides are
+    isomorphism-invariant, so each class representative counts for its
+    n!/|Aut| labeled frames (once with dedup); it is its class's first
+    labeled frame, so the first mismatch is always a representative."""
     if max_n < 1:
         raise ValueError("check_correspondence needs max_n >= 1")
     report = CorrespondenceReport(schema, condition, max_n, dedup)
     program = _compile(schema)
-    for fr in _frames_upto(max_n, dedup):
-        tally = report.sizes.setdefault(fr.size, SizeTally())
-        tally.frames += 1
-        valid = _first_failure(fr, program) is None
-        holds = eval_condition(condition, fr)
-        if valid:
-            tally.schema_valid += 1
-        if holds:
-            tally.condition_true += 1
-        if valid != holds:
-            tally.mismatches += 1
-            if report.first_mismatch is None:
-                side = "schema" if valid else "condition"
-                report.first_mismatch = (fr.size, fr, side)
+    for n in range(1, max_n + 1):
+        tally = report.sizes[n] = SizeTally()
+        for fr, labelings in zip(*_class_reps((), None, n, False)):
+            weight = 1 if dedup else labelings
+            tally.frames += weight
+            valid = _first_failure(fr, program) is None
+            holds = eval_condition(condition, fr)
+            if valid:
+                tally.schema_valid += weight
+            if holds:
+                tally.condition_true += weight
+            if valid != holds:
+                tally.mismatches += weight
+                if report.first_mismatch is None:
+                    side = "schema" if valid else "condition"
+                    report.first_mismatch = (n, fr, side)
     return report
 
 
@@ -363,35 +368,38 @@ class CollapseReport:
 
 
 def collapse_check(max_n: int) -> CollapseReport:
-    """Verify the two-world collapse over all frames up to max_n worlds."""
+    """Verify the two-world collapse over all frames up to max_n worlds.
+    The checks are isomorphism-invariant, so they run once per class
+    representative, and a violation names the representative."""
     if max_n < 1:
         raise ValueError("collapse_check needs max_n >= 1")
     cone2 = cone_size_le(2)
     programs = [(instance, _compile(instance)) for instance in (GL_INSTANCE, BD2_INSTANCE)]
     report = CollapseReport(max_n)
-    for fr in _frames_upto(max_n, False):
-        n = fr.size
-        report.frames[n] = report.frames.get(n, 0) + 1
-        both = eval_condition(LIN, fr) and eval_condition(BD2_CHAIN, fr)
-        small_cones = eval_condition(cone2, fr)
-        if both != small_cones:
-            report.violations.append(
-                CollapseViolation(
-                    n,
-                    fr,
-                    "cone-bound",
-                    f"LIN and BD2_CHAIN {both} but CONE_SIZE_LE(2) {small_cones}",
-                )
-            )
-        if n <= 2:
-            for instance, program in programs:
-                if _first_failure(fr, program) is not None:
-                    report.violations.append(
-                        CollapseViolation(
-                            n,
-                            fr,
-                            "small-frame-validity",
-                            f"{render(instance)} fails on a {n}-world frame",
-                        )
+    for n in range(1, max_n + 1):
+        frames, labelings = _class_reps((), None, n, False)
+        report.frames[n] = sum(labelings)
+        for fr in frames:
+            both = eval_condition(LIN, fr) and eval_condition(BD2_CHAIN, fr)
+            small_cones = eval_condition(cone2, fr)
+            if both != small_cones:
+                report.violations.append(
+                    CollapseViolation(
+                        n,
+                        fr,
+                        "cone-bound",
+                        f"LIN and BD2_CHAIN {both} but CONE_SIZE_LE(2) {small_cones}",
                     )
+                )
+            if n <= 2:
+                for instance, program in programs:
+                    if _first_failure(fr, program) is not None:
+                        report.violations.append(
+                            CollapseViolation(
+                                n,
+                                fr,
+                                "small-frame-validity",
+                                f"{render(instance)} fails on a {n}-world frame",
+                            )
+                        )
     return report

@@ -8,7 +8,7 @@ after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import permutations, product
 
@@ -468,48 +468,23 @@ def enumerate_frames(n: int, dedup: bool = False) -> Iterator[Frame]:
     """
     if n < 1:
         raise ValueError("frame enumeration needs n >= 1")
-    # A lazy chain of growth steps, not _frames_upto: the walk would hold
-    # every frame of size n - 1 while it yields size n, 4,231 labeled
-    # 5-world frames (about 0.7 MB) for n = 6.
+    if dedup:
+        return iter(_class_reps((), None, n, False)[0])
+    # A lazy chain of growth steps: only the frame being extended at each
+    # size is held, not the 4,231 labeled 5-world frames behind n = 6.
     frames: Iterable[Frame] = (Frame(()),)  # grown from zero worlds
     for _ in range(n):
-        frames = _grow(frames, dedup)
+        frames = _grow(frames)
     return iter(frames)
 
 
-def _frames_upto(max_n: int, dedup: bool) -> Iterator[Frame]:
-    # Every frame of sizes 1..max_n, smallest size first, for the sweeps
-    # (decide keeps its own class lists in logics).  Each size grows from
-    # the frames of the size before, the only list kept; the last size is
-    # streamed.
-    frames = [Frame(())]
-    for n in range(1, max_n + 1):
-        bases, frames = frames, []
-        for fr in _grow(bases, dedup):
-            if n < max_n:
-                frames.append(fr)
-            yield fr
-
-
-def _grow(
-    bases: Iterable[Frame], dedup: bool, keep: Callable[[Frame], bool] | None = None
-) -> Iterator[Frame]:
+def _grow(bases: Iterable[Frame]) -> Iterator[Frame]:
     # Add one world to each base, last in the labeling: the new world gets
     # a strict upper set U and a strict lower set D; the extension is a
     # partial order exactly when U is an upset, D a downset, and every
     # world of D lies below every world of U already.  The worlds outside
     # U lying under all of U form a downset, below, so the lower sets D
     # for U are the downsets inside it: the unions of its principal rows.
-    # With dedup only the first candidate of each class is kept.  The
-    # first labeled frame of a class has, as its base, the first labeled
-    # frame of that base's class (relabeling the base would otherwise give
-    # an earlier frame), so growing class representatives only yields
-    # exactly the first frame of every class.  Candidates failing keep are
-    # skipped before keying.  When keep is isomorphism-invariant and the
-    # bases are the dedup frames of a class holding every kept frame with
-    # a world deleted, the kept frames are the keep subsequence of the
-    # dedup order: a hereditary class grows from its own frames alone.
-    seen: set[tuple[int, ...]] = set()
     for base in bases:
         new_bit = 1 << base.size
         down = base._down_masks()
@@ -522,33 +497,67 @@ def _grow(
                 for d in _bits(lower):
                     rows[d] |= new_bit
                 rows.append(upper | new_bit)
-                fr = Frame(tuple(rows))
-                if keep is not None and not keep(fr):
-                    continue
-                if dedup:
-                    key = _canonical_key(fr)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                yield fr
+                yield Frame(tuple(rows))
 
 
-def _canonical_key(fr: Frame) -> tuple[int, ...]:
-    """Isomorphism-invariant key: minimal relabeled relation matrix.
+# The one store of isomorphism-class representatives, by (class key, size,
+# rooted): the first labeled frame of each class of n-world frames passing
+# keep (None passes every frame), in enumeration order, beside its class's
+# number of labeled frames, n!/|Aut|; with rooted, only frames with a least
+# world.  keep must be isomorphism-invariant and hereditary, so each size
+# grows from the full list of the size before alone: that list holds every
+# class frame with a world deleted, and the first labeled frame of a class
+# has, as its base, the first labeled frame of that base's class
+# (relabeling the base would otherwise give an earlier frame).  Callers
+# passing equal keys must pass equivalent predicates, and share entries.
+# Nothing is evicted: ipc at bound 8 holds 4,495 frames.  Threads that grow
+# one entry at once store equal tuples, and the first stored is kept.
+_CLASS_REPS: dict[tuple[object, int, bool], tuple[tuple[Frame, ...], tuple[int, ...]]] = {}
+
+
+def _class_reps(key, keep, n: int, rooted: bool) -> tuple[tuple[Frame, ...], tuple[int, ...]]:
+    if n < 1:
+        raise ValueError("frame enumeration needs n >= 1")
+    entry = _CLASS_REPS.get((key, n, rooted))
+    if entry is None:
+        bases = _class_reps(key, keep, n - 1, False)[0] if n > 1 else (Frame(()),)
+        seen: set[tuple[int, ...]] = set()
+        frames, counts, labelings = [], [], 1
+        for i in range(2, n + 1):
+            labelings *= i  # n!
+        for fr in _grow(bases):
+            if (rooted and fr.full_mask not in fr.up) or (keep is not None and not keep(fr)):
+                continue
+            canon, automorphisms = _canonical_key(fr)
+            if canon not in seen:
+                seen.add(canon)
+                frames.append(fr)
+                counts.append(labelings // automorphisms)
+        entry = _CLASS_REPS.setdefault((key, n, rooted), (tuple(frames), tuple(counts)))
+    return entry
+
+
+def _canonical_key(fr: Frame) -> tuple[tuple[int, ...], int]:
+    """Isomorphism-invariant key, the minimal relabeled relation matrix,
+    and the number of orders reaching it, which is |Aut(fr)|.
 
     Worlds are grouped once by (successor count, predecessor count), which
     every isomorphism preserves; only the orders listing the groups in
-    ascending order of that pair are tried.
+    ascending order of that pair are tried.  Two orders give the same
+    matrix iff they differ by an automorphism, and automorphisms keep the
+    groups, so each automorphism gives one order that ties for the minimum.
     """
     down = fr._down_masks()
     groups: dict[tuple[int, int], list[int]] = {}
     for i, row in enumerate(fr.up):
         groups.setdefault((row.bit_count(), down[i].bit_count()), []).append(i)
     blocks = [groups[k] for k in sorted(groups)]
-    return min(
+    keys = [
         _relabel(fr.up, [w for block in combo for w in block])
         for combo in product(*(permutations(block) for block in blocks))
-    )
+    ]
+    key = min(keys)
+    return key, keys.count(key)
 
 
 def _relabel(up: tuple[int, ...], order: list[int]) -> tuple[int, ...]:

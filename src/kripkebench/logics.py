@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 
 from .formula import Formula
-from .kripke import Countermodel, Frame, _compile, _first_failure, _grow
+from .kripke import Countermodel, Frame, _class_reps, _compile, _first_failure
 from .kripke import countermodel_to_json, frame_valid
 from .correspondence import BD2_CHAIN, DISCRETE, LIN, FrameCondition, eval_condition
 # The schemas live beside their conditions; they are re-exported from here.
@@ -37,6 +37,11 @@ class LogicSpec:
     axiom_schemas: tuple[Formula, ...]
     conditions: tuple[FrameCondition, ...]
     exact_bound: int | None = None
+
+    def __post_init__(self):
+        bound = self.exact_bound
+        if bound is not None and (type(bound) is not int or bound < 1):
+            raise ValueError(f"exact_bound must be None or a positive int, not {bound!r}")
 
     def frame_class(self, fr: Frame) -> bool:
         """Whether fr lies in the logic's class of frames."""
@@ -83,30 +88,6 @@ class Decision:
         return data
 
 
-# The class representatives grown so far, by (conditions, size, rooted).
-# The frames of each size depend only on the conditions, so logics with
-# equal conditions share entries.  Nothing is evicted: ipc at bound 8
-# holds 4,495 frames.  Threads that grow one entry at once store equal
-# tuples, and the first stored is kept.
-_CLASS_REPS: dict[tuple[tuple[FrameCondition, ...], int, bool], tuple[Frame, ...]] = {}
-
-
-def _class_reps(logic: LogicSpec, n: int, rooted: bool) -> tuple[Frame, ...]:
-    # The first labeled frame of each isomorphism class of n-world class
-    # frames, in enumeration order; with rooted, only those with a least
-    # world.  Both grow from the full list of size n - 1: the class is
-    # hereditary, so that list holds every class frame with a world deleted.
-    key = (tuple(logic.conditions), n, rooted)
-    reps = _CLASS_REPS.get(key)
-    if reps is None:
-        bases = _class_reps(logic, n - 1, False) if n > 1 else (Frame(()),)
-        keep = logic.frame_class
-        if rooted:
-            keep = lambda fr: fr.full_mask in fr.up and logic.frame_class(fr)
-        reps = _CLASS_REPS.setdefault(key, tuple(_grow(bases, True, keep)))
-    return reps
-
-
 def decide(logic: LogicSpec, f: Formula, bound: int) -> Decision:
     """Search the logic's frame class for a countermodel to f.
 
@@ -118,19 +99,19 @@ def decide(logic: LogicSpec, f: Formula, bound: int) -> Decision:
     carries the first countermodel of the first refuting class
     representative of that size.  The class is hereditary, so each size
     grows from the previous size's class representatives alone, and the
-    last size grows rooted ones only.  The grown lists are kept for the
-    life of the process, keyed by the class's conditions, so a later call
-    on the same class grows only sizes no call has grown yet; at bound 8
-    ipc keeps 4,495 frames.  Valid is returned only when the class's
-    exact completeness bound was covered; otherwise the search was merely
-    exhaustive up to the bound.
+    last size grows rooted ones only.  The grown lists stay in kripke's
+    class store for the life of the process, keyed by the class's
+    conditions, so a later call on the same class grows only sizes no
+    call has grown yet; at bound 8 ipc keeps 4,495 frames.  Valid is
+    returned only when the class's exact completeness bound was covered;
+    otherwise the search was merely exhaustive up to the bound.
     """
     if bound < 1:
         raise ValueError("decide needs bound >= 1")
     limit = bound if logic.exact_bound is None else min(bound, logic.exact_bound)
     program = _compile(f)
     for n in range(1, limit + 1):
-        for fr in _class_reps(logic, n, n == limit):
+        for fr in _class_reps(tuple(logic.conditions), logic.frame_class, n, n == limit)[0]:
             if fr.full_mask in fr.up and _first_failure(fr, program) is not None:
                 return Decision(Verdict.REFUTED, n, frame_valid(fr, f))
     if logic.exact_bound is not None and logic.exact_bound <= bound:
@@ -141,15 +122,15 @@ def decide(logic: LogicSpec, f: Formula, bound: int) -> Decision:
 def audit_schemas(logic: LogicSpec, max_n: int) -> Countermodel | None:
     """Check that the logic's class validates its axiom schemas.
 
-    Walks the class representatives up to max_n worlds, from the store
-    decide keeps, and returns the first countermodel to a schema's p, q
+    Walks the class representatives up to max_n worlds, from the class
+    store decide reads, and returns the first countermodel to a schema's p, q
     instance, or None when every class frame validates every schema.
     """
     if max_n < 1:
         raise ValueError("audit_schemas needs max_n >= 1")
     instances = [(f, _compile(f)) for f in map(schema_instance, logic.axiom_schemas)]
     for n in range(1, max_n + 1):
-        for fr in _class_reps(logic, n, False):
+        for fr in _class_reps(tuple(logic.conditions), logic.frame_class, n, False)[0]:
             for f, program in instances:
                 if _first_failure(fr, program) is not None:
                     return frame_valid(fr, f)

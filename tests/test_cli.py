@@ -7,6 +7,7 @@ import pytest
 
 from kripkebench.cli import main
 from kripkebench.correspondence import condition_spellings
+from kripkebench.kripke import enumerate_frames
 from kripkebench.logics import LOGICS
 
 
@@ -254,6 +255,19 @@ def test_enumerate_stats_json(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["count"] == 19
     assert {"depth": 3, "width": 1, "count": 6} in data["stats"]
+
+
+def test_enumerate_stats_count_the_labeled_stream(capsys):
+    # the labeled count and histogram come from class weights; walk the
+    # labeled frames one by one to check them
+    histogram = {}
+    for fr in enumerate_frames(5):
+        key = (fr.depth(), fr.width())
+        histogram[key] = histogram.get(key, 0) + 1
+    assert main(["enumerate", "--n", "5", "--stats", "--format", "json"]) == 0
+    stats = [{"depth": d, "width": w, "count": c} for (d, w), c in sorted(histogram.items())]
+    data = json.loads(capsys.readouterr().out)
+    assert data == {"n": 5, "dedup": False, "count": 4231, "stats": stats}
 
 
 # --- eval ----------------------------------------------------------------------

@@ -2,13 +2,14 @@ from functools import lru_cache
 
 import pytest
 
-from kripkebench.formula import atoms, parse
+from kripkebench.formula import atoms, parse, render
 from kripkebench.kripke import (
     antichain,
     chain,
     enumerate_frames,
     forces,
     fork,
+    frame_to_json,
     frame_valid,
     make_frame,
 )
@@ -38,6 +39,7 @@ from oracles import (
     first_branching,
     first_three_chain,
     frame_pairs,
+    iso_classes,
     naive_first_countermodel,
     naive_forces,
 )
@@ -177,15 +179,19 @@ def test_condition_hierarchy_on_all_small_frames():
 
 
 def test_conditions_isomorphism_invariant():
-    # relabeled copies of the same frame agree on every built-in condition
-    variants = [
-        (make_frame(3, [(0, 1), (1, 2)]), make_frame(3, [(1, 2), (2, 0)])),
-        (make_frame(3, [(0, 1), (0, 2)]), make_frame(3, [(2, 0), (2, 1)])),
+    # the weighted sweeps rest on this: every kind of the table, at k = 1-3
+    # if it takes a bound, agrees on all labeled members of a class
+    conditions = [
+        FrameCondition(kind, k)
+        for kind, (_, takes_k) in CONDITIONS.items()
+        for k in ((1, 2, 3) if takes_k else (None,))
     ]
-    conditions = [LIN, BD2_PAPER, BD2_CHAIN, DISCRETE, depth_le(2), cone_size_le(2)]
-    for a, b in variants:
-        for cond in conditions:
-            assert eval_condition(cond, a) == eval_condition(cond, b)
+    for n in range(1, 5):
+        for members in iso_classes(list(enumerate_frames(n))):
+            for cond in conditions:
+                want = eval_condition(cond, members[0])
+                for fr in members[1:]:
+                    assert eval_condition(cond, fr) == want, (cond.id, members[0].up, fr.up)
 
 
 # --- correspondence sweeps -------------------------------------------------
@@ -239,6 +245,39 @@ def test_sweep_tallies_match_oracles(schema, cond, agree):
         total += want["mismatches"]
     assert report.total_mismatches == total
     assert report.ok == (total == 0) == agree
+
+
+def _labeled_sweep(schema, cond, max_n):
+    # check_correspondence's JSON, walked frame by frame over the labeled
+    # stream instead of counted from class representatives
+    sizes, first = {}, None
+    for n in range(1, max_n + 1):
+        tally = sizes[str(n)] = dict.fromkeys(
+            ("frames", "schema_valid", "condition_true", "mismatches"), 0)
+        for fr in enumerate_frames(n):
+            valid = frame_valid(fr, schema) is None
+            holds = eval_condition(cond, fr)
+            tally["frames"] += 1
+            tally["schema_valid"] += valid
+            tally["condition_true"] += holds
+            tally["mismatches"] += valid != holds
+            if valid != holds and first is None:
+                side = "schema" if valid else "condition"
+                first = {"n": n, "frame": frame_to_json(fr), "held": side}
+    total = sum(t["mismatches"] for t in sizes.values())
+    return {"schema": render(schema), "condition": cond.id, "max_n": max_n, "dedup": False,
+            "sizes": sizes, "mismatches": total, "equivalent": first is None,
+            "first_mismatch": first}
+
+
+@pytest.mark.parametrize(
+    "schema, cond",
+    [(BD2_INSTANCE, BD2_PAPER), (GL_INSTANCE, BD2_CHAIN), (parse("~~p->p"), DISCRETE)],
+)
+def test_labeled_sweep_matches_the_labeled_stream(schema, cond):
+    for max_n in range(1, 6):
+        want = _labeled_sweep(schema, cond, max_n)
+        assert check_correspondence(schema, cond, max_n).to_json() == want, max_n
 
 
 def test_bd2_paper_correspondence_minimal_mismatch():

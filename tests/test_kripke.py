@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from itertools import count, product
+from itertools import count, permutations, product
 
 import pytest
 
@@ -13,11 +13,11 @@ from kripkebench.kripke import (
     InvalidModel,
     Model,
     UnknownWorld,
+    _CLASS_REPS,
     _canonical_key,
+    _class_reps,
     _closed_masks,
     _compile,
-    _frames_upto,
-    _grow,
     antichain,
     chain,
     countermodel_to_json,
@@ -34,7 +34,7 @@ from kripkebench.kripke import (
     model_to_json,
     to_dot,
 )
-from kripkebench.logics import LOGICS, _class_reps
+from kripkebench.logics import LOGICS
 from oracles import (
     CONDITION_ORACLES,
     _isomorphic,
@@ -508,40 +508,40 @@ def dedup_frames():
 
 
 def test_class_growth_is_the_class_subsequence(dedup_frames):
-    for logic in LOGICS.values():
-        classes = [Frame(())]
-        for n in range(1, 7):
-            classes = list(_grow(classes, True, logic.frame_class))
-            want = [fr for fr in dedup_frames[n] if logic.frame_class(fr)]
-            assert classes == want, (logic.name, n)
-    # the sweeps' walk yields the same sequences, one size after another,
-    # and decide's store holds each class's, size by size
-    labeled = {n: list(enumerate_frames(n)) for n in range(1, 6)}
-    for dedup, frames in ((True, dedup_frames), (False, labeled)):
-        for n in range(1, max(frames) + 1):
-            want = [fr for k in range(1, n + 1) for fr in frames[k]]
-            assert list(_frames_upto(n, dedup)) == want, (dedup, n)
+    # the class store grows each logic's class from its own frames alone,
+    # and holds the class subsequence of the dedup order, size by size
+    _CLASS_REPS.clear()
     for logic in LOGICS.values():
         for n in range(1, 7):
+            frames, _ = _class_reps(tuple(logic.conditions), logic.frame_class, n, False)
             want = [fr for fr in dedup_frames[n] if logic.frame_class(fr)]
-            assert list(_class_reps(logic, n, False)) == want, (logic.name, n)
+            assert list(frames) == want, (logic.name, n)
+    # every class is represented by its first labeled frame, in labeled
+    # order, beside the number of labeled frames in the class: the sweeps'
+    # tallies and first mismatches rest on both
+    for n in range(1, 6):
+        first, members = {}, {}
+        for fr in enumerate_frames(n):
+            key = _canonical_key(fr)[0]
+            first.setdefault(key, fr)
+            members[key] = members.get(key, 0) + 1
+        frames, labelings = _class_reps((), None, n, False)
+        assert list(frames) == list(first.values()), n
+        assert list(labelings) == list(members.values()), n
 
 
 def test_rooted_growth_is_the_rooted_subsequence(dedup_frames):
+    _CLASS_REPS.clear()
     for logic in LOGICS.values():
-        def rooted(fr):
-            return _has_root(fr) and logic.frame_class(fr)
-
         for n in range(1, 7):
-            bases = [fr for fr in dedup_frames[n - 1] if logic.frame_class(fr)]
-            want = [fr for fr in dedup_frames[n] if rooted(fr)]
-            assert list(_grow(bases, True, rooted)) == want, (logic.name, n)
-            assert list(_class_reps(logic, n, True)) == want, (logic.name, n)
+            frames, _ = _class_reps(tuple(logic.conditions), logic.frame_class, n, True)
+            want = [fr for fr in dedup_frames[n] if _has_root(fr) and logic.frame_class(fr)]
+            assert list(frames) == want, (logic.name, n)
 
 
 def test_rooted_growth_counts_follow_a000112_shifted(dedup_frames):
     for n, expected in zip(range(1, 7), (1, 1, 2, 5, 16, 63)):
-        frames = list(_grow(dedup_frames[n - 1], True, _has_root))
+        frames, _ = _class_reps((), None, n, True)
         assert len(frames) == expected
         assert all(fr.size == n and _has_root(fr) for fr in frames)
         if n <= 5:
@@ -553,14 +553,19 @@ def test_canonical_key_is_a_complete_invariant(dedup_frames):
     for n in range(1, 7):
         keys = set()
         for fr in dedup_frames[n]:
-            key = _canonical_key(fr)
+            key, automorphisms = _canonical_key(fr)
             for _ in range(3):
                 perm = list(range(n))
                 rng.shuffle(perm)
                 moved = make_frame(n, [(perm[i], perm[j]) for i, j in fr.strict_pairs()])
-                assert _canonical_key(moved) == key, (fr.up, perm)
+                assert _canonical_key(moved) == (key, automorphisms), (fr.up, perm)
             if n <= 5:
                 assert _isomorphic(Frame(key), fr), fr.up
+                # the tie count is |Aut(fr)|
+                assert automorphisms == sum(
+                    all(fr.le(i, j) == fr.le(p[i], p[j]) for i in range(n) for j in range(n))
+                    for p in permutations(range(n))
+                ), fr.up
             keys.add(key)
         assert len(keys) == len(dedup_frames[n]), n
 

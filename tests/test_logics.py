@@ -6,7 +6,7 @@ import pytest
 
 from kripkebench.formula import parse, render
 from kripkebench.kripke import chain, enumerate_frames, frame_valid, make_frame
-from kripkebench import logics
+from kripkebench import kripke
 from kripkebench.correspondence import BD2_CHAIN, GL_INSTANCE, LIN, eval_condition
 from kripkebench.logics import (
     BD2,
@@ -171,6 +171,14 @@ def test_decide_ipc_never_claims_valid():
 def test_decide_rejects_bad_bound():
     with pytest.raises(ValueError):
         decide(IPC, parse("p"), 0)
+
+
+@pytest.mark.parametrize("bound", [0, -2, "2", 2.0, True])
+def test_logic_spec_rejects_a_bad_exact_bound(bound):
+    # A bound below 1 would make decide answer Valid with no frame searched.
+    with pytest.raises(ValueError, match="exact_bound"):
+        LogicSpec("x", (), (), exact_bound=bound)
+    assert LogicSpec("x", (), (), exact_bound=1).exact_bound == 1
 
 
 @pytest.mark.parametrize("max_n", [0, -3])
@@ -356,20 +364,20 @@ def test_decide_answers_the_same_cold_and_warm():
     cold = {}
     for logic, f in cases:
         for bound in range(1, 5):
-            logics._CLASS_REPS.clear()
+            kripke._CLASS_REPS.clear()
             cold[logic.name, f, bound] = decide(logic, f, bound).to_json()
             assert decide(logic, f, bound).to_json() == cold[logic.name, f, bound]
     for bounds in (range(1, 5), range(4, 0, -1)):
         for logic, f in cases:
-            logics._CLASS_REPS.clear()
+            kripke._CLASS_REPS.clear()
             for bound in bounds:
                 assert decide(logic, f, bound).to_json() == cold[logic.name, f, bound], (
                     logic.name, render(f), bound, list(bounds))
     # lin+lem shares gl's conditions, so it walks the lists gl's call grew
     lin_lem = LogicSpec("lin+lem", (LEM_SCHEMA,), (LIN,))
-    logics._CLASS_REPS.clear()
+    kripke._CLASS_REPS.clear()
     cold_audit = audit_schemas(lin_lem, 5)
-    logics._CLASS_REPS.clear()
+    kripke._CLASS_REPS.clear()
     decide(GL, parse("~~(p|~p)"), 5)
     assert audit_schemas(lin_lem, 5) == cold_audit
     # conditions given as a list share the entries of their tuple
@@ -381,10 +389,10 @@ def test_decide_answers_the_same_cold_and_warm():
 def test_decide_threads_share_the_store():
     texts = ["~~(p|~p)", "p|~p", "(p->q)|(q->p)", "p|(p->(q|~q))"]
     jobs = [(logic, parse(text)) for text in texts for logic in LOGICS.values()]
-    logics._CLASS_REPS.clear()
+    kripke._CLASS_REPS.clear()
     want = [decide(logic, f, 6).to_json() for logic, f in jobs]
-    store = dict(logics._CLASS_REPS)
-    logics._CLASS_REPS.clear()
+    store = dict(kripke._CLASS_REPS)
+    kripke._CLASS_REPS.clear()
     results = [None] * 4
     start = threading.Barrier(4, timeout=60)
 
@@ -408,7 +416,7 @@ def test_decide_threads_share_the_store():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [want] * 4
-    assert logics._CLASS_REPS == store
+    assert kripke._CLASS_REPS == store
 
 
 def test_frame_classes_closed_under_cones():
