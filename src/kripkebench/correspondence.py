@@ -4,9 +4,8 @@ witness countermodels, and the small-frame collapse audit."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
-from .formula import Atom, Formula, Imp, Not, Or, render, substitute
+from .formula import Atom, Formula, Imp, Not, Or, _Record, render, substitute
 from .kripke import (
     Countermodel,
     Frame,
@@ -23,14 +22,13 @@ class PreconditionFailed(Exception):
     """The frame does not violate the condition this witness refutes."""
 
 
-@dataclass(frozen=True)
-class FrameCondition:
+class FrameCondition(_Record):
     """A first-order frame property, decided by exhaustive quantification
     over worlds.  All built-in conditions are isomorphism-invariant.  kind
     is a key of CONDITIONS; k is a positive int if it takes a bound, else None."""
 
-    kind: str
-    k: int | None = None
+    __slots__ = {"kind": "str", "k": "int | None"}
+    _defaults = (None,)
 
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in CONDITIONS:
@@ -164,16 +162,17 @@ GL_INSTANCE = schema_instance(GL_SCHEMA)
 BD2_INSTANCE = schema_instance(BD2_SCHEMA)
 
 
-@dataclass
-class SizeTally:
-    frames: int = 0
-    schema_valid: int = 0
-    condition_true: int = 0
-    mismatches: int = 0
+class SizeTally(_Record, frozen=False):
+    __slots__ = {
+        "frames": "int",
+        "schema_valid": "int",
+        "condition_true": "int",
+        "mismatches": "int",
+    }
+    _defaults = (0, 0, 0, 0)
 
 
-@dataclass
-class CorrespondenceReport:
+class CorrespondenceReport(_Record, frozen=False):
     """Per-size comparison of schema validity against a frame condition.
 
     first_mismatch, when present, is (n, frame, side) where side names
@@ -181,12 +180,18 @@ class CorrespondenceReport:
     is zero exactly when first_mismatch is absent.
     """
 
-    schema: Formula
-    condition: FrameCondition
-    max_n: int
-    dedup: bool
-    sizes: dict[int, SizeTally] = field(default_factory=dict)
-    first_mismatch: tuple[int, Frame, str] | None = None
+    __slots__ = {
+        "schema": "Formula",
+        "condition": "FrameCondition",
+        "max_n": "int",
+        "dedup": "bool",
+        "sizes": "dict[int, SizeTally]",
+        "first_mismatch": "tuple[int, Frame, str] | None",
+    }
+    _defaults = (None, None)
+
+    def __post_init__(self):
+        self.sizes = {} if self.sizes is None else self.sizes  # a new dict for each report
 
     @property
     def total_mismatches(self) -> int:
@@ -202,15 +207,7 @@ class CorrespondenceReport:
             "condition": self.condition.id,
             "max_n": self.max_n,
             "dedup": self.dedup,
-            "sizes": {
-                str(n): {
-                    "frames": t.frames,
-                    "schema_valid": t.schema_valid,
-                    "condition_true": t.condition_true,
-                    "mismatches": t.mismatches,
-                }
-                for n, t in self.sizes.items()
-            },
+            "sizes": {str(n): t._asdict() for n, t in self.sizes.items()},
             "mismatches": self.total_mismatches,
             "equivalent": self.ok,
         }
@@ -226,17 +223,13 @@ class CorrespondenceReport:
         return data
 
     def format_text(self) -> str:
-        lines = [
-            f"schema: {render(self.schema)}",
-            f"condition: {self.condition.id}",
-            "  n  frames  schema-valid  condition-true  mismatches",
-        ]
-        for n in sorted(self.sizes):
-            t = self.sizes[n]
-            lines.append(
-                f"  {n}  {t.frames:<6}  {t.schema_valid:<12}  "
-                f"{t.condition_true:<14}  {t.mismatches}"
-            )
+        # Each column but the last is as wide as its header or its widest
+        # number, whichever is wider.
+        rows = [("n", "frames", "schema-valid", "condition-true", "mismatches")]
+        rows += [(n, *self.sizes[n]._asdict().values()) for n in sorted(self.sizes)]
+        widths = [max(len(str(row[i])) for row in rows) for i in range(4)] + [0]
+        lines = [f"schema: {render(self.schema)}", f"condition: {self.condition.id}"]
+        lines += ["  " + "  ".join(str(c).ljust(w) for c, w in zip(row, widths)) for row in rows]
         if self.first_mismatch is None:
             lines.append(f"equivalent on all frames up to n={self.max_n}")
         else:
@@ -314,16 +307,11 @@ def _witness(fr: Frame, found, instance: Formula, missing: str) -> Countermodel:
 WITNESSES = {"gl": gl_witness, "bd2": bd2_witness}
 
 
-@dataclass
-class CollapseViolation:
-    n: int
-    frame: Frame
-    check: str
-    detail: str
+class CollapseViolation(_Record, frozen=False):
+    __slots__ = {"n": "int", "frame": "Frame", "check": "str", "detail": "str"}
 
 
-@dataclass
-class CollapseReport:
+class CollapseReport(_Record, frozen=False):
     """Audit of the collapse of the combined frame class.
 
     Over every frame up to max_n worlds: local linearity plus no-3-chain
@@ -331,9 +319,17 @@ class CollapseReport:
     frame of one or two worlds must validate both schema instances.
     """
 
-    max_n: int
-    frames: dict[int, int] = field(default_factory=dict)
-    violations: list[CollapseViolation] = field(default_factory=list)
+    __slots__ = {
+        "max_n": "int",
+        "frames": "dict[int, int]",
+        "violations": "list[CollapseViolation]",
+    }
+    _defaults = (None, None)
+
+    def __post_init__(self):
+        # A new dict and list for each report.
+        self.frames = {} if self.frames is None else self.frames
+        self.violations = [] if self.violations is None else self.violations
 
     @property
     def ok(self) -> bool:
@@ -344,13 +340,7 @@ class CollapseReport:
             "max_n": self.max_n,
             "frames": {str(n): c for n, c in self.frames.items()},
             "violations": [
-                {
-                    "n": v.n,
-                    "frame": frame_to_json(v.frame),
-                    "check": v.check,
-                    "detail": v.detail,
-                }
-                for v in self.violations
+                {**v._asdict(), "frame": frame_to_json(v.frame)} for v in self.violations
             ],
             "ok": self.ok,
         }

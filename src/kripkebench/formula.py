@@ -8,15 +8,75 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 
-class Formula:
+class _Record:
+    """Base of the package's value types, in place of dataclasses.
+
+    A subclass's __slots__ maps each of its fields, in order, to its type,
+    and _defaults holds the defaults of its last fields.  Its __init__
+    takes the fields and then calls its __post_init__, if any.  Records of
+    one class with equal fields are equal, hash as the tuple of their
+    fields and print as Name(field=value, ...).  A record refuses
+    assignment unless its class is declared with frozen=False, which also
+    makes it unhashable.  (Fields are not read from annotations: that takes
+    a metaclass, and one made isinstance on records 3.5 times slower.)
+    """
+
+    __slots__ = ()
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls, frozen: bool = True):
+        # Compiled per class, as dataclasses does: generic methods that read
+        # the fields by name made formula == and hash 1.4 to 4 times slower.
+        names = tuple(cls.__slots__)
+        mine = "".join(f"self.{name}, " for name in names)
+        theirs = mine.replace("self.", "other.")
+        scope: dict = {"_set": object.__setattr__}
+        exec(
+            f"def __init__(self, {', '.join(names)}):\n"
+            + "".join(f"    _set(self, {name!r}, {name})\n" for name in names)
+            + ("    self.__post_init__()\n" if hasattr(cls, "__post_init__") else "    pass\n")
+            + f"def __eq__(self, other):\n    return ({mine}) == ({theirs}) "
+            "if other.__class__ is self.__class__ else NotImplemented\n"
+            f"def __hash__(self):\n    return hash(({mine}))\n",
+            scope,
+        )
+        for method in ("__init__", "__eq__", "__hash__"):
+            scope[method].__qualname__ = f"{cls.__qualname__}.{method}"
+        init = scope["__init__"]
+        init.__defaults__, init.__annotations__ = cls._defaults, dict(cls.__slots__)
+        cls.__init__ = init
+        cls.__eq__, cls.__hash__ = scope["__eq__"], scope["__hash__"] if frozen else None
+        cls.__match_args__ = names
+        if not frozen:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(self._asdict().values())
+
+    def _asdict(self) -> dict:
+        """The fields by name, in order."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+
+class Formula(_Record):
     """Base class of all formula nodes.
 
-    Nodes are frozen dataclasses, so they hash and compare structurally
-    and can be shared freely between threads.
+    Nodes are frozen records, so they hash and compare structurally and
+    can be shared freely between threads.
     """
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return render(self)
@@ -25,37 +85,28 @@ class Formula:
         return ast_repr(self)
 
 
-@dataclass(frozen=True, repr=False)
 class Top(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
 class Bottom(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
 class Atom(Formula):
-    name: str
+    __slots__ = {"name": "str"}
 
 
-@dataclass(frozen=True, repr=False)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = {"left": "Formula", "right": "Formula"}
 
 
-@dataclass(frozen=True, repr=False)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = {"left": "Formula", "right": "Formula"}
 
 
-@dataclass(frozen=True, repr=False)
 class Imp(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = {"left": "Formula", "right": "Formula"}
 
 
 def Not(f: Formula) -> Formula:

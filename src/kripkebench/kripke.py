@@ -9,10 +9,9 @@ after construction and safe to share between threads.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from itertools import permutations, product
 
-from .formula import And, Atom, Bottom, Formula, Or, Top, _IDENT, render
+from .formula import And, Atom, Bottom, Formula, Or, Top, _IDENT, _Record, render
 
 
 class UnknownWorld(ValueError):
@@ -49,8 +48,7 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(_bits(mask))
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(_Record):
     """Finite partial order: bit j of up[i] is set iff world i <= world j.
 
     Build frames with make_frame (which closes and validates the input
@@ -58,7 +56,7 @@ class Frame:
     trusts its argument.
     """
 
-    up: tuple[int, ...]
+    __slots__ = {"up": "tuple[int, ...]"}
 
     @property
     def size(self) -> int:
@@ -210,8 +208,7 @@ def antichain(n: int) -> Frame:
     return make_frame(n)
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(_Record):
     """A frame with a monotone valuation.
 
     The valuation is a sorted tuple of (atom, bitmask) pairs; every mask
@@ -219,8 +216,7 @@ class Model:
     are forced nowhere.  Use make_model to build one from plain sets.
     """
 
-    frame: Frame
-    valuation: tuple[tuple[str, int], ...]
+    __slots__ = {"frame": "Frame", "valuation": "tuple[tuple[str, int], ...]"}
 
     def __post_init__(self):
         names = [name for name, _ in self.valuation]
@@ -277,17 +273,14 @@ def make_model(frame: Frame, valuation: Mapping[str, Iterable[int]]) -> Model:
     return Model(frame, tuple(entries))
 
 
-@dataclass(frozen=True)
-class Countermodel:
+class Countermodel(_Record):
     """A model, a world in it, and a formula the world fails to force.
 
     Construction re-runs the forcing check, so a Countermodel that exists
     is always a genuine refutation.
     """
 
-    model: Model
-    world: int
-    formula: Formula
+    __slots__ = {"model": "Model", "world": "int", "formula": "Formula"}
 
     def __post_init__(self):
         if forces(self.model, self.world, self.formula):

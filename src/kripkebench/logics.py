@@ -10,9 +10,8 @@ an exact completeness bound covered by the search.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from .formula import Formula
+from .formula import Formula, _Record
 from .kripke import Countermodel, Frame, _class_reps, _compile, _first_failure
 from .kripke import countermodel_to_json, frame_valid
 from .correspondence import BD2_CHAIN, DISCRETE, LIN, FrameCondition, eval_condition
@@ -20,8 +19,7 @@ from .correspondence import BD2_CHAIN, DISCRETE, LIN, FrameCondition, eval_condi
 from .correspondence import BD2_SCHEMA, GL_SCHEMA, LEM_SCHEMA, schema_instance
 
 
-@dataclass(frozen=True)
-class LogicSpec:
+class LogicSpec(_Record):
     """A logic given by its extra schemas and its class of frames.
 
     The class, the frames meeting every condition, must be hereditary:
@@ -33,10 +31,13 @@ class LogicSpec:
     the formula is valid in the logic.
     """
 
-    name: str
-    axiom_schemas: tuple[Formula, ...]
-    conditions: tuple[FrameCondition, ...]
-    exact_bound: int | None = None
+    __slots__ = {
+        "name": "str",
+        "axiom_schemas": "tuple[Formula, ...]",
+        "conditions": "tuple[FrameCondition, ...]",
+        "exact_bound": "int | None",
+    }
+    _defaults = (None,)
 
     def __post_init__(self):
         bound = self.exact_bound
@@ -72,14 +73,12 @@ class Verdict(enum.Enum):
     NO_COUNTERMODEL = "no-countermodel"
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(_Record):
     """Outcome of a bounded search: the verdict, the frame size the search
     covered, and the countermodel when one was found."""
 
-    verdict: Verdict
-    bound: int
-    countermodel: Countermodel | None = None
+    __slots__ = {"verdict": "Verdict", "bound": "int", "countermodel": "Countermodel | None"}
+    _defaults = (None,)
 
     def to_json(self) -> dict:
         data: dict = {"verdict": self.verdict.value, "bound": self.bound}

@@ -171,6 +171,25 @@ def test_correspond_bd2_paper_mismatch(capsys):
     assert "schema holds, condition fails" in out
 
 
+def test_correspond_table_columns_widen_for_seven_digit_counts(capsys):
+    # 6,129,859 labeled frames at n = 7 is wider than the "frames" header;
+    # that column widens and the rows stay under their headers.
+    assert main(["correspond", "(p->q)|(q->p)", "lin", "--max-n", "7"]) == 0
+    assert capsys.readouterr().out == (
+        "schema: (p -> q) | (q -> p)\n"
+        "condition: LIN\n"
+        "  n  frames   schema-valid  condition-true  mismatches\n"
+        "  1  1        1             1               0\n"
+        "  2  3        3             3               0\n"
+        "  3  19       16            16              0\n"
+        "  4  219      125           125             0\n"
+        "  5  4231     1296          1296            0\n"
+        "  6  130023   16807         16807           0\n"
+        "  7  6129859  262144        262144          0\n"
+        "equivalent on all frames up to n=7\n"
+    )
+
+
 def test_correspond_bd2_chain_equivalent(capsys):
     assert main(["correspond", "p|(p->(q|~q))", "bd2-chain", "--max-n", "4"]) == 0
     capsys.readouterr()

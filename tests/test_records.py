@@ -1,0 +1,213 @@
+"""The value types' record contract: construction, equality, hashing,
+immutability and repr of the formula nodes, frames, models, conditions,
+logics, decisions and the correspondence reports."""
+
+import copy
+import pickle
+
+import pytest
+
+from kripkebench.correspondence import (
+    GL_INSTANCE,
+    LIN,
+    CollapseReport,
+    CollapseViolation,
+    CorrespondenceReport,
+    FrameCondition,
+    SizeTally,
+)
+from kripkebench.formula import And, Atom, Bottom, Imp, Or, Top, parse
+from kripkebench.kripke import Countermodel, Frame, InvalidModel, Model, chain
+from kripkebench.logics import GL, GL_SCHEMA, Decision, LogicSpec, Verdict
+
+P, Q = Atom("p"), Atom("q")
+LEM = parse("p|~p")
+
+
+def _model():
+    return Model(chain(2), (("p", 2),))
+
+
+def _countermodel():
+    return Countermodel(_model(), 0, LEM)
+
+
+# Each class with a function building a fresh instance, and its field values
+# in declaration order.
+FROZEN = [
+    (Top, lambda: Top(), ()),
+    (Bottom, lambda: Bottom(), ()),
+    (Atom, lambda: Atom("p"), ("p",)),
+    (And, lambda: And(P, Q), (P, Q)),
+    (Or, lambda: Or(P, Q), (P, Q)),
+    (Imp, lambda: Imp(P, Q), (P, Q)),
+    (Frame, lambda: Frame((3, 2)), ((3, 2),)),
+    (Model, _model, (chain(2), (("p", 2),))),
+    (Countermodel, _countermodel, (_model(), 0, LEM)),
+    (FrameCondition, lambda: FrameCondition("DEPTH_LE", 2), ("DEPTH_LE", 2)),
+    (LogicSpec, lambda: LogicSpec("x", (GL_SCHEMA,), (LIN,), 3), ("x", (GL_SCHEMA,), (LIN,), 3)),
+    (Decision, lambda: Decision(Verdict.REFUTED, 2, _countermodel()),
+     (Verdict.REFUTED, 2, _countermodel())),
+]
+MUTABLE = [
+    (SizeTally, lambda: SizeTally(1, 2, 3, 4)),
+    (CorrespondenceReport, lambda: CorrespondenceReport(GL_INSTANCE, LIN, 3, False)),
+    (CollapseViolation, lambda: CollapseViolation(2, chain(2), "cone-bound", "why")),
+    (CollapseReport, lambda: CollapseReport(2)),
+]
+ALL = [(cls, build) for cls, build, _ in FROZEN] + MUTABLE
+
+
+@pytest.mark.parametrize("cls, build", ALL, ids=[cls.__name__ for cls, _ in ALL])
+def test_records_compare_structurally(cls, build):
+    a, b = build(), build()
+    assert a is not b and type(a) is cls
+    assert a == b and not a != b
+    assert copy.copy(a) == a
+    assert pickle.loads(pickle.dumps(a)) == a
+    for other_cls, other in ALL:
+        if other_cls is not cls:
+            assert a != other() and not a == other()
+
+
+def test_equal_fields_in_different_classes_differ():
+    assert And(P, Q) != Or(P, Q) != Imp(P, Q) != And(P, Q)
+    assert Top() != Bottom()
+    assert And(P, Q) != And(Q, P)
+    assert Frame((3, 2)) != Frame((3, 3))
+    assert Frame((3, 2)) != (3, 2)
+
+
+@pytest.mark.parametrize("cls, build, fields", FROZEN, ids=[c.__name__ for c, _, _ in FROZEN])
+def test_frozen_records_hash_their_field_tuple(cls, build, fields):
+    assert hash(build()) == hash(fields)
+    assert len({build(), build()}) == 1
+
+
+@pytest.mark.parametrize("cls, build", MUTABLE, ids=[cls.__name__ for cls, _ in MUTABLE])
+def test_report_records_are_unhashable(cls, build):
+    with pytest.raises(TypeError):
+        hash(build())
+
+
+@pytest.mark.parametrize("cls, build, fields", FROZEN, ids=[c.__name__ for c, _, _ in FROZEN])
+def test_frozen_records_reject_assignment(cls, build, fields):
+    value = build()
+    for name in ("left", "up", "frame", "world", "kind", "name", "bound", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+    with pytest.raises(AttributeError):
+        del value.anything
+    assert value == build()
+
+
+def test_report_records_are_mutable():
+    tally = SizeTally()
+    tally.frames += 3
+    assert tally == SizeTally(frames=3)
+    report = CorrespondenceReport(GL_INSTANCE, LIN, 3, False)
+    report.first_mismatch = (2, chain(2), "schema")
+    assert report.first_mismatch[0] == 2
+    violation = CollapseViolation(2, chain(2), "cone-bound", "why")
+    violation.detail = "other"
+    assert violation.detail == "other"
+
+
+def test_record_reprs():
+    fr = chain(2)
+    assert repr(fr) == "Frame(up=(3, 2))"
+    model = Model(fr, (("p", 2),))
+    assert repr(model) == "Model(frame=Frame(up=(3, 2)), valuation=(('p', 2),))"
+    assert repr(FrameCondition("DEPTH_LE", k=2)) == "FrameCondition(kind='DEPTH_LE', k=2)"
+    assert repr(GL) == (
+        "LogicSpec(name='gl', axiom_schemas=(Or(Imp(A, B), Imp(B, A)),), "
+        "conditions=(FrameCondition(kind='LIN', k=None),), exact_bound=None)"
+    )
+    assert repr(Decision(Verdict.VALID, 2)) == (
+        "Decision(verdict=<Verdict.VALID: 'valid'>, bound=2, countermodel=None)"
+    )
+    assert repr(Decision(Verdict.REFUTED, 2, _countermodel())) == (
+        "Decision(verdict=<Verdict.REFUTED: 'refuted'>, bound=2, countermodel="
+        "Countermodel(model=Model(frame=Frame(up=(3, 2)), valuation=(('p', 2),)), "
+        "world=0, formula=Or(p, Imp(p, Bottom))))"
+    )
+    assert repr(SizeTally(1, 2)) == (
+        "SizeTally(frames=1, schema_valid=2, condition_true=0, mismatches=0)"
+    )
+    assert repr(Imp(P, Bottom())) == "Imp(p, Bottom)"
+    assert repr(Top()) == "Top"
+
+
+def test_record_fields_defaults_and_keywords():
+    assert FrameCondition("DEPTH_LE", k=2) == FrameCondition(kind="DEPTH_LE", k=2)
+    assert FrameCondition("LIN").k is None
+    spec = LogicSpec("x", (), (), exact_bound=1)
+    assert (spec.name, spec.axiom_schemas, spec.conditions, spec.exact_bound) == ("x", (), (), 1)
+    assert LogicSpec("x", (), ()).exact_bound is None
+    decision = Decision(Verdict.NO_COUNTERMODEL, bound=4)
+    assert (decision.verdict, decision.bound, decision.countermodel) == (
+        Verdict.NO_COUNTERMODEL, 4, None
+    )
+    cm = Countermodel(model=_model(), world=0, formula=LEM)
+    assert (cm.model, cm.world, cm.formula) == (_model(), 0, LEM)
+    assert Model(frame=chain(2), valuation=()).valuation == ()
+    assert Frame(up=(1,)).up == (1,)
+    assert And(left=P, right=Q) == And(P, Q)
+    assert Atom(name="p").name == "p"
+    tally = SizeTally(schema_valid=2)
+    assert (tally.frames, tally.schema_valid) == (0, 2)
+    assert (tally.condition_true, tally.mismatches) == (0, 0)
+    report = CorrespondenceReport(GL_INSTANCE, LIN, 3, dedup=True)
+    assert (report.schema, report.condition, report.max_n) == (GL_INSTANCE, LIN, 3)
+    assert (report.dedup, report.sizes, report.first_mismatch) == (True, {}, None)
+    collapse = CollapseReport(max_n=2)
+    assert (collapse.max_n, collapse.frames, collapse.violations) == (2, {}, [])
+    violation = CollapseViolation(n=2, frame=chain(2), check="c", detail="d")
+    assert (violation.n, violation.frame) == (2, chain(2))
+    assert (violation.check, violation.detail) == ("c", "d")
+    with pytest.raises(TypeError, match=r"Atom\.__init__\(\) missing 1 required"):
+        Atom()
+    with pytest.raises(TypeError):
+        Frame((1,), (1,))
+    with pytest.raises(TypeError):
+        FrameCondition("LIN", None, None)
+    with pytest.raises(TypeError):
+        Decision(Verdict.VALID, 1, bogus=2)
+
+
+def test_records_match_by_position():
+    match parse("p->~q"):
+        case Imp(Atom(left), Imp(Atom(right), Bottom())):
+            assert (left, right) == ("p", "q")
+        case _:
+            raise AssertionError("no match")
+    match FrameCondition("DEPTH_LE", 2):
+        case FrameCondition(kind, k):
+            assert (kind, k) == ("DEPTH_LE", 2)
+
+
+def test_report_containers_are_not_shared():
+    first, second = (CorrespondenceReport(GL_INSTANCE, LIN, 3, False) for _ in range(2))
+    first.sizes[1] = SizeTally()
+    assert second.sizes == {}
+    first, second = CollapseReport(2), CollapseReport(2)
+    first.frames[1] = 1
+    first.violations.append(CollapseViolation(1, chain(1), "c", "d"))
+    assert second.frames == {} and second.violations == []
+
+
+def test_record_validation_still_fires():
+    with pytest.raises(ValueError, match="unknown frame condition kind"):
+        FrameCondition("NOPE")
+    with pytest.raises(ValueError, match="needs a positive int bound"):
+        FrameCondition("DEPTH_LE", k=0)
+    with pytest.raises(ValueError, match="takes no bound"):
+        FrameCondition("LIN", 2)
+    with pytest.raises(ValueError, match="exact_bound"):
+        LogicSpec("x", (), (), exact_bound=0)
+    with pytest.raises(InvalidModel, match="not upward closed"):
+        Model(chain(2), (("p", 1),))
+    with pytest.raises(InvalidModel, match="unique and sorted"):
+        Model(chain(2), (("q", 2), ("p", 2)))
+    with pytest.raises(ValueError, match="not a countermodel"):
+        Countermodel(Model(chain(2), (("p", 3),)), 0, LEM)
