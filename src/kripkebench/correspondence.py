@@ -23,8 +23,8 @@ class PreconditionFailed(Exception):
 
 
 class FrameCondition(_Record):
-    """A first-order frame property, decided by exhaustive quantification
-    over worlds.  All built-in conditions are isomorphism-invariant.  kind
+    """A frame property decided by quantifying over worlds: cond(fr) is
+    eval_condition(cond, fr).  Built-in ones are isomorphism-invariant.  kind
     is a key of CONDITIONS; k is a positive int if it takes a bound, else None."""
 
     __slots__ = {"kind": "str", "k": "int | None"}
@@ -38,6 +38,9 @@ class FrameCondition(_Record):
                 raise ValueError(f"{self.kind} needs a positive int bound, not {self.k!r}")
         elif self.k is not None:
             raise ValueError(f"{self.kind} takes no bound, got {self.k!r}")
+
+    def __call__(self, fr: Frame) -> bool:
+        return eval_condition(self, fr)
 
     @property
     def id(self) -> str:
@@ -257,11 +260,11 @@ def check_correspondence(
     program = _compile(schema)
     for n in range(1, max_n + 1):
         tally = report.sizes[n] = SizeTally()
-        for fr, labelings in zip(*_class_reps((), None, n, False)):
+        for fr, labelings in zip(*_class_reps((), n)):
             weight = 1 if dedup else labelings
             tally.frames += weight
             valid = _first_failure(fr, program) is None
-            holds = eval_condition(condition, fr)
+            holds = condition(fr)
             if valid:
                 tally.schema_valid += weight
             if holds:
@@ -367,11 +370,11 @@ def collapse_check(max_n: int) -> CollapseReport:
     programs = [(instance, _compile(instance)) for instance in (GL_INSTANCE, BD2_INSTANCE)]
     report = CollapseReport(max_n)
     for n in range(1, max_n + 1):
-        frames, labelings = _class_reps((), None, n, False)
+        frames, labelings = _class_reps((), n)
         report.frames[n] = sum(labelings)
         for fr in frames:
-            both = eval_condition(LIN, fr) and eval_condition(BD2_CHAIN, fr)
-            small_cones = eval_condition(cone2, fr)
+            both = LIN(fr) and BD2_CHAIN(fr)
+            small_cones = cone2(fr)
             if both != small_cones:
                 report.violations.append(
                     CollapseViolation(

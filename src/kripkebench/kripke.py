@@ -120,6 +120,8 @@ class Frame(_Record):
             for i in _bits(left):
                 if self.up[i] & left == 1 << i:
                     top |= 1 << i
+            if not top:
+                raise ValueError("not a partial order: no world is maximal")
             left ^= top
             rounds += 1
         return rounds
@@ -387,7 +389,7 @@ def force_set(model: Model, f: Formula) -> frozenset[int]:
 
 
 # Most valuations per chunk in _first_failure: bounds the size of every
-# register while keeping the number of Python-level operations small.
+# register while holding down the number of Python-level operations.
 _CHUNK_VALUATIONS = 4096
 
 
@@ -462,7 +464,7 @@ def enumerate_frames(n: int, dedup: bool = False) -> Iterator[Frame]:
     if n < 1:
         raise ValueError("frame enumeration needs n >= 1")
     if dedup:
-        return iter(_class_reps((), None, n, False)[0])
+        return iter(_class_reps((), n)[0])
     # A lazy chain of growth steps: only the frame being extended at each
     # size is held, not the 4,231 labeled 5-world frames behind n = 6.
     frames: Iterable[Frame] = (Frame(()),)  # grown from zero worlds
@@ -493,40 +495,40 @@ def _grow(bases: Iterable[Frame]) -> Iterator[Frame]:
                 yield Frame(tuple(rows))
 
 
-# The one store of isomorphism-class representatives, by (class key, size,
-# rooted): the first labeled frame of each class of n-world frames passing
-# keep (None passes every frame), in enumeration order, beside its class's
-# number of labeled frames, n!/|Aut|; with rooted, only frames with a least
-# world.  keep must be isomorphism-invariant and hereditary, so each size
-# grows from the full list of the size before alone: that list holds every
-# class frame with a world deleted, and the first labeled frame of a class
-# has, as its base, the first labeled frame of that base's class
-# (relabeling the base would otherwise give an earlier frame).  Callers
-# passing equal keys must pass equivalent predicates, and share entries.
-# Nothing is evicted: ipc at bound 8 holds 4,495 frames.  Threads that grow
-# one entry at once store equal tuples, and the first stored is kept.
-_CLASS_REPS: dict[tuple[object, int, bool], tuple[tuple[Frame, ...], tuple[int, ...]]] = {}
+# The one store of isomorphism-class representatives, by (conditions, size,
+# rooted): the first labeled frame of each class of n-world frames meeting
+# every condition (() is every poset), in enumeration order, beside the class's
+# count of labeled frames, n!/|Aut|; with rooted, only frames with a least
+# world.  Conditions are frame predicates, isomorphism-invariant and
+# hereditary, so a size grows from the full list of the size before: it holds
+# every class frame less a world, and a class's first labeled frame grows from
+# the first labeled frame of its base's class (else relabeling its base would
+# give an earlier one).  Nothing is evicted: ipc at bound 8 holds 4,495 frames.
+# Threads growing one entry at once all get the first equal tuple stored.
+_CLASS_REPS: dict[tuple[tuple, int, bool], tuple[tuple[Frame, ...], tuple[int, ...]]] = {}
 
 
-def _class_reps(key, keep, n: int, rooted: bool) -> tuple[tuple[Frame, ...], tuple[int, ...]]:
+def _class_reps(conditions, n: int, rooted=False) -> tuple[tuple[Frame, ...], tuple[int, ...]]:
     if n < 1:
         raise ValueError("frame enumeration needs n >= 1")
-    entry = _CLASS_REPS.get((key, n, rooted))
+    entry = _CLASS_REPS.get((conditions, n, rooted))
     if entry is None:
-        bases = _class_reps(key, keep, n - 1, False)[0] if n > 1 else (Frame(()),)
+        bases = _class_reps(conditions, n - 1)[0] if n > 1 else (Frame(()),)
         seen: set[tuple[int, ...]] = set()
         frames, counts, labelings = [], [], 1
         for i in range(2, n + 1):
             labelings *= i  # n!
         for fr in _grow(bases):
-            if (rooted and fr.full_mask not in fr.up) or (keep is not None and not keep(fr)):
+            if rooted and fr.full_mask not in fr.up:
+                continue
+            if conditions and not all(cond(fr) for cond in conditions):
                 continue
             canon, automorphisms = _canonical_key(fr)
             if canon not in seen:
                 seen.add(canon)
                 frames.append(fr)
                 counts.append(labelings // automorphisms)
-        entry = _CLASS_REPS.setdefault((key, n, rooted), (tuple(frames), tuple(counts)))
+        entry = _CLASS_REPS.setdefault((conditions, n, rooted), (tuple(frames), tuple(counts)))
     return entry
 
 
@@ -537,7 +539,7 @@ def _canonical_key(fr: Frame) -> tuple[tuple[int, ...], int]:
     Worlds are grouped once by (successor count, predecessor count), which
     every isomorphism preserves; only the orders listing the groups in
     ascending order of that pair are tried.  Two orders give the same
-    matrix iff they differ by an automorphism, and automorphisms keep the
+    matrix iff they differ by an automorphism, and automorphisms preserve the
     groups, so each automorphism gives one order that ties for the minimum.
     """
     down = fr._down_masks()

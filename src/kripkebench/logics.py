@@ -14,7 +14,7 @@ import enum
 from .formula import Formula, _Record
 from .kripke import Countermodel, Frame, _class_reps, _compile, _first_failure
 from .kripke import countermodel_to_json, frame_valid
-from .correspondence import BD2_CHAIN, DISCRETE, LIN, FrameCondition, eval_condition
+from .correspondence import BD2_CHAIN, DISCRETE, LIN, FrameCondition
 # The schemas live beside their conditions; they are re-exported from here.
 from .correspondence import BD2_SCHEMA, GL_SCHEMA, LEM_SCHEMA, schema_instance
 
@@ -46,7 +46,7 @@ class LogicSpec(_Record):
 
     def frame_class(self, fr: Frame) -> bool:
         """Whether fr lies in the logic's class of frames."""
-        return all(eval_condition(cond, fr) for cond in self.conditions)
+        return all(cond(fr) for cond in self.conditions)
 
 
 IPC = LogicSpec("ipc", (), ())
@@ -110,7 +110,7 @@ def decide(logic: LogicSpec, f: Formula, bound: int) -> Decision:
     limit = bound if logic.exact_bound is None else min(bound, logic.exact_bound)
     program = _compile(f)
     for n in range(1, limit + 1):
-        for fr in _class_reps(tuple(logic.conditions), logic.frame_class, n, n == limit)[0]:
+        for fr in _class_reps(tuple(logic.conditions), n, n == limit)[0]:
             if fr.full_mask in fr.up and _first_failure(fr, program) is not None:
                 return Decision(Verdict.REFUTED, n, frame_valid(fr, f))
     if logic.exact_bound is not None and logic.exact_bound <= bound:
@@ -129,7 +129,7 @@ def audit_schemas(logic: LogicSpec, max_n: int) -> Countermodel | None:
         raise ValueError("audit_schemas needs max_n >= 1")
     instances = [(f, _compile(f)) for f in map(schema_instance, logic.axiom_schemas)]
     for n in range(1, max_n + 1):
-        for fr in _class_reps(tuple(logic.conditions), logic.frame_class, n, False)[0]:
+        for fr in _class_reps(tuple(logic.conditions), n)[0]:
             for f, program in instances:
                 if _first_failure(fr, program) is not None:
                     return frame_valid(fr, f)

@@ -190,6 +190,8 @@ def test_conditions_isomorphism_invariant():
         for members in iso_classes(list(enumerate_frames(n))):
             for cond in conditions:
                 want = eval_condition(cond, members[0])
+                # calling a condition on a frame is eval_condition
+                assert all(cond(fr) == eval_condition(cond, fr) for fr in members), cond.id
                 for fr in members[1:]:
                     assert eval_condition(cond, fr) == want, (cond.id, members[0].up, fr.up)
 

@@ -1,8 +1,10 @@
 """CLI fuzzing: every input exits with a contract code 0-3 and no exception
 escapes main.
 
-valid and decide are not fuzzed: their work grows exponentially with the
-number of atoms, and no work budget bounds it yet.
+The work of valid and decide grows exponentially with the number of atoms,
+and no work budget bounds it yet, so they are fuzzed with formulas over p
+and q only: on frames of at most six worlds (64 upsets) valid tries at most
+4,096 valuations, and decide searches up to three worlds.
 """
 
 import contextlib
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from kripkebench.cli import main
 from kripkebench.formula import ParseError, parse, render
+from kripkebench.logics import LOGICS
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -47,7 +50,12 @@ MODELS = st.fixed_dictionaries(
 )
 DOCUMENTS = MODELS | FRAMES | JUNK
 FORMULA_TEXT = st.text() | st.text(" pqTF()~&|->")
-FORMULAS = st.sampled_from(["p", "p -> q", "~p | p", "(p->q)|(q->p)"]) | FORMULA_TEXT
+FORMULA_SAMPLES = st.sampled_from(["p", "p -> q", "~p | p", "(p->q)|(q->p)"])
+FORMULAS = FORMULA_SAMPLES | FORMULA_TEXT
+# Formulas over p and q only, for the commands whose work is exponential in
+# the number of atoms.
+PQ_FORMULAS = FORMULA_SAMPLES | st.text(" pqTF()~&|->")
+LOGIC_NAMES = st.sampled_from(sorted(LOGICS) + ["GL", "ipc "]) | st.text(max_size=6)
 CONDITION_TEXT = (
     st.sampled_from(["lin", "bd2-chain", "BD2-Paper", "discrete", "depth-le-2", "cone-size-le-0"])
     | st.text(max_size=12)
@@ -100,6 +108,19 @@ def test_eval_fuzz(doc, formula, world):
 
 
 @FUZZ
+@given(DOCUMENTS, PQ_FORMULAS)
+def test_valid_fuzz(doc, formula):
+    with json_file(doc) as path:
+        assert run(["valid", path, formula]) in (0, 1, 2, 3)
+
+
+@FUZZ
+@given(LOGIC_NAMES, PQ_FORMULAS, st.integers(-1, 3))
+def test_decide_fuzz(logic, formula, bound):
+    assert run(["decide", logic, formula, "--bound", str(bound)]) in (0, 1, 2, 3)
+
+
+@FUZZ
 @given(st.sampled_from(["gl", "bd2"]), DOCUMENTS)
 @example("gl", {"worlds": 3, "le": [[0, 1], [0, 2]]})
 @example("bd2", {"worlds": 3, "le": [[0, 1], [1, 2]]})
@@ -113,6 +134,13 @@ def test_witness_fuzz(schema, doc):
 @given(CONDITION_TEXT, st.integers(-1, 3), st.booleans())
 def test_correspond_fuzz(condition, max_n, dedup):
     argv = ["correspond", "p", condition, "--max-n", str(max_n)] + (["--dedup"] if dedup else [])
+    assert run(argv) in (0, 1, 2, 3)
+
+
+@FUZZ
+@given(st.integers(-2, 5), st.booleans(), st.booleans())
+def test_enumerate_fuzz(n, dedup, stats):
+    argv = ["enumerate", "--n", str(n)] + ["--dedup"] * dedup + ["--stats"] * stats
     assert run(argv) in (0, 1, 2, 3)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from kripkebench.formula import parse, render
 from kripkebench.kripke import chain, enumerate_frames, frame_valid, make_frame
-from kripkebench import kripke
+from kripkebench import correspondence, kripke
 from kripkebench.correspondence import BD2_CHAIN, GL_INSTANCE, LIN, eval_condition
 from kripkebench.logics import (
     BD2,
@@ -357,7 +357,7 @@ def test_decide_pins_a_five_world_refutation():
     assert decide(BD2, f, 6).to_json() == {"verdict": "no-countermodel", "bound": 6}
 
 
-def test_decide_answers_the_same_cold_and_warm():
+def test_decide_answers_the_same_cold_and_warm(monkeypatch):
     # the store of grown class representatives changes no answer, however
     # earlier calls filled it
     cases = [(logic, f) for f in _differential_formulas() for logic in LOGICS.values()]
@@ -384,6 +384,23 @@ def test_decide_answers_the_same_cold_and_warm():
     lin_list = LogicSpec("lin-list", (), [LIN])
     assert decide(lin_list, parse("~~(p|~p)"), 5) == decide(GL, parse("~~(p|~p)"), 5)
     assert decide(lin_list, parse("p|(p->(q|~q))"), 5) == decide(GL, parse("p|(p->(q|~q))"), 5)
+    # LIN runs while the store grows, and the calls that find their sizes
+    # grown under the same conditions, as a tuple or a list, run it never
+    predicate, takes_k = correspondence.CONDITIONS["LIN"]
+    calls = []
+
+    def counted(fr, k):
+        calls.append(fr)
+        return predicate(fr, k)
+
+    monkeypatch.setitem(correspondence.CONDITIONS, "LIN", (counted, takes_k))
+    kripke._CLASS_REPS.clear()
+    decide(GL, parse("~~(p|~p)"), 5)
+    assert calls
+    calls.clear()
+    decide(lin_list, parse("~~(p|~p)"), 5)
+    audit_schemas(lin_lem, 4)
+    assert calls == []
 
 
 def test_decide_threads_share_the_store():
