@@ -110,8 +110,21 @@ class Frame(_Record):
         members = _bits(self.up[x])
         return Frame(_relabel(self.up, members)), tuple(members)
 
+    def _check_order(self) -> None:
+        # The constructor trusts its rows; depth and width would loop or
+        # answer on rows that are not a partial order on 0..n-1.
+        for i, row in enumerate(self.up):
+            if row >> self.size or not row >> i & 1 or any(
+                self.up[j] & ~row or j != i and self.up[j] >> i & 1 for j in _bits(row)
+            ):
+                raise ValueError(f"not a partial order on worlds 0..{self.size - 1}: row {i}")
+
     def depth(self) -> int:
-        """Worlds in a longest chain; a single world has depth 1."""
+        """Worlds in a longest chain; a single world has depth 1.
+
+        Raises ValueError if the rows are not a partial order on 0..n-1.
+        """
+        self._check_order()
         # Each round removes the maximal worlds of what is left, and with
         # them the top world of every longest chain left.
         left, rounds = self.full_mask, 0
@@ -120,8 +133,6 @@ class Frame(_Record):
             for i in _bits(left):
                 if self.up[i] & left == 1 << i:
                     top |= 1 << i
-            if not top:
-                raise ValueError("not a partial order: no world is maximal")
             left ^= top
             rounds += 1
         return rounds
@@ -132,7 +143,9 @@ class Frame(_Record):
         By Dilworth's theorem this is the fewest chains covering the
         worlds: the size minus a maximum matching of worlds to strict
         successors (Fulkerson 1956), grown by augmenting paths (Kuhn).
+        Raises ValueError if the rows are not a partial order on 0..n-1.
         """
+        self._check_order()
         above = [-1] * self.size  # the successor a world is matched to
         below = [-1] * self.size  # the world matched to a successor
         for root in range(self.size):
@@ -401,6 +414,12 @@ def frame_valid(fr: Frame, f: Formula) -> Countermodel | None:
     forces f under every such valuation, else the first countermodel in
     lexicographic order: upsets ascending per atom with the first atom
     most significant, then lowest world index.
+
+    A search of more than one chunk of valuations on a frame with several
+    minimal worlds first searches the cone of each minimal world, once per
+    distinct cone: f is valid on the frame iff it is valid on those cones.
+    Only when a cone refutes f is the whole frame searched, so the
+    countermodel is the frame's first, as without the cones.
     """
     program = _compile(f)
     found = _first_failure(fr, program)
@@ -428,22 +447,37 @@ def _first_failure(fr: Frame, program) -> tuple[list[int], int] | None:
     while sliced < len(names) and per_chunk * count <= _CHUNK_VALUATIONS:
         sliced += 1
         per_chunk *= count
+    below = _below(fr)
+    if sliced < len(names):
+        # f is valid iff it is valid on the cone of each minimal world
+        # (generation); cones are rooted, so this recurses at most once.
+        lower = {y for y, _ in below}
+        minimal = [x for x in range(n) if x not in lower]
+        if len(minimal) > 1 and not any(
+            _first_failure(cone, program)
+            for cone in dict.fromkeys(fr.cone(x)[0] for x in minimal)
+        ):
+            return None
     ones = (1 << n * per_chunk) - 1
     every = ones // full  # bit 0 of every valuation
     slices = []
     block = per_chunk
     for _ in range(sliced):
-        # This atom takes upset c on the c-th block of valuations: pattern
-        # holds one copy per block, fill spreads it over the block, and the
-        # count blocks repeat until the chunk is full.
+        # This atom takes upset c on the c-th block of valuations: fill
+        # spreads an upset over its block, pattern holds the count blocks,
+        # and doubling repeats them until the chunk is full.  Products of
+        # two chunk-sized ints, or a quotient, would cost more than _eval.
         block //= count
         span = n * block
+        fill = every >> n * (per_chunk - block)
         pattern = 0
         for mask in reversed(ups):
-            pattern = pattern << span | mask
-        fill = every >> n * (per_chunk - block)
-        slices.append(pattern * fill * (ones // ((1 << span * count) - 1)))
-    below = _below(fr)
+            pattern = pattern << span | mask * fill
+        width = span * count
+        while width < n * per_chunk:
+            pattern |= pattern << width
+            width *= 2
+        slices.append(pattern & ones)
     for combo in product(ups, repeat=len(names) - sliced):
         regs = [mask * every for mask in combo] + slices
         root = _eval(prog, ones, every, below, regs)

@@ -5,6 +5,7 @@ from itertools import count, permutations, product
 
 import pytest
 
+from kripkebench import kripke
 from kripkebench.formula import And, Atom, Bottom, Or, Top, atoms, parse, substitute
 from kripkebench.kripke import (
     AntisymmetryViolation,
@@ -334,6 +335,78 @@ def test_frame_valid_cone_local():
                 assert whole == cones
 
 
+def _minimal_worlds(fr):
+    return [x for x in range(fr.size) if not any(fr.le(y, x) for y in range(fr.size) if y != x)]
+
+
+def test_frame_valid_cone_check_agrees_with_naive_oracle():
+    # Frames with several minimal worlds whose search takes more than one
+    # chunk (9**4 and 20**3 valuations), so frame_valid first searches the
+    # cone of each minimal world.  Two 2-chains repeat one cone; the 6-world
+    # frames put a fork and a 3-chain side by side, in both orders, and on
+    # each a formula is refuted by the last cone only.
+    two_chains = make_frame(4, [(0, 1), (2, 3)])
+    fork_chain = make_frame(6, [(0, 1), (0, 2), (3, 4), (4, 5)])
+    chain_fork = make_frame(6, [(0, 1), (1, 2), (3, 4), (3, 5)])
+    cases = [
+        (two_chains, "pqrs", "p->q|r|s", [False, False]),
+        (two_chains, "pqrs", "(p->q)|(r->s)|~~(p&s)", [False, False]),
+        (two_chains, "pqrs", "(p->q)|(q->r)|(r->s)|(s->p)", [True, True]),
+        (two_chains, "pqrs", "(p->q)|(q->r)|(r->p)|~~s", [True, True]),
+        (fork_chain, "pqr", "p|(p->(q|~q))|r", [True, False]),
+        (fork_chain, "pqr", "(p->q)|(q->p)|r", [False, True]),
+        (fork_chain, "pqr", "p|q->r", [False, False]),
+        (fork_chain, "pqr", "(p->q)|(q->r)|(r->p)", [True, True]),
+        (chain_fork, "pqr", "(p->q)|(q->p)|r", [True, False]),
+        (chain_fork, "pqr", "p|(p->(q|~q))|r", [False, True]),
+        (chain_fork, "pqr", "(p->r)->((q->r)->(p|q->r))", [True, True]),
+    ]
+    for fr, names, text, cones_valid in cases:
+        f = parse(text)
+        assert [frame_valid(fr.cone(x)[0], f) is None for x in _minimal_worlds(fr)] == cones_valid
+        expected = naive_first_countermodel(fr.size, fr.strict_pairs(), f, list(names))
+        assert (expected is None) == all(cones_valid), text
+        assert _first_countermodel(fr, f) == expected, (fr.up, text)
+
+
+def check_cones_against_naive_oracle(n, corpus):
+    # Every n-world class representative with several minimal worlds.  At
+    # n = 5 a 3-atom search over more than 16 upsets takes more than one
+    # chunk, so it searches the cones first.
+    for fr in enumerate_frames(n, dedup=True):
+        if len(_minimal_worlds(fr)) > 1:
+            for text in corpus:
+                f = parse(text)
+                expected = naive_first_countermodel(n, fr.strict_pairs(), f, sorted(atoms(f)))
+                assert _first_countermodel(fr, f) == expected, (fr.up, text)
+
+
+def test_frame_valid_cone_check_runs_only_on_multi_chunk_searches(monkeypatch):
+    # The worlds of the frame each _eval call searches, one entry per chunk.
+    worlds = []
+    real = kripke._eval
+
+    def counting(prog, ones, every, below, regs):
+        worlds.append((ones // every).bit_length())
+        return real(prog, ones, every, below, regs)
+
+    monkeypatch.setattr(kripke, "_eval", counting)
+
+    def chunks(fr, text):
+        worlds.clear()
+        assert frame_valid(fr, parse(text)) is None
+        return list(worlds)
+
+    # 16**4 valuations on antichain(4) were 16 chunks of the whole frame;
+    # its four cones are one 1-world frame, searched in one chunk.
+    assert chunks(antichain(4), "(p->q)|(q->r)|(r->p)|~~s") == [1]
+    # A rooted frame has one cone, itself: 17**3 valuations in 17 chunks.
+    rooted = make_frame(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    assert chunks(rooted, "(p->(q->r))->((p->q)->(p->r))") == [5] * 17
+    # 16**3 valuations fit one chunk, so the cones are not searched.
+    assert chunks(antichain(4), "(p->q)|(q->r)|(r->p)") == [4]
+
+
 IPC_TAUTOLOGIES = [
     "p->p",
     "T",
@@ -414,6 +487,14 @@ def test_cone():
         chain(2).cone(5)
 
 
+def check_depth_and_width(n, frames):
+    depth_le = CONDITION_ORACLES["DEPTH_LE"]
+    for fr in frames:
+        assert fr.width() == naive_width(n, fr.strict_pairs())
+        rel = frame_pairs(fr)
+        assert fr.depth() == next(k for k in count(1) if depth_le(n, rel, k)), fr.up
+
+
 def test_depth_and_width():
     assert chain(3).depth() == 3
     assert fork().depth() == 2
@@ -424,16 +505,15 @@ def test_depth_and_width():
     assert make_frame(1).width() == 1
     assert chain(40).depth() == 40 and chain(40).width() == 1
     assert chain(1200).depth() == 1200
-    # rows that are not a partial order leave a round with no maximal world
-    for rows in ((0,), (3, 3), (2, 2)):
-        with pytest.raises(ValueError):
-            Frame(rows).depth()
-    depth_le = CONDITION_ORACLES["DEPTH_LE"]
-    for n in range(1, 6):
-        for fr in enumerate_frames(n):
-            assert fr.width() == naive_width(n, fr.strict_pairs())
-            rel = frame_pairs(fr)
-            assert fr.depth() == next(k for k in count(1) if depth_le(n, rel, k)), fr.up
+    # rows that are not a partial order on the worlds 0..n-1
+    for rows in ((0,), (3,), (3, 3), (2, 2)):
+        for measure in (Frame.depth, Frame.width):
+            with pytest.raises(ValueError):
+                measure(Frame(rows))
+    for n in range(1, 5):
+        check_depth_and_width(n, enumerate_frames(n))
+    # CI checks all 4,231 labeled 5-world frames; here their 63 classes.
+    check_depth_and_width(5, enumerate_frames(5, dedup=True))
 
 
 # --- enumeration ----------------------------------------------------------
