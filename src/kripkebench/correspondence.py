@@ -9,13 +9,13 @@ from .formula import Atom, Formula, Imp, Not, Or, _Record, render, substitute
 from .kripke import (
     Countermodel,
     Frame,
-    Model,
     _bits,
     _class_reps,
     _compile,
     _first_failure,
     frame_to_json,
 )
+from .kripke import chain, fork, frame_valid, make_model
 
 
 class PreconditionFailed(Exception):
@@ -39,36 +39,14 @@ class FrameCondition(_Record):
         elif self.k is not None:
             raise ValueError(f"{self.kind} takes no bound, got {self.k!r}")
 
-    def __call__(self, fr: Frame) -> bool:
-        return eval_condition(self, fr)
+    def __call__(self, fr: Frame, _new: int | None = None) -> bool:
+        return eval_condition(self, fr, _new)
 
     @property
     def id(self) -> str:
         if self.k is None:
             return self.kind
         return f"{self.kind}({self.k})"
-
-
-def _branching(fr: Frame) -> tuple[int, int, int] | None:
-    # The first x <= y, x <= z in index order with y, z incomparable.
-    up = fr.up
-    for x in range(fr.size):
-        for y in _bits(up[x]):
-            for z in _bits(up[x] & ~up[y]):
-                if not up[z] >> y & 1:
-                    return x, y, z
-    return None
-
-
-def _three_chain(fr: Frame) -> tuple[int, int, int] | None:
-    # The first strict chain x < y < z in index order.
-    up = fr.up
-    for x in range(fr.size):
-        for y in _bits(up[x] & ~(1 << x)):
-            above = up[y] & ~(1 << y)
-            if above:
-                return x, y, (above & -above).bit_length() - 1
-    return None
 
 
 def _bd2_paper(fr: Frame, _k) -> bool:
@@ -81,16 +59,21 @@ def _bd2_paper(fr: Frame, _k) -> bool:
     return True
 
 
-# Each built-in kind: its predicate on (frame, k) and whether it takes the
-# bound k.  eval_condition and the CLI spellings read only this table.  A
-# new kind must be isomorphism-invariant, and hereditary (closed under
-# deleting a world) if a logic's class uses it.
+_FORK, _CHAIN3, _CHAIN2 = fork(), chain(3), chain(2)
+
+# Each built-in kind: its test on (frame, k), which gives a truth value or a
+# frame the kind forbids as a subframe, and whether it takes the bound k.
+# LIN forbids the fork, BD2_CHAIN the 3-chain, DISCRETE the 2-chain and
+# DEPTH_LE(k) the (k+1)-chain, built only for frames of more than k worlds.
+# eval_condition and the CLI spellings read only this table.  A new kind must
+# be isomorphism-invariant, and hereditary (closed under deleting a world) if
+# a logic's class uses it; a kind that forbids a frame is both by construction.
 CONDITIONS = {
-    "LIN": (lambda fr, k: _branching(fr) is None, False),
+    "LIN": (lambda fr, k: _FORK, False),
     "BD2_PAPER": (_bd2_paper, False),
-    "BD2_CHAIN": (lambda fr, k: _three_chain(fr) is None, False),
-    "DISCRETE": (lambda fr, k: all(fr.up[i] == 1 << i for i in range(fr.size)), False),
-    "DEPTH_LE": (lambda fr, k: fr.depth() <= k, True),
+    "BD2_CHAIN": (lambda fr, k: _CHAIN3, False),
+    "DISCRETE": (lambda fr, k: _CHAIN2, False),
+    "DEPTH_LE": (lambda fr, k: k >= fr.size or chain(k + 1), True),
     "CONE_SIZE_LE": (lambda fr, k: all(bin(m).count("1") <= k for m in fr.up), True),
 }
 
@@ -117,10 +100,48 @@ def cone_size_le(k: int) -> FrameCondition:
     return FrameCondition("CONE_SIZE_LE", k)
 
 
-def eval_condition(cond: FrameCondition, fr: Frame) -> bool:
-    """Evaluate a built-in condition on a frame."""
-    predicate, _ = CONDITIONS[cond.kind]
-    return predicate(fr, cond.k)
+def eval_condition(cond: FrameCondition, fr: Frame, _new: int | None = None) -> bool:
+    """Evaluate a built-in condition on a frame; _new is as in _embedding."""
+    verdict = CONDITIONS[cond.kind][0](fr, cond.k)
+    return _embedding(verdict, fr, _new) is None if isinstance(verdict, Frame) else verdict
+
+
+def _embedding(pattern: Frame, fr: Frame, _new: int | None = None) -> tuple[int, ...] | None:
+    """The lexicographically first order-embedding of pattern into fr, as
+    the images of its worlds, or None.  pattern is rooted and lists each
+    world after the worlds below it.  If fr less world _new has no copy of
+    pattern, as in each frame the class store grows, every copy uses _new,
+    so only roots below _new are tried."""
+    m = pattern.size
+    for x, row in enumerate(fr.up):  # a root sees all m worlds
+        if row.bit_count() >= m and (_new is None or row >> _new & 1):
+            found = _extend(pattern.up, fr.up, (x,), 1 << x)
+            if found:
+                return found
+    return None
+
+
+def _extend(
+    rel: tuple[int, ...], up: tuple[int, ...], image: tuple[int, ...], used: int
+) -> tuple[int, ...] | None:
+    # The first embedding of the frame with rows rel that begins with image,
+    # the worlds of used.  World i goes to an unused world above the images
+    # of the worlds below it, outside the upsets of the others, below no
+    # image, and seeing at least as many worlds as it does.  A module-level
+    # function rather than a closure: a recursive closure is a reference
+    # cycle, left for the garbage collector on every call.
+    i = len(image)
+    if i == len(rel):
+        return image
+    options, sees = ~used, rel[i].bit_count()  # the root's upset bounds options
+    for row, w in zip(rel, image):
+        options &= up[w] if row >> i & 1 else ~up[w]
+    for v in _bits(options):
+        if not up[v] & used and up[v].bit_count() >= sees:
+            found = _extend(rel, up, image + (v,), used | 1 << v)
+            if found:
+                return found
+    return None
 
 
 def condition_spellings() -> list[str]:
@@ -278,32 +299,25 @@ def check_correspondence(
 
 
 def gl_witness(fr: Frame) -> Countermodel:
-    """Countermodel to (p -> q) | (q -> p) on a frame with a branching.
-
-    Picks the lexicographically first triple x, y, z with x <= y, x <= z
-    and y, z incomparable, the one LIN finds, and assigns p the upset of
-    y and q the upset of z; the root x then forces neither implication.
-    """
-    return _witness(fr, _branching(fr), GL_INSTANCE, "every cone of the frame is linear")
+    """Countermodel to (p -> q) | (q -> p) carried from the fork LIN forbids."""
+    return _transfer(_FORK, GL_INSTANCE, fr, "every cone of the frame is linear")
 
 
 def bd2_witness(fr: Frame) -> Countermodel:
-    """Countermodel to p | (p -> (q | ~q)) on a frame with a 3-chain.
-
-    Picks the lexicographically first strict chain x < y < z, the one
-    BD2_CHAIN finds, and assigns p the upset of y and q the upset of z;
-    x then neither forces p nor the guarded implication (its witness y
-    sees q undecided).
-    """
-    return _witness(fr, _three_chain(fr), BD2_INSTANCE, "the frame has no chain of three worlds")
+    """Countermodel to p | (p -> (q | ~q)) carried from the 3-chain BD2_CHAIN forbids."""
+    return _transfer(_CHAIN3, BD2_INSTANCE, fr, "the frame has no chain of three worlds")
 
 
-def _witness(fr: Frame, found, instance: Formula, missing: str) -> Countermodel:
-    if found is None:
+def _transfer(pattern: Frame, f: Formula, fr: Frame, missing: str) -> Countermodel:
+    # f's first countermodel on pattern, carried along the first embedding phi:
+    # each atom holds on the upset generated by phi of its worlds.  The re-check
+    # refuses it where f holds on fr, as ~p | ~~p does on the fork plus a top.
+    phi = _embedding(pattern, fr)
+    if phi is None:
         raise PreconditionFailed(missing)
-    x, y, z = found
-    model = Model(fr, (("p", fr.up[y]), ("q", fr.up[z])))
-    return Countermodel(model, x, instance)
+    cm = frame_valid(pattern, f)
+    lifted = {a: {v for w in _bits(m) for v in _bits(fr.up[phi[w]])} for a, m in cm.model.valuation}
+    return Countermodel(make_model(fr, lifted), phi[cm.world], f)
 
 
 # The witness builders by the schema they refute, as the CLI names them.

@@ -537,7 +537,8 @@ def _grow(bases: Iterable[Frame]) -> Iterator[Frame]:
 # hereditary, so a size grows from the full list of the size before: it holds
 # every class frame less a world, and a class's first labeled frame grows from
 # the first labeled frame of its base's class (else relabeling its base would
-# give an earlier one).  Nothing is evicted: ipc at bound 8 holds 4,495 frames.
+# give an earlier one).  Conditions are told the new world n - 1, as the frame
+# less it is a class frame.  Nothing is evicted: ipc at bound 8 holds 4,495 frames.
 # Threads growing one entry at once all get the first equal tuple stored.
 _CLASS_REPS: dict[tuple[tuple, int, bool], tuple[tuple[Frame, ...], tuple[int, ...]]] = {}
 
@@ -555,7 +556,7 @@ def _class_reps(conditions, n: int, rooted=False) -> tuple[tuple[Frame, ...], tu
         for fr in _grow(bases):
             if rooted and fr.full_mask not in fr.up:
                 continue
-            if conditions and not all(cond(fr) for cond in conditions):
+            if conditions and not all(cond(fr, n - 1) for cond in conditions):
                 continue
             canon, automorphisms = _canonical_key(fr)
             if canon not in seen:

@@ -275,6 +275,24 @@ def first_three_chain(n, rel):
     )
 
 
+def first_embedding(n, rel, m, pattern):
+    """The lexicographically first injective map phi of the worlds 0..m-1
+    into 0..n-1 with (i, j) in pattern iff (phi[i], phi[j]) in rel, or
+    None; both orders are closed sets of pairs."""
+    return next(
+        (
+            phi
+            for phi in permutations(range(n), m)
+            if all(
+                ((i, j) in pattern) == ((phi[i], phi[j]) in rel)
+                for i in range(m)
+                for j in range(m)
+            )
+        ),
+        None,
+    )
+
+
 # Randomized generators for property tests (always seeded by the caller).
 
 def random_frame(rng: random.Random, max_n: int):

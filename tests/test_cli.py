@@ -217,6 +217,21 @@ def test_correspond_dedup_and_json(capsys):
     assert data["sizes"]["4"]["frames"] == 16
 
 
+def test_correspond_depth_bound_beyond_every_frame(capsys):
+    # DEPTH_LE(k) forbids the (k+1)-chain, which is never built with more
+    # worlds than the frame: a 15-digit bound answers at once.
+    assert main(["correspond", "p|~p", "depth-le-99999999999999", "--max-n", "3"]) == 1
+    assert capsys.readouterr().out == (
+        "schema: p | ~p\n"
+        "condition: DEPTH_LE(99999999999999)\n"
+        "  n  frames  schema-valid  condition-true  mismatches\n"
+        "  1  1       1             1               0\n"
+        "  2  3       1             3               2\n"
+        "  3  19      1             19              18\n"
+        'first mismatch at n=2: condition holds, schema fails on frame {"le": [[0, 1]], "worlds": 2}\n'
+    )
+
+
 def test_correspond_unknown_condition(capsys):
     assert main(["correspond", "p", "total", "--max-n", "2"]) == 2
     assert "unknown frame condition" in capsys.readouterr().err

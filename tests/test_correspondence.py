@@ -31,12 +31,15 @@ from kripkebench.correspondence import (
     depth_le,
     eval_condition,
     gl_witness,
+    _embedding,
+    _transfer,
 )
 from kripkebench.logics import LOGICS
 from oracles import (
     CONDITION_ORACLES,
     brute_force_posets,
     first_branching,
+    first_embedding,
     first_three_chain,
     frame_pairs,
     iso_classes,
@@ -408,6 +411,36 @@ def test_witnesses_pick_the_first_triple():
                 assert cm.world == x, (witness.__name__, sorted(rel))
                 assert cm.model.valuation_dict() == {"p": up[y], "q": up[z]}, (
                     witness.__name__, sorted(rel))
+
+
+def test_embedding_search_matches_brute_force():
+    # the first embedding of each pattern, or None, on every labeled poset
+    # up to n = 5; with the last world as _new, on each frame that has no
+    # copy without it, the answer is the same
+    patterns = [chain(2), chain(3), chain(4), fork(), make_frame(4, [(0, 1), (0, 2), (0, 3)])]
+    shapes = [(p, p.size, frame_pairs(p)) for p in patterns]
+    for n in range(1, 6):
+        for fr in enumerate_frames(n):
+            rel = frame_pairs(fr)
+            rest = _induced(rel, range(n - 1))
+            for pattern, m, shape in shapes:
+                want = first_embedding(n, rel, m, shape)
+                assert _embedding(pattern, fr) == want, (pattern.up, sorted(rel))
+                if first_embedding(*rest, m, shape) is None:
+                    assert _embedding(pattern, fr, n - 1) == want, (pattern.up, sorted(rel))
+
+
+def test_transfer_rechecks_a_formula_that_is_not_a_subframe_formula():
+    # KC fails on the fork, and the fork embeds in the diamond (the fork
+    # plus a top world), but KC holds on the diamond: the Countermodel
+    # re-check refuses the carried model instead of returning it
+    kc = parse("~p|~~p")
+    diamond = make_frame(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    assert frame_valid(fork(), kc) is not None
+    assert _embedding(fork(), diamond) == (0, 1, 2)
+    assert frame_valid(diamond, kc) is None
+    with pytest.raises(ValueError, match="not a countermodel"):
+        _transfer(fork(), kc, diamond, "no fork")
 
 
 # --- soundness and incomparability ------------------------------------------
