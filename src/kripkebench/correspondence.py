@@ -11,6 +11,7 @@ from .kripke import (
     Frame,
     _bits,
     _class_reps,
+    _class_tables,
     _compile,
     _first_failure,
     frame_to_json,
@@ -281,10 +282,11 @@ def check_correspondence(
     program = _compile(schema)
     for n in range(1, max_n + 1):
         tally = report.sizes[n] = SizeTally()
-        for fr, labelings in zip(*_class_reps((), n)):
+        tables = _class_tables((), n)
+        for i, (fr, labelings) in enumerate(zip(*_class_reps((), n))):
             weight = 1 if dedup else labelings
             tally.frames += weight
-            valid = _first_failure(fr, program) is None
+            valid = _first_failure(fr, program, tables[i]) is None
             holds = condition(fr)
             if valid:
                 tally.schema_valid += weight
@@ -385,8 +387,9 @@ def collapse_check(max_n: int) -> CollapseReport:
     report = CollapseReport(max_n)
     for n in range(1, max_n + 1):
         frames, labelings = _class_reps((), n)
+        tables = _class_tables((), n)
         report.frames[n] = sum(labelings)
-        for fr in frames:
+        for i, fr in enumerate(frames):
             both = LIN(fr) and BD2_CHAIN(fr)
             small_cones = cone2(fr)
             if both != small_cones:
@@ -400,7 +403,7 @@ def collapse_check(max_n: int) -> CollapseReport:
                 )
             if n <= 2:
                 for instance, program in programs:
-                    if _first_failure(fr, program) is not None:
+                    if _first_failure(fr, program, tables[i]) is not None:
                         report.violations.append(
                             CollapseViolation(
                                 n,

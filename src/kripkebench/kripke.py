@@ -292,16 +292,18 @@ class Countermodel(_Record):
     """A model, a world in it, and a formula the world fails to force.
 
     Construction re-runs the forcing check, so a Countermodel that exists
-    is always a genuine refutation.
+    is always a genuine refutation.  A world that is not an int naming a
+    world of the frame raises UnknownWorld.
     """
 
     __slots__ = {"model": "Model", "world": "int", "formula": "Formula"}
 
     def __post_init__(self):
-        if forces(self.model, self.world, self.formula):
-            raise ValueError(
-                f"world {self.world} forces {render(self.formula)}; not a countermodel"
-            )
+        world = self.world
+        if type(world) is not int or not 0 <= world < self.model.frame.size:
+            raise UnknownWorld(world)
+        if _force_mask(self.model, self.formula) >> world & 1:
+            raise ValueError(f"world {world} forces {render(self.formula)}; not a countermodel")
 
 
 # A formula compiles to one program over its distinct subterms, which
@@ -379,7 +381,8 @@ def _eval(prog, ones: int, every: int, below, atom_regs) -> int:
 
 
 def _force_mask(model: Model, f: Formula) -> int:
-    names, prog = _compile(f)
+    searched = _SEARCHED
+    names, prog = searched[1] if searched[0] is f else _compile(f)
     fr = model.frame
     slots = [model.atom_mask(name) for name in names]
     return _eval(prog, fr.full_mask, 1, _below(fr), slots)
@@ -423,20 +426,46 @@ def frame_valid(fr: Frame, f: Formula) -> Countermodel | None:
     """
     program = _compile(f)
     found = _first_failure(fr, program)
-    if found is None:
-        return None
+    return None if found is None else _countermodel(fr, f, program, found)
+
+
+# The formula a search refuted and the program the search ran, only while
+# _countermodel builds its Countermodel: one tuple, so threads read a matching
+# pair, and keyed on identity, so any other formula's check compiles its own.
+# Between builds it holds nothing, so no program outlives its search.
+_NO_SEARCH: tuple = (object(), None)
+_SEARCHED = _NO_SEARCH
+
+
+def _countermodel(fr: Frame, f: Formula, program, found: tuple[list[int], int]) -> Countermodel:
+    # The countermodel _first_failure found for f's program on fr; its
+    # re-check runs that program instead of compiling f again.
+    global _SEARCHED
     masks, world = found
-    return Countermodel(Model(fr, tuple(zip(program[0], masks))), world, f)
+    _SEARCHED = (f, program)
+    try:
+        return Countermodel(Model(fr, tuple(zip(program[0], masks))), world, f)
+    finally:
+        _SEARCHED = _NO_SEARCH
 
 
-def _first_failure(fr: Frame, program) -> tuple[list[int], int] | None:
+def _search_tables(fr: Frame) -> tuple[list[int], list[tuple[int, int]]]:
+    """The search tables of a frame, which depend on it alone: its upsets,
+    ascending, and its strict-below rows (_below)."""
+    return _closed_masks(fr.up), _below(fr)
+
+
+def _first_failure(fr: Frame, program, tables=None) -> tuple[list[int], int] | None:
     """frame_valid's search on a compiled formula: the atom masks and world
     of its first countermodel, or None.  A sweep compiles its formula once
-    and asks this on every frame."""
+    and asks this on every frame.  tables are fr's _search_tables, built
+    here when not given; the class store keeps them for its frames
+    (_class_tables), so a search of a stored frame builds only the layout
+    of its chunks (ones, every, the bit slices), which stays per call."""
     names, prog = program
     if not fr.up:
         return None  # no world to fail
-    ups = _closed_masks(fr.up)
+    ups, below = tables or _search_tables(fr)
     count, n, full = len(ups), fr.size, fr.full_mask
     # Valuations are numbered in product(ups, ...) order.  The trailing
     # atoms are bit-sliced: valuation j of a chunk is the j-th valuation
@@ -447,7 +476,6 @@ def _first_failure(fr: Frame, program) -> tuple[list[int], int] | None:
     while sliced < len(names) and per_chunk * count <= _CHUNK_VALUATIONS:
         sliced += 1
         per_chunk *= count
-    below = _below(fr)
     if sliced < len(names):
         # f is valid iff it is valid on the cone of each minimal world
         # (generation); cones are rooted, so this recurses at most once.
@@ -540,6 +568,8 @@ def _grow(bases: Iterable[Frame]) -> Iterator[Frame]:
 # give an earlier one).  Conditions are told the new world n - 1, as the frame
 # less it is a class frame.  Nothing is evicted: ipc at bound 8 holds 4,495 frames.
 # Threads growing one entry at once all get the first equal tuple stored.
+# _TABLES, keyed alike, keeps the search tables of the frames searched; see
+# _class_tables.
 _CLASS_REPS: dict[tuple[tuple, int, bool], tuple[tuple[Frame, ...], tuple[int, ...]]] = {}
 
 
@@ -565,6 +595,39 @@ def _class_reps(conditions, n: int, rooted=False) -> tuple[tuple[Frame, ...], tu
                 counts.append(labelings // automorphisms)
         entry = _CLASS_REPS.setdefault((conditions, n, rooted), (tuple(frames), tuple(counts)))
     return entry
+
+
+class _EntryTables(dict):
+    """Search tables of a class store entry by frame index, each built on
+    its first lookup; frames is the entry's tuple they are built from."""
+
+    __slots__ = ("frames",)
+
+    def __init__(self, frames: tuple[Frame, ...]):
+        super().__init__()
+        self.frames = frames
+
+    def __missing__(self, i: int):
+        # Threads looking up one index at once store equal tables.
+        tables = self[i] = _search_tables(self.frames[i])
+        return tables
+
+
+_TABLES: dict[tuple[tuple, int, bool], _EntryTables] = {}
+
+
+def _class_tables(conditions, n: int, rooted=False) -> _EntryTables:
+    """The _class_reps entry's frames (as .frames) and, by index, their
+    search tables, kept for the life of the process.  The store's readers
+    search through this, so a frame's tables are built on its first search
+    and frames never searched (decide skips those without a least world)
+    get none.  Tables of a frames tuple the store no longer holds (after
+    _CLASS_REPS.clear()) are replaced."""
+    frames = _class_reps(conditions, n, rooted)[0]
+    tables = _TABLES.get((conditions, n, rooted))
+    if tables is None or tables.frames is not frames:
+        tables = _TABLES[conditions, n, rooted] = _EntryTables(frames)
+    return tables
 
 
 def _canonical_key(fr: Frame) -> tuple[tuple[int, ...], int]:

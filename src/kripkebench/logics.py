@@ -12,8 +12,8 @@ from __future__ import annotations
 import enum
 
 from .formula import Formula, _Record
-from .kripke import Countermodel, Frame, _class_reps, _compile, _first_failure
-from .kripke import countermodel_to_json, frame_valid
+from .kripke import Countermodel, Frame, _class_tables, _compile, _countermodel, _first_failure
+from .kripke import countermodel_to_json
 from .correspondence import BD2_CHAIN, DISCRETE, LIN, FrameCondition
 # The schemas live beside their conditions; they are re-exported from here.
 from .correspondence import BD2_SCHEMA, GL_SCHEMA, LEM_SCHEMA, schema_instance
@@ -101,18 +101,25 @@ def decide(logic: LogicSpec, f: Formula, bound: int) -> Decision:
     last size grows rooted ones only.  The grown lists stay in kripke's
     class store for the life of the process, keyed by the class's
     conditions, so a later call on the same class grows only sizes no
-    call has grown yet; at bound 8 ipc keeps 4,495 frames.  Valid is
-    returned only when the class's exact completeness bound was covered;
-    otherwise the search was merely exhaustive up to the bound.
+    call has grown yet.  The store also keeps the search tables (upsets
+    and strict-below rows) of every frame a call has searched, so a later
+    call builds only each search's chunk layout; at bound 8 ipc keeps
+    4,495 frames and the tables of the 2,451 rooted ones.  A refuting frame
+    is searched once: its countermodel is built from that search.  Valid
+    is returned only when the class's exact completeness bound was
+    covered; otherwise the search was merely exhaustive up to the bound.
     """
     if bound < 1:
         raise ValueError("decide needs bound >= 1")
     limit = bound if logic.exact_bound is None else min(bound, logic.exact_bound)
     program = _compile(f)
     for n in range(1, limit + 1):
-        for fr in _class_reps(tuple(logic.conditions), n, n == limit)[0]:
-            if fr.full_mask in fr.up and _first_failure(fr, program) is not None:
-                return Decision(Verdict.REFUTED, n, frame_valid(fr, f))
+        tables = _class_tables(tuple(logic.conditions), n, n == limit)
+        for i, fr in enumerate(tables.frames):
+            if fr.full_mask in fr.up:
+                found = _first_failure(fr, program, tables[i])
+                if found is not None:
+                    return Decision(Verdict.REFUTED, n, _countermodel(fr, f, program, found))
     if logic.exact_bound is not None and logic.exact_bound <= bound:
         return Decision(Verdict.VALID, limit)
     return Decision(Verdict.NO_COUNTERMODEL, bound)
@@ -129,8 +136,10 @@ def audit_schemas(logic: LogicSpec, max_n: int) -> Countermodel | None:
         raise ValueError("audit_schemas needs max_n >= 1")
     instances = [(f, _compile(f)) for f in map(schema_instance, logic.axiom_schemas)]
     for n in range(1, max_n + 1):
-        for fr in _class_reps(tuple(logic.conditions), n)[0]:
+        tables = _class_tables(tuple(logic.conditions), n)
+        for i, fr in enumerate(tables.frames):
             for f, program in instances:
-                if _first_failure(fr, program) is not None:
-                    return frame_valid(fr, f)
+                found = _first_failure(fr, program, tables[i])
+                if found is not None:
+                    return _countermodel(fr, f, program, found)
     return None

@@ -15,8 +15,11 @@ from kripkebench.kripke import (
     Model,
     UnknownWorld,
     _CLASS_REPS,
+    _TABLES,
+    _below,
     _canonical_key,
     _class_reps,
+    _class_tables,
     _closed_masks,
     _compile,
     antichain,
@@ -35,7 +38,7 @@ from kripkebench.kripke import (
     model_to_json,
     to_dot,
 )
-from kripkebench.logics import LOGICS
+from kripkebench.logics import IPC, LOGICS, audit_schemas, decide
 from oracles import (
     CONDITION_ORACLES,
     _isomorphic,
@@ -313,6 +316,35 @@ def test_countermodel_constructor_rejects_forced_formula():
     model = make_model(chain(2), {"p": [0, 1]})
     with pytest.raises(ValueError):
         Countermodel(model, 0, parse("p"))
+
+
+@pytest.mark.parametrize("world", [5, -1, True, False, 0.0, None])
+def test_countermodel_constructor_rejects_unknown_world(world):
+    # as make_model does: a world is an int naming a world of the frame
+    model = make_model(chain(2), {"p": [1]})
+    with pytest.raises(UnknownWorld):
+        Countermodel(model, world, parse("p"))
+
+
+def test_countermodel_recheck_reads_its_own_formula(monkeypatch):
+    # a refuted search re-checks its countermodel on the program it ran, so
+    # it compiles once, and every other re-check compiles its own formula:
+    # b is forced where a fails, so only a refutes
+    model = make_model(chain(2), {"p": [1]})
+    a, b = parse("p|~p"), parse("~~(p|~p)")
+    compiled = []
+    compile_ = kripke._compile
+    monkeypatch.setattr(kripke, "_compile", lambda f: compiled.append(f) or compile_(f))
+    for _ in range(2):
+        compiled.clear()
+        assert frame_valid(chain(2), a) == Countermodel(model, 0, a)
+        assert compiled == [a, a]
+        with pytest.raises(ValueError, match="not a countermodel"):
+            Countermodel(model, 0, b)
+        assert frame_valid(chain(2), b) is None
+        with pytest.raises(ValueError, match="not a countermodel"):
+            Countermodel(model, 0, b)
+        assert Countermodel(model, 0, a).formula is a
 
 
 def test_frame_valid_substitution_closed():
@@ -630,6 +662,52 @@ def test_rooted_growth_counts_follow_a000112_shifted(dedup_frames):
         assert all(fr.size == n and _has_root(fr) for fr in frames)
         if n <= 5:
             assert len(iso_classes(frames)) == len(frames)
+
+
+def _check_tables(key, tables):
+    # every table stored for the entry is its frame's, recomputed, and holds
+    # no int as wide as a chunk
+    frames = _CLASS_REPS[key][0]
+    assert _TABLES[key] is tables and tables.frames is frames, key
+    for i, (ups, below) in tables.items():
+        fr = frames[i]
+        assert (ups, below) == (_closed_masks(fr.up), _below(fr)), (key, i)
+        assert all(0 <= m < 2 ** fr.size for m in ups), (key, i)
+        assert all(0 <= y < fr.size and 0 < m < 2 ** fr.size for y, m in below), (key, i)
+
+
+def test_class_tables_are_the_frames_tables():
+    # decide's searches store tables for the frames it searched alone: at
+    # sizes below its bound, the frames with a least world
+    _CLASS_REPS.clear()
+    _TABLES.clear()
+    decide(IPC, parse("~~(p|~p)"), 5)
+    for n in range(1, 5):
+        frames = _class_reps((), n)[0]
+        assert set(_class_tables((), n)) == {i for i, fr in enumerate(frames) if _has_root(fr)}
+    assert audit_schemas(LOGICS["gl+bd2"], 5) is None
+    for key, tables in _TABLES.items():
+        if key[0] in ((), tuple(LOGICS["gl+bd2"].conditions)):
+            _check_tables(key, tables)
+    # every entry of every built-in logic up to 6 worlds, once all is built
+    for logic in LOGICS.values():
+        for n in range(1, 7):
+            for rooted in (False, True):
+                key = (tuple(logic.conditions), n, rooted)
+                tables = _class_tables(*key)
+                for i in range(len(tables.frames)):
+                    tables[i]
+                assert len(tables) == len(tables.frames) == len(_CLASS_REPS[key][0]), key
+                _check_tables(key, tables)
+    # regrown frames get tables of their own, not those of the frames before
+    before = _class_tables((), 5)
+    _CLASS_REPS.clear()
+    after = _class_tables((), 5)
+    assert after is not before and after.frames is not before.frames and len(after) == 0
+    assert decide(IPC, parse("~~(p|~p)"), 5).bound == 5
+    assert len(_class_tables((), 4)) == 5 and len(_class_tables((), 5, True)) == 16
+    for key in [((), 4, False), ((), 5, True)]:
+        _check_tables(key, _TABLES[key])
 
 
 def test_canonical_key_is_a_complete_invariant(dedup_frames):
