@@ -11,9 +11,8 @@ from .kripke import (
     Frame,
     _bits,
     _class_reps,
-    _class_tables,
     _compile,
-    _first_failure,
+    _stored_failure,
     frame_to_json,
 )
 from .kripke import chain, fork, frame_valid, make_model
@@ -282,11 +281,11 @@ def check_correspondence(
     program = _compile(schema)
     for n in range(1, max_n + 1):
         tally = report.sizes[n] = SizeTally()
-        tables = _class_tables((), n)
-        for i, (fr, labelings) in enumerate(zip(*_class_reps((), n))):
+        entry = _class_reps((), n)
+        for i, (fr, labelings) in enumerate(zip(entry[0], entry[1])):
             weight = 1 if dedup else labelings
             tally.frames += weight
-            valid = _first_failure(fr, program, tables[i]) is None
+            valid = _stored_failure(entry, i, program) is None
             holds = condition(fr)
             if valid:
                 tally.schema_valid += weight
@@ -386,10 +385,9 @@ def collapse_check(max_n: int) -> CollapseReport:
     programs = [(instance, _compile(instance)) for instance in (GL_INSTANCE, BD2_INSTANCE)]
     report = CollapseReport(max_n)
     for n in range(1, max_n + 1):
-        frames, labelings = _class_reps((), n)
-        tables = _class_tables((), n)
-        report.frames[n] = sum(labelings)
-        for i, fr in enumerate(frames):
+        entry = _class_reps((), n)
+        report.frames[n] = sum(entry[1])
+        for i, fr in enumerate(entry[0]):
             both = LIN(fr) and BD2_CHAIN(fr)
             small_cones = cone2(fr)
             if both != small_cones:
@@ -403,7 +401,7 @@ def collapse_check(max_n: int) -> CollapseReport:
                 )
             if n <= 2:
                 for instance, program in programs:
-                    if _first_failure(fr, program, tables[i]) is not None:
+                    if _stored_failure(entry, i, program) is not None:
                         report.violations.append(
                             CollapseViolation(
                                 n,

@@ -105,9 +105,7 @@ class Frame(_Record):
 
         The mapping sends each new index to the original world it names.
         """
-        if not 0 <= x < self.size:
-            raise UnknownWorld(x)
-        members = _bits(self.up[x])
+        members = _bits(self.up[_world(self, x)])
         return Frame(_relabel(self.up, members)), tuple(members)
 
     def _check_order(self) -> None:
@@ -151,6 +149,13 @@ class Frame(_Record):
         for root in range(self.size):
             _augment(self.up, root, above, below)
         return above.count(-1)
+
+
+def _world(fr: Frame, x) -> int:
+    # x, if it is an int naming a world of fr: a bool, float or str is not.
+    if type(x) is not int or not 0 <= x < fr.size:
+        raise UnknownWorld(x)
+    return x
 
 
 def _augment(up: tuple[int, ...], root: int, above: list[int], below: list[int]) -> None:
@@ -299,9 +304,7 @@ class Countermodel(_Record):
     __slots__ = {"model": "Model", "world": "int", "formula": "Formula"}
 
     def __post_init__(self):
-        world = self.world
-        if type(world) is not int or not 0 <= world < self.model.frame.size:
-            raise UnknownWorld(world)
+        world = _world(self.model.frame, self.world)
         if _force_mask(self.model, self.formula) >> world & 1:
             raise ValueError(f"world {world} forces {render(self.formula)}; not a countermodel")
 
@@ -394,8 +397,7 @@ def forces(model: Model, x: int, f: Formula) -> bool:
     Atoms hold by membership in the valuation, T always, F never, & and |
     pointwise, and A -> B holds at x iff every y >= x forcing A forces B.
     """
-    if not 0 <= x < model.frame.size:
-        raise UnknownWorld(x)
+    _world(model.frame, x)
     return _force_mask(model, f) >> x & 1 == 1
 
 
@@ -457,11 +459,11 @@ def _search_tables(fr: Frame) -> tuple[list[int], list[tuple[int, int]]]:
 
 def _first_failure(fr: Frame, program, tables=None) -> tuple[list[int], int] | None:
     """frame_valid's search on a compiled formula: the atom masks and world
-    of its first countermodel, or None.  A sweep compiles its formula once
-    and asks this on every frame.  tables are fr's _search_tables, built
-    here when not given; the class store keeps them for its frames
-    (_class_tables), so a search of a stored frame builds only the layout
-    of its chunks (ones, every, the bit slices), which stays per call."""
+    of its first countermodel, or None.  tables are fr's _search_tables,
+    built here when not given.  The class store's readers search through
+    _stored_failure, which keeps them in the store entry, so a search of a
+    stored frame builds only the layout of its chunks (ones, every, the
+    bit slices), which stays per call."""
     names, prog = program
     if not fr.up:
         return None  # no world to fail
@@ -568,12 +570,13 @@ def _grow(bases: Iterable[Frame]) -> Iterator[Frame]:
 # give an earlier one).  Conditions are told the new world n - 1, as the frame
 # less it is a class frame.  Nothing is evicted: ipc at bound 8 holds 4,495 frames.
 # Threads growing one entry at once all get the first equal tuple stored.
-# _TABLES, keyed alike, keeps the search tables of the frames searched; see
-# _class_tables.
-_CLASS_REPS: dict[tuple[tuple, int, bool], tuple[tuple[Frame, ...], tuple[int, ...]]] = {}
+# The entry's third item holds each frame's _search_tables, None until
+# _stored_failure first searches the frame, so they go when the entry goes.
+_Entry = tuple[tuple[Frame, ...], tuple[int, ...], list]
+_CLASS_REPS: dict[tuple[tuple, int, bool], _Entry] = {}
 
 
-def _class_reps(conditions, n: int, rooted=False) -> tuple[tuple[Frame, ...], tuple[int, ...]]:
+def _class_reps(conditions, n: int, rooted=False) -> _Entry:
     if n < 1:
         raise ValueError("frame enumeration needs n >= 1")
     entry = _CLASS_REPS.get((conditions, n, rooted))
@@ -593,41 +596,20 @@ def _class_reps(conditions, n: int, rooted=False) -> tuple[tuple[Frame, ...], tu
                 seen.add(canon)
                 frames.append(fr)
                 counts.append(labelings // automorphisms)
-        entry = _CLASS_REPS.setdefault((conditions, n, rooted), (tuple(frames), tuple(counts)))
+        entry = (tuple(frames), tuple(counts), [None] * len(frames))
+        entry = _CLASS_REPS.setdefault((conditions, n, rooted), entry)
     return entry
 
 
-class _EntryTables(dict):
-    """Search tables of a class store entry by frame index, each built on
-    its first lookup; frames is the entry's tuple they are built from."""
-
-    __slots__ = ("frames",)
-
-    def __init__(self, frames: tuple[Frame, ...]):
-        super().__init__()
-        self.frames = frames
-
-    def __missing__(self, i: int):
-        # Threads looking up one index at once store equal tables.
-        tables = self[i] = _search_tables(self.frames[i])
-        return tables
-
-
-_TABLES: dict[tuple[tuple, int, bool], _EntryTables] = {}
-
-
-def _class_tables(conditions, n: int, rooted=False) -> _EntryTables:
-    """The _class_reps entry's frames (as .frames) and, by index, their
-    search tables, kept for the life of the process.  The store's readers
-    search through this, so a frame's tables are built on its first search
-    and frames never searched (decide skips those without a least world)
-    get none.  Tables of a frames tuple the store no longer holds (after
-    _CLASS_REPS.clear()) are replaced."""
-    frames = _class_reps(conditions, n, rooted)[0]
-    tables = _TABLES.get((conditions, n, rooted))
-    if tables is None or tables.frames is not frames:
-        tables = _TABLES[conditions, n, rooted] = _EntryTables(frames)
-    return tables
+def _stored_failure(entry: _Entry, i: int, program) -> tuple[list[int], int] | None:
+    """_first_failure on frame i of a _class_reps entry, with the frame's
+    search tables kept in the entry from its first search on: frames no
+    search reads (decide skips those without a least world) get none.
+    Threads searching one frame at once store equal tables."""
+    fr, tables = entry[0][i], entry[2]
+    if tables[i] is None:
+        tables[i] = _search_tables(fr)
+    return _first_failure(fr, program, tables[i])
 
 
 def _canonical_key(fr: Frame) -> tuple[tuple[int, ...], int]:

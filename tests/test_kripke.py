@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -15,13 +16,12 @@ from kripkebench.kripke import (
     Model,
     UnknownWorld,
     _CLASS_REPS,
-    _TABLES,
     _below,
     _canonical_key,
     _class_reps,
-    _class_tables,
     _closed_masks,
     _compile,
+    _stored_failure,
     antichain,
     chain,
     countermodel_to_json,
@@ -318,12 +318,17 @@ def test_countermodel_constructor_rejects_forced_formula():
         Countermodel(model, 0, parse("p"))
 
 
-@pytest.mark.parametrize("world", [5, -1, True, False, 0.0, None])
+@pytest.mark.parametrize("world", [5, -1, True, False, 0.0, None, "0"])
 def test_countermodel_constructor_rejects_unknown_world(world):
-    # as make_model does: a world is an int naming a world of the frame
+    # as make_model does: a world is an int naming a world of the frame, and
+    # forces and Frame.cone run the same check (True is not world 1)
     model = make_model(chain(2), {"p": [1]})
     with pytest.raises(UnknownWorld):
         Countermodel(model, world, parse("p"))
+    with pytest.raises(UnknownWorld):
+        forces(model, world, parse("p"))
+    with pytest.raises(UnknownWorld):
+        chain(2).cone(world)
 
 
 def test_countermodel_recheck_reads_its_own_formula(monkeypatch):
@@ -629,7 +634,7 @@ def test_class_growth_is_the_class_subsequence(dedup_frames):
     _CLASS_REPS.clear()
     for logic in LOGICS.values():
         for n in range(1, 7):
-            frames, _ = _class_reps(tuple(logic.conditions), n)
+            frames, _, _ = _class_reps(tuple(logic.conditions), n)
             want = [fr for fr in dedup_frames[n] if logic.frame_class(fr)]
             assert list(frames) == want, (logic.name, n)
     # every class is represented by its first labeled frame, in labeled
@@ -641,7 +646,7 @@ def test_class_growth_is_the_class_subsequence(dedup_frames):
             key = _canonical_key(fr)[0]
             first.setdefault(key, fr)
             members[key] = members.get(key, 0) + 1
-        frames, labelings = _class_reps((), n)
+        frames, labelings, _ = _class_reps((), n)
         assert list(frames) == list(first.values()), n
         assert list(labelings) == list(members.values()), n
 
@@ -650,27 +655,32 @@ def test_rooted_growth_is_the_rooted_subsequence(dedup_frames):
     _CLASS_REPS.clear()
     for logic in LOGICS.values():
         for n in range(1, 7):
-            frames, _ = _class_reps(tuple(logic.conditions), n, True)
+            frames, _, _ = _class_reps(tuple(logic.conditions), n, True)
             want = [fr for fr in dedup_frames[n] if _has_root(fr) and logic.frame_class(fr)]
             assert list(frames) == want, (logic.name, n)
 
 
 def test_rooted_growth_counts_follow_a000112_shifted(dedup_frames):
     for n, expected in zip(range(1, 7), (1, 1, 2, 5, 16, 63)):
-        frames, _ = _class_reps((), n, True)
+        frames, _, _ = _class_reps((), n, True)
         assert len(frames) == expected
         assert all(fr.size == n and _has_root(fr) for fr in frames)
         if n <= 5:
             assert len(iso_classes(frames)) == len(frames)
 
 
-def _check_tables(key, tables):
-    # every table stored for the entry is its frame's, recomputed, and holds
+def _filled(key):
+    # the indices of the entry's frames that have search tables
+    return {i for i, tables in enumerate(_CLASS_REPS[key][2]) if tables is not None}
+
+
+def _check_tables(key):
+    # every table stored in the entry is its frame's, recomputed, and holds
     # no int as wide as a chunk
-    frames = _CLASS_REPS[key][0]
-    assert _TABLES[key] is tables and tables.frames is frames, key
-    for i, (ups, below) in tables.items():
-        fr = frames[i]
+    frames, _, tables = _CLASS_REPS[key]
+    assert len(tables) == len(frames), key
+    for i in _filled(key):
+        fr, (ups, below) = frames[i], tables[i]
         assert (ups, below) == (_closed_masks(fr.up), _below(fr)), (key, i)
         assert all(0 <= m < 2 ** fr.size for m in ups), (key, i)
         assert all(0 <= y < fr.size and 0 < m < 2 ** fr.size for y, m in below), (key, i)
@@ -680,34 +690,58 @@ def test_class_tables_are_the_frames_tables():
     # decide's searches store tables for the frames it searched alone: at
     # sizes below its bound, the frames with a least world
     _CLASS_REPS.clear()
-    _TABLES.clear()
     decide(IPC, parse("~~(p|~p)"), 5)
     for n in range(1, 5):
         frames = _class_reps((), n)[0]
-        assert set(_class_tables((), n)) == {i for i, fr in enumerate(frames) if _has_root(fr)}
+        assert _filled(((), n, False)) == {i for i, fr in enumerate(frames) if _has_root(fr)}
+    # audit_schemas searches every frame of its own entries
+    gl_bd2 = tuple(LOGICS["gl+bd2"].conditions)
     assert audit_schemas(LOGICS["gl+bd2"], 5) is None
-    for key, tables in _TABLES.items():
-        if key[0] in ((), tuple(LOGICS["gl+bd2"].conditions)):
-            _check_tables(key, tables)
+    for n in range(1, 6):
+        assert _filled((gl_bd2, n, False)) == set(range(len(_class_reps(gl_bd2, n)[0]))), n
+    for key in _CLASS_REPS:
+        if key[0] in ((), gl_bd2):
+            _check_tables(key)
     # every entry of every built-in logic up to 6 worlds, once all is built
+    program = _compile(parse("p"))
     for logic in LOGICS.values():
         for n in range(1, 7):
             for rooted in (False, True):
                 key = (tuple(logic.conditions), n, rooted)
-                tables = _class_tables(*key)
-                for i in range(len(tables.frames)):
-                    tables[i]
-                assert len(tables) == len(tables.frames) == len(_CLASS_REPS[key][0]), key
-                _check_tables(key, tables)
-    # regrown frames get tables of their own, not those of the frames before
-    before = _class_tables((), 5)
+                entry = _class_reps(*key)
+                for i in range(len(entry[0])):
+                    _stored_failure(entry, i, program)
+                assert _filled(key) == set(range(len(entry[0]))), key
+                _check_tables(key)
+    # a regrown entry starts with no tables, not those of the frames before
+    before = _class_reps((), 5)
     _CLASS_REPS.clear()
-    after = _class_tables((), 5)
-    assert after is not before and after.frames is not before.frames and len(after) == 0
+    after = _class_reps((), 5)
+    assert after[0] is not before[0] and after[2] is not before[2]
+    assert after[2] == [None] * len(after[0])
     assert decide(IPC, parse("~~(p|~p)"), 5).bound == 5
-    assert len(_class_tables((), 4)) == 5 and len(_class_tables((), 5, True)) == 16
+    assert len(_filled(((), 4, False))) == 5 and len(_filled(((), 5, True))) == 16
     for key in [((), 4, False), ((), 5, True)]:
-        _check_tables(key, _TABLES[key])
+        _check_tables(key)
+
+
+def test_cleared_store_keeps_no_search_tables(monkeypatch):
+    # the tables live in the store's entries, so clearing the store drops
+    # every table it built: nothing in kripke refers to one any more
+    built, search_tables = [], kripke._search_tables
+
+    def recorded(fr):
+        built.append(search_tables(fr))
+        return built[-1]
+
+    monkeypatch.setattr(kripke, "_search_tables", recorded)
+    _CLASS_REPS.clear()
+    decide(IPC, parse("~~(p|~p)"), 4)
+    assert len(built) == 1 + 1 + 2 + 5  # the rooted frames of 1 to 4 worlds
+    _CLASS_REPS.clear()
+    gc.collect()
+    for tables in built:
+        assert [ref for ref in gc.get_referrers(tables) if ref is not built] == []
 
 
 def test_canonical_key_is_a_complete_invariant(dedup_frames):
