@@ -151,7 +151,7 @@ def cmd_witness(args) -> tuple[int, dict | None, list[str]]:
 
 def cmd_enumerate(args) -> tuple[int, dict | None, list[str]]:
     # The n!/|Aut| labeled frames of a class share its depth and width.
-    frames, labelings, _ = _class_reps((), args.n)
+    frames, labelings = _class_reps((), args.n)
     weights = [1] * len(frames) if args.dedup else labelings
     count = sum(weights)
     histogram: dict[tuple[int, int], int] = {}

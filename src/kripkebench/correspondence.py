@@ -12,7 +12,7 @@ from .kripke import (
     _bits,
     _class_reps,
     _compile,
-    _stored_failure,
+    _first_failure,
     frame_to_json,
 )
 from .kripke import chain, fork, frame_valid, make_model
@@ -49,39 +49,31 @@ class FrameCondition(_Record):
         return f"{self.kind}({self.k})"
 
 
-def _bd2_paper(fr: Frame, _k) -> bool:
-    for x in range(fr.size):
-        cone = _bits(fr.up[x])
-        for y in cone:
-            for z in cone:
-                if fr.le(y, z) and y != x and z != x:
-                    return False
-    return True
-
-
 _FORK, _CHAIN3, _CHAIN2 = fork(), chain(3), chain(2)
 
 # Each built-in kind: its test on (frame, k), which gives a truth value or a
 # frame the kind forbids as a subframe, and whether it takes the bound k.
-# LIN forbids the fork, BD2_CHAIN the 3-chain, DISCRETE the 2-chain and
-# DEPTH_LE(k) the (k+1)-chain, built only for frames of more than k worlds.
+# LIN forbids the fork, BD2_CHAIN the 3-chain, BD2_PAPER and DISCRETE the
+# 2-chain and DEPTH_LE(k) the (k+1)-chain, built only for frames of more
+# than k worlds.
 # eval_condition and the CLI spellings read only this table.  A new kind must
 # be isomorphism-invariant, and hereditary (closed under deleting a world) if
 # a logic's class uses it; a kind that forbids a frame is both by construction.
 CONDITIONS = {
     "LIN": (lambda fr, k: _FORK, False),
-    "BD2_PAPER": (_bd2_paper, False),
+    "BD2_PAPER": (lambda fr, k: _CHAIN2, False),
     "BD2_CHAIN": (lambda fr, k: _CHAIN3, False),
     "DISCRETE": (lambda fr, k: _CHAIN2, False),
     "DEPTH_LE": (lambda fr, k: k >= fr.size or chain(k + 1), True),
-    "CONE_SIZE_LE": (lambda fr, k: all(bin(m).count("1") <= k for m in fr.up), True),
+    "CONE_SIZE_LE": (lambda fr, k: all(m.bit_count() <= k for m in fr.up), True),
 }
 
 # Local linearity: any two worlds above a common world are comparable.
 LIN = FrameCondition("LIN")
 # The published two-branch form of the depth-2 condition (x <= y, x <= z
-# and y <= z imply y = x or z = x), kept verbatim for comparison;
-# extensionally it coincides with DISCRETE (see README).
+# and y <= z imply y = x or z = x), kept for comparison.  Taking z = y, any
+# x < y violates it, so it forbids the 2-chain as DISCRETE does (see
+# README); tests/oracles.py keeps the literal first-order form.
 BD2_PAPER = FrameCondition("BD2_PAPER")
 # No chain of three distinct worlds; the form the soundness argument and
 # the witness construction actually use.
@@ -281,11 +273,10 @@ def check_correspondence(
     program = _compile(schema)
     for n in range(1, max_n + 1):
         tally = report.sizes[n] = SizeTally()
-        entry = _class_reps((), n)
-        for i, (fr, labelings) in enumerate(zip(entry[0], entry[1])):
+        for fr, labelings in zip(*_class_reps((), n)):
             weight = 1 if dedup else labelings
             tally.frames += weight
-            valid = _stored_failure(entry, i, program) is None
+            valid = _first_failure(fr, program) is None
             holds = condition(fr)
             if valid:
                 tally.schema_valid += weight
@@ -385,9 +376,9 @@ def collapse_check(max_n: int) -> CollapseReport:
     programs = [(instance, _compile(instance)) for instance in (GL_INSTANCE, BD2_INSTANCE)]
     report = CollapseReport(max_n)
     for n in range(1, max_n + 1):
-        entry = _class_reps((), n)
-        report.frames[n] = sum(entry[1])
-        for i, fr in enumerate(entry[0]):
+        frames, labelings = _class_reps((), n)
+        report.frames[n] = sum(labelings)
+        for fr in frames:
             both = LIN(fr) and BD2_CHAIN(fr)
             small_cones = cone2(fr)
             if both != small_cones:
@@ -401,7 +392,7 @@ def collapse_check(max_n: int) -> CollapseReport:
                 )
             if n <= 2:
                 for instance, program in programs:
-                    if _stored_failure(entry, i, program) is not None:
+                    if _first_failure(fr, program) is not None:
                         report.violations.append(
                             CollapseViolation(
                                 n,

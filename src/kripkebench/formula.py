@@ -14,22 +14,25 @@ class _Record:
     """Base of the package's value types, in place of dataclasses.
 
     A subclass's __slots__ maps each of its fields, in order, to its type,
-    and _defaults holds the defaults of its last fields.  Its __init__
-    takes the fields and then calls its __post_init__, if any.  Records of
-    one class with equal fields are equal, hash as the tuple of their
-    fields and print as Name(field=value, ...).  A record refuses
-    assignment unless its class is declared with frozen=False, which also
-    makes it unhashable.  (Fields are not read from annotations: that takes
-    a metaclass, and one made isinstance on records 3.5 times slower.)
+    and _defaults holds the defaults of its last fields; a slot whose name
+    starts with _ is private state, not a field, and stays unset until the
+    class sets it with object.__setattr__.  Its __init__ takes the fields
+    and then calls its __post_init__, if any.  Records of one class with
+    equal fields are equal, hash as the tuple of their fields and print as
+    Name(field=value, ...).  A record refuses assignment unless its class
+    is declared with frozen=False, which also makes it unhashable.
+    (Fields are not read from annotations: that takes a metaclass, and one
+    made isinstance on records 3.5 times slower.)
     """
 
     __slots__ = ()
     _defaults: tuple = ()
+    _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, frozen: bool = True):
         # Compiled per class, as dataclasses does: generic methods that read
         # the fields by name made formula == and hash 1.4 to 4 times slower.
-        names = tuple(cls.__slots__)
+        names = cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
         mine = "".join(f"self.{name}, " for name in names)
         theirs = mine.replace("self.", "other.")
         scope: dict = {"_set": object.__setattr__}
@@ -45,7 +48,7 @@ class _Record:
         for method in ("__init__", "__eq__", "__hash__"):
             scope[method].__qualname__ = f"{cls.__qualname__}.{method}"
         init = scope["__init__"]
-        init.__defaults__, init.__annotations__ = cls._defaults, dict(cls.__slots__)
+        init.__defaults__, init.__annotations__ = cls._defaults, {n: cls.__slots__[n] for n in names}
         cls.__init__ = init
         cls.__eq__, cls.__hash__ = scope["__eq__"], scope["__hash__"] if frozen else None
         cls.__match_args__ = names
@@ -66,7 +69,7 @@ class _Record:
 
     def _asdict(self) -> dict:
         """The fields by name, in order."""
-        return {name: getattr(self, name) for name in self.__slots__}
+        return {name: getattr(self, name) for name in self._fields}
 
 
 class Formula(_Record):

@@ -3,7 +3,8 @@
 A frame is a finite partial order on worlds 0..n-1, stored as one
 successor bitmask per world so that order queries and the semantic
 clauses reduce to integer bit operations.  All values are immutable
-after construction and safe to share between threads.
+after construction and safe to share between threads; a frame's first
+search fills its private search tables, which threads build equal.
 """
 
 from __future__ import annotations
@@ -53,10 +54,11 @@ class Frame(_Record):
 
     Build frames with make_frame (which closes and validates the input
     relation) or one of the shape helpers below; the constructor itself
-    trusts its argument.
+    trusts its argument.  _tables, not a field, holds the frame's
+    _search_tables from its first search on.
     """
 
-    __slots__ = {"up": "tuple[int, ...]"}
+    __slots__ = {"up": "tuple[int, ...]", "_tables": "tuple[list[int], list[tuple[int, int]]]"}
 
     @property
     def size(self) -> int:
@@ -105,7 +107,7 @@ class Frame(_Record):
 
         The mapping sends each new index to the original world it names.
         """
-        members = _bits(self.up[_world(self, x)])
+        members = _bits(self.up[_world(self.size, x)])
         return Frame(_relabel(self.up, members)), tuple(members)
 
     def _check_order(self) -> None:
@@ -151,9 +153,10 @@ class Frame(_Record):
         return above.count(-1)
 
 
-def _world(fr: Frame, x) -> int:
-    # x, if it is an int naming a world of fr: a bool, float or str is not.
-    if type(x) is not int or not 0 <= x < fr.size:
+def _world(size: int, x) -> int:
+    # x, if it is an int naming a world of a size-world frame: a bool,
+    # float or str is not.
+    if type(x) is not int or not 0 <= x < size:
         raise UnknownWorld(x)
     return x
 
@@ -197,10 +200,7 @@ def make_frame(size: int, pairs: Iterable[tuple[int, int]] = ()) -> Frame:
         raise ValueError("a frame needs at least one world")
     up = [1 << i for i in range(size)]
     for x, y in pairs:
-        for w in (x, y):
-            if not 0 <= w < size:
-                raise UnknownWorld(w)
-        up[x] |= 1 << y
+        up[_world(size, x)] |= 1 << _world(size, y)
     for k in range(size):
         bit = 1 << k
         for i in range(size):
@@ -304,7 +304,7 @@ class Countermodel(_Record):
     __slots__ = {"model": "Model", "world": "int", "formula": "Formula"}
 
     def __post_init__(self):
-        world = _world(self.model.frame, self.world)
+        world = _world(self.model.frame.size, self.world)
         if _force_mask(self.model, self.formula) >> world & 1:
             raise ValueError(f"world {world} forces {render(self.formula)}; not a countermodel")
 
@@ -397,7 +397,7 @@ def forces(model: Model, x: int, f: Formula) -> bool:
     Atoms hold by membership in the valuation, T always, F never, & and |
     pointwise, and A -> B holds at x iff every y >= x forcing A forces B.
     """
-    _world(model.frame, x)
+    _world(model.frame.size, x)
     return _force_mask(model, f) >> x & 1 == 1
 
 
@@ -457,17 +457,21 @@ def _search_tables(fr: Frame) -> tuple[list[int], list[tuple[int, int]]]:
     return _closed_masks(fr.up), _below(fr)
 
 
-def _first_failure(fr: Frame, program, tables=None) -> tuple[list[int], int] | None:
+def _first_failure(fr: Frame, program) -> tuple[list[int], int] | None:
     """frame_valid's search on a compiled formula: the atom masks and world
-    of its first countermodel, or None.  tables are fr's _search_tables,
-    built here when not given.  The class store's readers search through
-    _stored_failure, which keeps them in the store entry, so a search of a
-    stored frame builds only the layout of its chunks (ones, every, the
-    bit slices), which stays per call."""
+    of its first countermodel, or None.  The frame keeps its _search_tables
+    from its first search on, so a later search of it builds only the
+    layout of its chunks (ones, every, the bit slices), which stays per
+    call."""
     names, prog = program
     if not fr.up:
         return None  # no world to fail
-    ups, below = tables or _search_tables(fr)
+    try:
+        ups, below = fr._tables
+    except AttributeError:
+        tables = _search_tables(fr)
+        object.__setattr__(fr, "_tables", tables)  # racing threads store equal ones
+        ups, below = tables
     count, n, full = len(ups), fr.size, fr.full_mask
     # Valuations are numbered in product(ups, ...) order.  The trailing
     # atoms are bit-sliced: valuation j of a chunk is the j-th valuation
@@ -570,9 +574,9 @@ def _grow(bases: Iterable[Frame]) -> Iterator[Frame]:
 # give an earlier one).  Conditions are told the new world n - 1, as the frame
 # less it is a class frame.  Nothing is evicted: ipc at bound 8 holds 4,495 frames.
 # Threads growing one entry at once all get the first equal tuple stored.
-# The entry's third item holds each frame's _search_tables, None until
-# _stored_failure first searches the frame, so they go when the entry goes.
-_Entry = tuple[tuple[Frame, ...], tuple[int, ...], list]
+# A frame keeps its search tables once a search reads it (_first_failure),
+# so frames no search reads get none, and the tables go with the entry.
+_Entry = tuple[tuple[Frame, ...], tuple[int, ...]]
 _CLASS_REPS: dict[tuple[tuple, int, bool], _Entry] = {}
 
 
@@ -596,20 +600,9 @@ def _class_reps(conditions, n: int, rooted=False) -> _Entry:
                 seen.add(canon)
                 frames.append(fr)
                 counts.append(labelings // automorphisms)
-        entry = (tuple(frames), tuple(counts), [None] * len(frames))
+        entry = (tuple(frames), tuple(counts))
         entry = _CLASS_REPS.setdefault((conditions, n, rooted), entry)
     return entry
-
-
-def _stored_failure(entry: _Entry, i: int, program) -> tuple[list[int], int] | None:
-    """_first_failure on frame i of a _class_reps entry, with the frame's
-    search tables kept in the entry from its first search on: frames no
-    search reads (decide skips those without a least world) get none.
-    Threads searching one frame at once store equal tables."""
-    fr, tables = entry[0][i], entry[2]
-    if tables[i] is None:
-        tables[i] = _search_tables(fr)
-    return _first_failure(fr, program, tables[i])
 
 
 def _canonical_key(fr: Frame) -> tuple[tuple[int, ...], int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 
 from .formula import Formula, _Record
-from .kripke import Countermodel, Frame, _class_reps, _compile, _countermodel, _stored_failure
+from .kripke import Countermodel, Frame, _class_reps, _compile, _countermodel, _first_failure
 from .kripke import countermodel_to_json
 from .correspondence import BD2_CHAIN, DISCRETE, LIN, FrameCondition
 # The schemas live beside their conditions; they are re-exported from here.
@@ -101,11 +101,10 @@ def decide(logic: LogicSpec, f: Formula, bound: int) -> Decision:
     last size grows rooted ones only.  The grown lists stay in kripke's
     class store for the life of the process, keyed by the class's
     conditions, so a later call on the same class grows only sizes no
-    call has grown yet.  Each frame is searched through kripke's
-    _stored_failure, which keeps the frame's search tables (upsets and
-    strict-below rows) in its store entry, so a later call builds only
-    each search's chunk layout; at bound 8 ipc keeps 4,495 frames and the
-    tables of the 2,451 rooted ones.  A refuting frame is searched once:
+    call has grown yet.  A searched frame keeps its search tables (upsets
+    and strict-below rows), so a later call builds only each search's
+    chunk layout; at bound 8 ipc keeps 4,495 frames and the tables of the
+    2,451 rooted ones.  A refuting frame is searched once:
     its countermodel is built from that search.  Valid is returned only
     when the class's exact completeness bound was covered; otherwise the
     search was merely exhaustive up to the bound.
@@ -115,10 +114,9 @@ def decide(logic: LogicSpec, f: Formula, bound: int) -> Decision:
     limit = bound if logic.exact_bound is None else min(bound, logic.exact_bound)
     program = _compile(f)
     for n in range(1, limit + 1):
-        entry = _class_reps(tuple(logic.conditions), n, n == limit)
-        for i, fr in enumerate(entry[0]):
+        for fr in _class_reps(tuple(logic.conditions), n, n == limit)[0]:
             if fr.full_mask in fr.up:
-                found = _stored_failure(entry, i, program)
+                found = _first_failure(fr, program)
                 if found is not None:
                     return Decision(Verdict.REFUTED, n, _countermodel(fr, f, program, found))
     if logic.exact_bound is not None and logic.exact_bound <= bound:
@@ -137,10 +135,9 @@ def audit_schemas(logic: LogicSpec, max_n: int) -> Countermodel | None:
         raise ValueError("audit_schemas needs max_n >= 1")
     instances = [(f, _compile(f)) for f in map(schema_instance, logic.axiom_schemas)]
     for n in range(1, max_n + 1):
-        entry = _class_reps(tuple(logic.conditions), n)
-        for i, fr in enumerate(entry[0]):
+        for fr in _class_reps(tuple(logic.conditions), n)[0]:
             for f, program in instances:
-                found = _stored_failure(entry, i, program)
+                found = _first_failure(fr, program)
                 if found is not None:
                     return _countermodel(fr, f, program, found)
     return None

@@ -21,7 +21,7 @@ from kripkebench.kripke import (
     _class_reps,
     _closed_masks,
     _compile,
-    _stored_failure,
+    _first_failure,
     antichain,
     chain,
     countermodel_to_json,
@@ -92,6 +92,15 @@ def test_make_frame_validates_input():
         make_frame(0)
     # reflexive pairs are harmless
     assert make_frame(1, [(0, 0)]).up == (1,)
+
+
+@pytest.mark.parametrize("world", [True, False, 0.0, None, "0", -1, 2])
+def test_make_frame_rejects_unknown_world(world):
+    # the world check of forces and Countermodel: True is not world 1
+    for pair in ((world, 0), (0, world)):
+        with pytest.raises(UnknownWorld) as err:
+            make_frame(2, [pair])
+        assert err.value.world is world
 
 
 # --- forcing --------------------------------------------------------------
@@ -444,6 +453,40 @@ def test_frame_valid_cone_check_runs_only_on_multi_chunk_searches(monkeypatch):
     assert chunks(antichain(4), "(p->q)|(q->r)|(r->p)") == [4]
 
 
+def test_frame_keeps_its_search_tables(monkeypatch):
+    built = []
+    real = kripke._search_tables
+
+    def recorded(fr):
+        built.append(fr)
+        return real(fr)
+
+    monkeypatch.setattr(kripke, "_search_tables", recorded)
+    # a caller's frame builds its tables on its first search alone
+    fr, f = fork(), parse("(p->q)|(q->p)")
+    first = frame_valid(fr, f)
+    assert first is not None and frame_valid(fr, f) == first
+    assert frame_valid(fr, parse("p|~p")) is not None
+    assert built == [fr] and built[0] is fr
+    assert fr._tables == (_closed_masks(fr.up), _below(fr))
+    # an equal frame built apart keeps its own
+    other = fork()
+    assert frame_valid(other, f) == first and len(built) == 2 and built[1] is other
+    # a multi-chunk search (20**3 valuations) on a frame with two minimal
+    # worlds searches its two cones, new frames on every call, so each call
+    # builds their tables; the frame's own are built once
+    fork_chain = make_frame(6, [(0, 1), (0, 2), (3, 4), (4, 5)])
+    g = parse("(p->q)|(q->r)|(r->p)")
+    built.clear()
+    assert frame_valid(fork_chain, g) is None
+    assert built == [fork_chain, fork(), chain(3)]
+    cones = built[1:]
+    built.clear()
+    assert frame_valid(fork_chain, g) is None
+    assert built == [fork(), chain(3)]
+    assert not any(new is old for new, old in zip(built, cones))
+
+
 IPC_TAUTOLOGIES = [
     "p->p",
     "T",
@@ -634,7 +677,7 @@ def test_class_growth_is_the_class_subsequence(dedup_frames):
     _CLASS_REPS.clear()
     for logic in LOGICS.values():
         for n in range(1, 7):
-            frames, _, _ = _class_reps(tuple(logic.conditions), n)
+            frames, _ = _class_reps(tuple(logic.conditions), n)
             want = [fr for fr in dedup_frames[n] if logic.frame_class(fr)]
             assert list(frames) == want, (logic.name, n)
     # every class is represented by its first labeled frame, in labeled
@@ -646,7 +689,7 @@ def test_class_growth_is_the_class_subsequence(dedup_frames):
             key = _canonical_key(fr)[0]
             first.setdefault(key, fr)
             members[key] = members.get(key, 0) + 1
-        frames, labelings, _ = _class_reps((), n)
+        frames, labelings = _class_reps((), n)
         assert list(frames) == list(first.values()), n
         assert list(labelings) == list(members.values()), n
 
@@ -655,32 +698,38 @@ def test_rooted_growth_is_the_rooted_subsequence(dedup_frames):
     _CLASS_REPS.clear()
     for logic in LOGICS.values():
         for n in range(1, 7):
-            frames, _, _ = _class_reps(tuple(logic.conditions), n, True)
+            frames, _ = _class_reps(tuple(logic.conditions), n, True)
             want = [fr for fr in dedup_frames[n] if _has_root(fr) and logic.frame_class(fr)]
             assert list(frames) == want, (logic.name, n)
 
 
 def test_rooted_growth_counts_follow_a000112_shifted(dedup_frames):
     for n, expected in zip(range(1, 7), (1, 1, 2, 5, 16, 63)):
-        frames, _, _ = _class_reps((), n, True)
+        frames, _ = _class_reps((), n, True)
         assert len(frames) == expected
         assert all(fr.size == n and _has_root(fr) for fr in frames)
         if n <= 5:
             assert len(iso_classes(frames)) == len(frames)
 
 
+def _tables(fr):
+    # the frame's search tables, or None before its first search
+    return getattr(fr, "_tables", None)
+
+
 def _filled(key):
     # the indices of the entry's frames that have search tables
-    return {i for i, tables in enumerate(_CLASS_REPS[key][2]) if tables is not None}
+    return {i for i, fr in enumerate(_CLASS_REPS[key][0]) if _tables(fr) is not None}
 
 
 def _check_tables(key):
-    # every table stored in the entry is its frame's, recomputed, and holds
-    # no int as wide as a chunk
-    frames, _, tables = _CLASS_REPS[key]
-    assert len(tables) == len(frames), key
+    # every table a frame of the entry keeps is its own, recomputed, and
+    # holds no int as wide as a chunk
+    frames, counts = _CLASS_REPS[key]
+    assert len(counts) == len(frames), key
     for i in _filled(key):
-        fr, (ups, below) = frames[i], tables[i]
+        fr = frames[i]
+        ups, below = _tables(fr)
         assert (ups, below) == (_closed_masks(fr.up), _below(fr)), (key, i)
         assert all(0 <= m < 2 ** fr.size for m in ups), (key, i)
         assert all(0 <= y < fr.size and 0 < m < 2 ** fr.size for y, m in below), (key, i)
@@ -709,16 +758,17 @@ def test_class_tables_are_the_frames_tables():
             for rooted in (False, True):
                 key = (tuple(logic.conditions), n, rooted)
                 entry = _class_reps(*key)
-                for i in range(len(entry[0])):
-                    _stored_failure(entry, i, program)
+                for fr in entry[0]:
+                    _first_failure(fr, program)
                 assert _filled(key) == set(range(len(entry[0]))), key
                 _check_tables(key)
-    # a regrown entry starts with no tables, not those of the frames before
+    # a regrown entry holds new frames with no tables, not the frames before
     before = _class_reps((), 5)
     _CLASS_REPS.clear()
     after = _class_reps((), 5)
-    assert after[0] is not before[0] and after[2] is not before[2]
-    assert after[2] == [None] * len(after[0])
+    assert after[0] is not before[0] and not set(map(id, after[0])) & set(map(id, before[0]))
+    assert all(_tables(fr) is not None for fr in before[0])
+    assert [_tables(fr) for fr in after[0]] == [None] * len(after[0])
     assert decide(IPC, parse("~~(p|~p)"), 5).bound == 5
     assert len(_filled(((), 4, False))) == 5 and len(_filled(((), 5, True))) == 16
     for key in [((), 4, False), ((), 5, True)]:
@@ -726,7 +776,7 @@ def test_class_tables_are_the_frames_tables():
 
 
 def test_cleared_store_keeps_no_search_tables(monkeypatch):
-    # the tables live in the store's entries, so clearing the store drops
+    # the tables live on the store's frames, so clearing the store drops
     # every table it built: nothing in kripke refers to one any more
     built, search_tables = [], kripke._search_tables
 
@@ -738,6 +788,9 @@ def test_cleared_store_keeps_no_search_tables(monkeypatch):
     _CLASS_REPS.clear()
     decide(IPC, parse("~~(p|~p)"), 4)
     assert len(built) == 1 + 1 + 2 + 5  # the rooted frames of 1 to 4 worlds
+    held = [_tables(fr) for frames, _ in _CLASS_REPS.values() for fr in frames]
+    assert all(any(tables is kept for kept in held) for tables in built)
+    del held
     _CLASS_REPS.clear()
     gc.collect()
     for tables in built:

@@ -409,6 +409,14 @@ def test_decide_threads_share_the_store():
     kripke._CLASS_REPS.clear()
     want = [decide(logic, f, 6).to_json() for logic, f in jobs]
     store = dict(kripke._CLASS_REPS)
+
+    def tables(reps):
+        # entry equality compares the frames' fields; their search tables are not one
+        return {
+            key: [getattr(fr, "_tables", None) for fr in frames]
+            for key, (frames, _) in reps.items()
+        }
+
     kripke._CLASS_REPS.clear()
     results = [None] * 4
     start = threading.Barrier(4, timeout=60)
@@ -434,6 +442,8 @@ def test_decide_threads_share_the_store():
     assert not any(thread.is_alive() for thread in threads)
     assert results == [want] * 4
     assert kripke._CLASS_REPS == store
+    assert tables(kripke._CLASS_REPS) == tables(store)
+    assert any(t is not None for kept in tables(store).values() for t in kept)
 
 
 def test_frame_classes_closed_under_cones():

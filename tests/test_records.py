@@ -17,7 +17,7 @@ from kripkebench.correspondence import (
     SizeTally,
 )
 from kripkebench.formula import And, Atom, Bottom, Imp, Or, Top, parse
-from kripkebench.kripke import Countermodel, Frame, InvalidModel, Model, chain
+from kripkebench.kripke import Countermodel, Frame, InvalidModel, Model, chain, fork, frame_valid
 from kripkebench.logics import GL, GL_SCHEMA, Decision, LogicSpec, Verdict
 
 P, Q = Atom("p"), Atom("q")
@@ -99,6 +99,31 @@ def test_frozen_records_reject_assignment(cls, build, fields):
     with pytest.raises(AttributeError):
         del value.anything
     assert value == build()
+
+
+def test_frame_search_tables_are_not_a_field():
+    # a frame's search tables are private state: a searched frame compares,
+    # hashes, prints and pickles as a fresh one with the same rows
+    fr = fork()
+    assert frame_valid(fr, parse("(p->q)|(q->p)")) is not None
+    assert fr._tables
+    fresh = Frame(fr.up)
+    assert fr == fresh and hash(fr) == hash(fresh) == hash((fr.up,))
+    assert repr(fr) == repr(fresh) == "Frame(up=(7, 2, 4))"
+    assert fr._asdict() == fresh._asdict() == {"up": (7, 2, 4)}
+    assert Frame._fields == Frame.__match_args__ == ("up",)
+    assert list(Frame.__init__.__annotations__) == ["up"]
+    for copied in (pickle.loads(pickle.dumps(fr)), copy.copy(fr), copy.deepcopy(fr)):
+        assert copied == fr and hash(copied) == hash(fr)
+        assert not hasattr(copied, "_tables")
+    with pytest.raises(AttributeError):
+        fresh._tables
+    with pytest.raises(AttributeError):
+        fresh._tables = fr._tables
+    with pytest.raises(TypeError):
+        Frame(fr.up, fr._tables)
+    with pytest.raises(TypeError):
+        Frame(up=fr.up, _tables=fr._tables)
 
 
 def test_report_records_are_mutable():
