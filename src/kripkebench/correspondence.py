@@ -11,7 +11,6 @@ from .kripke import (
     Frame,
     _bits,
     _class_reps,
-    _compile,
     _first_failure,
     frame_to_json,
 )
@@ -270,13 +269,12 @@ def check_correspondence(
     if max_n < 1:
         raise ValueError("check_correspondence needs max_n >= 1")
     report = CorrespondenceReport(schema, condition, max_n, dedup)
-    program = _compile(schema)
     for n in range(1, max_n + 1):
         tally = report.sizes[n] = SizeTally()
         for fr, labelings in zip(*_class_reps((), n)):
             weight = 1 if dedup else labelings
             tally.frames += weight
-            valid = _first_failure(fr, program) is None
+            valid = _first_failure(fr, schema) is None
             holds = condition(fr)
             if valid:
                 tally.schema_valid += weight
@@ -373,7 +371,6 @@ def collapse_check(max_n: int) -> CollapseReport:
     if max_n < 1:
         raise ValueError("collapse_check needs max_n >= 1")
     cone2 = cone_size_le(2)
-    programs = [(instance, _compile(instance)) for instance in (GL_INSTANCE, BD2_INSTANCE)]
     report = CollapseReport(max_n)
     for n in range(1, max_n + 1):
         frames, labelings = _class_reps((), n)
@@ -391,8 +388,8 @@ def collapse_check(max_n: int) -> CollapseReport:
                     )
                 )
             if n <= 2:
-                for instance, program in programs:
-                    if _first_failure(fr, program) is not None:
+                for instance in (GL_INSTANCE, BD2_INSTANCE):
+                    if _first_failure(fr, instance) is not None:
                         report.violations.append(
                             CollapseViolation(
                                 n,

@@ -4,7 +4,9 @@ A frame is a finite partial order on worlds 0..n-1, stored as one
 successor bitmask per world so that order queries and the semantic
 clauses reduce to integer bit operations.  All values are immutable
 after construction and safe to share between threads; a frame's first
-search fills its private search tables, which threads build equal.
+search fills its private search tables, which threads build equal, and
+the module keeps the last formula compiled beside its program as one
+pair, so a thread never runs another formula's program.
 """
 
 from __future__ import annotations
@@ -383,9 +385,25 @@ def _eval(prog, ones: int, every: int, below, atom_regs) -> int:
     return regs[-1]
 
 
+# The last formula compiled and its program, as one tuple, so threads always
+# read a matching pair; keyed on identity, so a search and the re-check of its
+# countermodel compile once, and any other formula compiles its own.
+_LAST: tuple = (object(), None)
+
+
+def _program(f: Formula) -> tuple[list[str], list[tuple[str, int, int]]]:
+    global _LAST
+    last = _LAST
+    if last[0] is f:
+        return last[1]
+    program = _compile(f)
+    _LAST = (f, program)
+    return program
+
+
 def _force_mask(model: Model, f: Formula) -> int:
-    searched = _SEARCHED
-    names, prog = searched[1] if searched[0] is f else _compile(f)
+    last = _LAST
+    names, prog = last[1] if last[0] is f else _program(f)
     fr = model.frame
     slots = [model.atom_mask(name) for name in names]
     return _eval(prog, fr.full_mask, 1, _below(fr), slots)
@@ -426,29 +444,11 @@ def frame_valid(fr: Frame, f: Formula) -> Countermodel | None:
     Only when a cone refutes f is the whole frame searched, so the
     countermodel is the frame's first, as without the cones.
     """
-    program = _compile(f)
-    found = _first_failure(fr, program)
-    return None if found is None else _countermodel(fr, f, program, found)
-
-
-# The formula a search refuted and the program the search ran, only while
-# _countermodel builds its Countermodel: one tuple, so threads read a matching
-# pair, and keyed on identity, so any other formula's check compiles its own.
-# Between builds it holds nothing, so no program outlives its search.
-_NO_SEARCH: tuple = (object(), None)
-_SEARCHED = _NO_SEARCH
-
-
-def _countermodel(fr: Frame, f: Formula, program, found: tuple[list[int], int]) -> Countermodel:
-    # The countermodel _first_failure found for f's program on fr; its
-    # re-check runs that program instead of compiling f again.
-    global _SEARCHED
+    found = _first_failure(fr, f)
+    if found is None:
+        return None
     masks, world = found
-    _SEARCHED = (f, program)
-    try:
-        return Countermodel(Model(fr, tuple(zip(program[0], masks))), world, f)
-    finally:
-        _SEARCHED = _NO_SEARCH
+    return Countermodel(Model(fr, tuple(zip(_program(f)[0], masks))), world, f)
 
 
 def _search_tables(fr: Frame) -> tuple[list[int], list[tuple[int, int]]]:
@@ -457,13 +457,13 @@ def _search_tables(fr: Frame) -> tuple[list[int], list[tuple[int, int]]]:
     return _closed_masks(fr.up), _below(fr)
 
 
-def _first_failure(fr: Frame, program) -> tuple[list[int], int] | None:
-    """frame_valid's search on a compiled formula: the atom masks and world
-    of its first countermodel, or None.  The frame keeps its _search_tables
-    from its first search on, so a later search of it builds only the
-    layout of its chunks (ones, every, the bit slices), which stays per
-    call."""
-    names, prog = program
+def _first_failure(fr: Frame, f: Formula) -> tuple[list[int], int] | None:
+    """frame_valid's search: the atom masks and world of f's first
+    countermodel on fr, or None.  The frame keeps its _search_tables from
+    its first search on, so a later search of it builds only the layout of
+    its chunks (ones, every, the bit slices), which stays per call."""
+    last = _LAST
+    names, prog = last[1] if last[0] is f else _program(f)
     if not fr.up:
         return None  # no world to fail
     try:
@@ -488,7 +488,7 @@ def _first_failure(fr: Frame, program) -> tuple[list[int], int] | None:
         lower = {y for y, _ in below}
         minimal = [x for x in range(n) if x not in lower]
         if len(minimal) > 1 and not any(
-            _first_failure(cone, program)
+            _first_failure(cone, f)
             for cone in dict.fromkeys(fr.cone(x)[0] for x in minimal)
         ):
             return None

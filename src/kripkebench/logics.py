@@ -12,8 +12,7 @@ from __future__ import annotations
 import enum
 
 from .formula import Formula, _Record
-from .kripke import Countermodel, Frame, _class_reps, _compile, _countermodel, _first_failure
-from .kripke import countermodel_to_json
+from .kripke import Countermodel, Frame, _class_reps, countermodel_to_json, frame_valid
 from .correspondence import BD2_CHAIN, DISCRETE, LIN, FrameCondition
 # The schemas live beside their conditions; they are re-exported from here.
 from .correspondence import BD2_SCHEMA, GL_SCHEMA, LEM_SCHEMA, schema_instance
@@ -104,21 +103,21 @@ def decide(logic: LogicSpec, f: Formula, bound: int) -> Decision:
     call has grown yet.  A searched frame keeps its search tables (upsets
     and strict-below rows), so a later call builds only each search's
     chunk layout; at bound 8 ipc keeps 4,495 frames and the tables of the
-    2,451 rooted ones.  A refuting frame is searched once:
-    its countermodel is built from that search.  Valid is returned only
-    when the class's exact completeness bound was covered; otherwise the
-    search was merely exhaustive up to the bound.
+    2,451 rooted ones.  Each frame is searched by frame_valid, which
+    compiles f once for all of them, as kripke keeps the last program it
+    compiled, and builds the countermodel from the search that found it.
+    Valid is returned only when the class's exact completeness bound was
+    covered; otherwise the search was merely exhaustive up to the bound.
     """
     if bound < 1:
         raise ValueError("decide needs bound >= 1")
     limit = bound if logic.exact_bound is None else min(bound, logic.exact_bound)
-    program = _compile(f)
     for n in range(1, limit + 1):
         for fr in _class_reps(tuple(logic.conditions), n, n == limit)[0]:
             if fr.full_mask in fr.up:
-                found = _first_failure(fr, program)
-                if found is not None:
-                    return Decision(Verdict.REFUTED, n, _countermodel(fr, f, program, found))
+                cm = frame_valid(fr, f)
+                if cm is not None:
+                    return Decision(Verdict.REFUTED, n, cm)
     if logic.exact_bound is not None and logic.exact_bound <= bound:
         return Decision(Verdict.VALID, limit)
     return Decision(Verdict.NO_COUNTERMODEL, bound)
@@ -133,11 +132,11 @@ def audit_schemas(logic: LogicSpec, max_n: int) -> Countermodel | None:
     """
     if max_n < 1:
         raise ValueError("audit_schemas needs max_n >= 1")
-    instances = [(f, _compile(f)) for f in map(schema_instance, logic.axiom_schemas)]
+    instances = [schema_instance(schema) for schema in logic.axiom_schemas]
     for n in range(1, max_n + 1):
         for fr in _class_reps(tuple(logic.conditions), n)[0]:
-            for f, program in instances:
-                found = _first_failure(fr, program)
-                if found is not None:
-                    return _countermodel(fr, f, program, found)
+            for f in instances:
+                cm = frame_valid(fr, f)
+                if cm is not None:
+                    return cm
     return None

@@ -2,6 +2,8 @@ import gc
 import hashlib
 import json
 import random
+import sys
+import threading
 from itertools import count, permutations, product
 
 import pytest
@@ -341,24 +343,71 @@ def test_countermodel_constructor_rejects_unknown_world(world):
 
 
 def test_countermodel_recheck_reads_its_own_formula(monkeypatch):
-    # a refuted search re-checks its countermodel on the program it ran, so
-    # it compiles once, and every other re-check compiles its own formula:
-    # b is forced where a fails, so only a refutes
+    # kripke keeps the last formula it compiled, by identity, with its
+    # program: a search and the re-check of its countermodel compile once,
+    # and every other re-check compiles its own formula.  b is forced where
+    # a fails, so only a refutes
     model = make_model(chain(2), {"p": [1]})
     a, b = parse("p|~p"), parse("~~(p|~p)")
     compiled = []
     compile_ = kripke._compile
     monkeypatch.setattr(kripke, "_compile", lambda f: compiled.append(f) or compile_(f))
-    for _ in range(2):
+
+    def compiles(*formulas):
+        assert compiled == list(formulas)
         compiled.clear()
+
+    for first in (True, False):
+        # the second round starts with a still kept
         assert frame_valid(chain(2), a) == Countermodel(model, 0, a)
-        assert compiled == [a, a]
+        compiles(*[a] * first)
         with pytest.raises(ValueError, match="not a countermodel"):
             Countermodel(model, 0, b)
+        compiles(b)
         assert frame_valid(chain(2), b) is None
+        compiles()
         with pytest.raises(ValueError, match="not a countermodel"):
             Countermodel(model, 0, b)
+        compiles()
         assert Countermodel(model, 0, a).formula is a
+        compiles(a)
+
+
+def test_frame_valid_threads_read_their_own_program():
+    # threads alternate a refuted and a valid formula over the same frames:
+    # a search or re-check that ran the other formula's program would
+    # miss a countermodel, report another one or raise "not a countermodel".
+    # a is a classical tautology: it holds on the three antichains and fails
+    # on the other 20 frames; b holds on all 23
+    frames = [fr for n in (2, 3, 4) for fr in enumerate_frames(n, dedup=True)]
+    a, b = parse("(p->q)|~p|(q->r)"), parse("~~(q|~q)")
+
+    def run():
+        found = [[frame_valid(fr, f) for f in (a, b)] for fr in frames]
+        return [[None if cm is None else countermodel_to_json(cm) for cm in pair] for pair in found]
+
+    want = run()
+    assert [refuted is not None for refuted, _ in want].count(True) == 20
+    assert all(valid is None for _, valid in want)
+    results = [None] * 4
+    start = threading.Barrier(4, timeout=60)
+
+    def work(i):
+        start.wait()
+        results[i] = [run() for _ in range(20)]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[want] * 20] * 4
 
 
 def test_frame_valid_substitution_closed():
@@ -752,14 +801,14 @@ def test_class_tables_are_the_frames_tables():
         if key[0] in ((), gl_bd2):
             _check_tables(key)
     # every entry of every built-in logic up to 6 worlds, once all is built
-    program = _compile(parse("p"))
+    p = parse("p")
     for logic in LOGICS.values():
         for n in range(1, 7):
             for rooted in (False, True):
                 key = (tuple(logic.conditions), n, rooted)
                 entry = _class_reps(*key)
                 for fr in entry[0]:
-                    _first_failure(fr, program)
+                    _first_failure(fr, p)
                 assert _filled(key) == set(range(len(entry[0]))), key
                 _check_tables(key)
     # a regrown entry holds new frames with no tables, not the frames before
