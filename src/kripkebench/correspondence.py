@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 
-from .formula import Atom, Formula, Imp, Not, Or, _Record, render, substitute
+from .formula import And, Atom, Formula, Imp, Not, Or, _Record, render, substitute
 from .kripke import (
     Countermodel,
     Frame,
@@ -175,6 +175,9 @@ def schema_instance(schema: Formula, left: str = "p", right: str = "q") -> Formu
 # The two schema instances whose frame validity the conditions track.
 GL_INSTANCE = schema_instance(GL_SCHEMA)
 BD2_INSTANCE = schema_instance(BD2_SCHEMA)
+# Both at once: collapse_check searches each small frame once for this, and
+# each instance only on a frame that refutes it.
+_BOTH_INSTANCES = And(GL_INSTANCE, BD2_INSTANCE)
 
 
 class SizeTally(_Record, frozen=False):
@@ -387,7 +390,7 @@ def collapse_check(max_n: int) -> CollapseReport:
                         f"LIN and BD2_CHAIN {both} but CONE_SIZE_LE(2) {small_cones}",
                     )
                 )
-            if n <= 2:
+            if n <= 2 and _first_failure(fr, _BOTH_INSTANCES) is not None:
                 for instance in (GL_INSTANCE, BD2_INSTANCE):
                     if _first_failure(fr, instance) is not None:
                         report.violations.append(

@@ -4,14 +4,16 @@ A frame is a finite partial order on worlds 0..n-1, stored as one
 successor bitmask per world so that order queries and the semantic
 clauses reduce to integer bit operations.  All values are immutable
 after construction and safe to share between threads; a frame's first
-search fills its private search tables, which threads build equal, and
-the module keeps the last formula compiled beside its program as one
-pair, so a thread never runs another formula's program.
+search fills its private search tables, and each one-chunk search the
+frame's layout for that many atoms, which racing threads build and store
+equal, and the module keeps the last formula compiled beside its program
+as one pair, so a thread never runs another formula's program.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
+from functools import lru_cache
 from itertools import permutations, product
 
 from .formula import And, Atom, Bottom, Formula, Or, Top, _IDENT, _Record, render
@@ -56,11 +58,16 @@ class Frame(_Record):
 
     Build frames with make_frame (which closes and validates the input
     relation) or one of the shape helpers below; the constructor itself
-    trusts its argument.  _tables, not a field, holds the frame's
-    _search_tables from its first search on.
+    trusts its argument.  _tables and _layouts, not fields, hold the
+    frame's _search_tables from its first search on and the _layout of
+    each one-chunk search, by the formula's atom count.
     """
 
-    __slots__ = {"up": "tuple[int, ...]", "_tables": "tuple[list[int], list[tuple[int, int]]]"}
+    __slots__ = {
+        "up": "tuple[int, ...]",
+        "_tables": "tuple[list[int], list[tuple[int, int]]]",
+        "_layouts": "dict[int, tuple[int, int, int, list[int]]]",
+    }
 
     @property
     def size(self) -> int:
@@ -460,8 +467,10 @@ def _search_tables(fr: Frame) -> tuple[list[int], list[tuple[int, int]]]:
 def _first_failure(fr: Frame, f: Formula) -> tuple[list[int], int] | None:
     """frame_valid's search: the atom masks and world of f's first
     countermodel on fr, or None.  The frame keeps its _search_tables from
-    its first search on, so a later search of it builds only the layout of
-    its chunks (ones, every, the bit slices), which stays per call."""
+    its first search on, and the _layout of a search that fits one chunk
+    under the formula's atom count, so a later one-chunk search of it with
+    as many atoms runs only _eval.  A search of several chunks keeps no
+    layout: it is shared by every chunk, and it holds the widest ints."""
     last = _LAST
     names, prog = last[1] if last[0] is f else _program(f)
     if not fr.up:
@@ -470,30 +479,62 @@ def _first_failure(fr: Frame, f: Formula) -> tuple[list[int], int] | None:
         ups, below = fr._tables
     except AttributeError:
         tables = _search_tables(fr)
+        # _layouts first, so a thread that finds _tables finds it too
+        object.__setattr__(fr, "_layouts", {})
         object.__setattr__(fr, "_tables", tables)  # racing threads store equal ones
         ups, below = tables
-    count, n, full = len(ups), fr.size, fr.full_mask
-    # Valuations are numbered in product(ups, ...) order.  The trailing
-    # atoms are bit-sliced: valuation j of a chunk is the j-th valuation
-    # of those atoms, while the leading atoms are fixed per chunk and the
-    # chunks run in product order, so the lowest failing bit of the first
-    # failing chunk is the first countermodel.
-    sliced, per_chunk = 0, 1
-    while sliced < len(names) and per_chunk * count <= _CHUNK_VALUATIONS:
-        sliced += 1
-        per_chunk *= count
-    if sliced < len(names):
-        # f is valid iff it is valid on the cone of each minimal world
-        # (generation); cones are rooted, so this recurses at most once.
-        lower = {y for y, _ in below}
-        minimal = [x for x in range(n) if x not in lower]
-        if len(minimal) > 1 and not any(
-            _first_failure(cone, f)
-            for cone in dict.fromkeys(fr.cone(x)[0] for x in minimal)
-        ):
-            return None
+    atoms = len(names)
+    layout = fr._layouts.get(atoms)
+    if layout is None:
+        count, n = len(ups), len(fr.up)
+        # Valuations are numbered in product(ups, ...) order.  The trailing
+        # atoms are bit-sliced: valuation j of a chunk is the j-th valuation
+        # of those atoms, while the leading atoms are fixed per chunk and the
+        # chunks run in product order, so the lowest failing bit of the first
+        # failing chunk is the first countermodel.
+        sliced, per_chunk = 0, 1
+        while sliced < atoms and per_chunk * count <= _CHUNK_VALUATIONS:
+            sliced += 1
+            per_chunk *= count
+        if sliced == atoms:
+            layout = fr._layouts[atoms] = _layout(n, ups, sliced, per_chunk)
+        else:
+            # f is valid iff it is valid on the cone of each minimal world
+            # (generation); cones are rooted, so this recurses at most once.
+            lower = {y for y, _ in below}
+            minimal = [x for x in range(n) if x not in lower]
+            if len(minimal) > 1 and not any(
+                _first_failure(cone, f)
+                for cone in dict.fromkeys(fr.cone(x)[0] for x in minimal)
+            ):
+                return None
+            layout = _layout(n, ups, sliced, per_chunk)
+    sliced, ones, every, slices = layout
+    for combo in product(ups, repeat=atoms - sliced):
+        regs = [mask * every for mask in combo] + slices
+        root = _eval(prog, ones, every, below, regs)
+        if root != ones:
+            n, full = len(fr.up), fr.full_mask
+            failing = ones & ~root
+            j, world = divmod((failing & -failing).bit_length() - 1, n)
+            return [reg >> j * n & full for reg in regs], world
+    return None
+
+
+@lru_cache(maxsize=256)
+def _chunk_bits(n: int, per_chunk: int) -> tuple[int, int]:
+    # ones and every of a chunk of per_chunk valuations on n worlds, shared
+    # by the layouts of every frame of that size and chunk.
     ones = (1 << n * per_chunk) - 1
-    every = ones // full  # bit 0 of every valuation
+    return ones, ones // ((1 << n) - 1)  # every: bit 0 of each valuation
+
+
+def _layout(n: int, ups: list[int], sliced: int, per_chunk: int) -> tuple[int, int, int, list[int]]:
+    """The layout of a chunk of per_chunk valuations on an n-world frame
+    whose last sliced atoms range over ups: (sliced, ones, every, slices),
+    where slices holds those atoms' registers."""
+    ones, every = _chunk_bits(n, per_chunk)
+    count = len(ups)
     slices = []
     block = per_chunk
     for _ in range(sliced):
@@ -512,14 +553,7 @@ def _first_failure(fr: Frame, f: Formula) -> tuple[list[int], int] | None:
             pattern |= pattern << width
             width *= 2
         slices.append(pattern & ones)
-    for combo in product(ups, repeat=len(names) - sliced):
-        regs = [mask * every for mask in combo] + slices
-        root = _eval(prog, ones, every, below, regs)
-        if root != ones:
-            failing = ones & ~root
-            j, world = divmod((failing & -failing).bit_length() - 1, n)
-            return [reg >> j * n & full for reg in regs], world
-    return None
+    return sliced, ones, every, slices
 
 
 def enumerate_frames(n: int, dedup: bool = False) -> Iterator[Frame]:

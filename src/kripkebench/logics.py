@@ -10,8 +10,9 @@ an exact completeness bound covered by the search.
 from __future__ import annotations
 
 import enum
+from functools import reduce
 
-from .formula import Formula, _Record
+from .formula import And, Formula, _Record
 from .kripke import Countermodel, Frame, _class_reps, countermodel_to_json, frame_valid
 from .correspondence import BD2_CHAIN, DISCRETE, LIN, FrameCondition
 # The schemas live beside their conditions; they are re-exported from here.
@@ -101,11 +102,13 @@ def decide(logic: LogicSpec, f: Formula, bound: int) -> Decision:
     class store for the life of the process, keyed by the class's
     conditions, so a later call on the same class grows only sizes no
     call has grown yet.  A searched frame keeps its search tables (upsets
-    and strict-below rows), so a later call builds only each search's
-    chunk layout; at bound 8 ipc keeps 4,495 frames and the tables of the
-    2,451 rooted ones.  Each frame is searched by frame_valid, which
-    compiles f once for all of them, as kripke keeps the last program it
-    compiled, and builds the countermodel from the search that found it.
+    and strict-below rows) and, when a search of it fits one chunk of
+    valuations, that chunk's layout under f's atom count, so a later call
+    with as many atoms only evaluates f on such a frame; at bound 8 ipc
+    keeps 4,495 frames and the tables of the 2,451 rooted ones.  Each
+    frame is searched by frame_valid, which compiles f once for all of
+    them, as kripke keeps the last program it compiled, and builds the
+    countermodel from the search that found it.
     Valid is returned only when the class's exact completeness bound was
     covered; otherwise the search was merely exhaustive up to the bound.
     """
@@ -113,8 +116,9 @@ def decide(logic: LogicSpec, f: Formula, bound: int) -> Decision:
         raise ValueError("decide needs bound >= 1")
     limit = bound if logic.exact_bound is None else min(bound, logic.exact_bound)
     for n in range(1, limit + 1):
+        full = (1 << n) - 1  # the row of a least world
         for fr in _class_reps(tuple(logic.conditions), n, n == limit)[0]:
-            if fr.full_mask in fr.up:
+            if full in fr.up:
                 cm = frame_valid(fr, f)
                 if cm is not None:
                     return Decision(Verdict.REFUTED, n, cm)
@@ -128,15 +132,22 @@ def audit_schemas(logic: LogicSpec, max_n: int) -> Countermodel | None:
 
     Walks the class representatives up to max_n worlds, from the class
     store decide reads, and returns the first countermodel to a schema's p, q
-    instance, or None when every class frame validates every schema.
+    instance, or None when every class frame validates every schema.  Each
+    frame is searched for the conjunction of the instances, one program for
+    the whole walk; only the first frame refuting it is searched schema by
+    schema, so the countermodel is that of its first refuted schema.
     """
     if max_n < 1:
         raise ValueError("audit_schemas needs max_n >= 1")
     instances = [schema_instance(schema) for schema in logic.axiom_schemas]
+    if not instances:
+        return None
+    conjunction = reduce(And, instances)
     for n in range(1, max_n + 1):
         for fr in _class_reps(tuple(logic.conditions), n)[0]:
-            for f in instances:
-                cm = frame_valid(fr, f)
-                if cm is not None:
-                    return cm
+            if frame_valid(fr, conjunction) is not None:
+                for f in instances:
+                    cm = frame_valid(fr, f)
+                    if cm is not None:
+                        return cm
     return None

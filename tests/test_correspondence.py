@@ -2,6 +2,7 @@ from functools import lru_cache
 
 import pytest
 
+from kripkebench import correspondence, kripke
 from kripkebench.formula import atoms, parse, render
 from kripkebench.kripke import (
     antichain,
@@ -18,6 +19,7 @@ from kripkebench.correspondence import (
     BD2_INSTANCE,
     BD2_PAPER,
     CONDITIONS,
+    CollapseViolation,
     DISCRETE,
     GL_INSTANCE,
     LIN,
@@ -471,6 +473,27 @@ def test_collapse_check():
     data = report.to_json()
     assert data["ok"] is True and data["violations"] == []
     assert "no violations" in report.format_text()
+
+
+def test_collapse_check_searches_each_small_frame_once(monkeypatch):
+    # the three frames of up to 2 worlds are searched for both instances at
+    # once, one program; an instance is searched alone only on a frame that
+    # refutes the pair, and each refuted instance is one violation
+    compiled = []
+    real = kripke._compile
+    monkeypatch.setattr(kripke, "_compile", lambda f: compiled.append(f) or real(f))
+    monkeypatch.setattr(kripke, "_LAST", (object(), None))
+    assert collapse_check(4).ok
+    assert compiled == [correspondence._BOTH_INSTANCES]
+    lem, dne = parse("p|~p"), parse("~~p->p")
+    monkeypatch.setattr(correspondence, "GL_INSTANCE", lem)
+    monkeypatch.setattr(correspondence, "BD2_INSTANCE", dne)
+    monkeypatch.setattr(correspondence, "_BOTH_INSTANCES", parse("(p|~p)&(~~p->p)"))
+    report = collapse_check(2)
+    assert report.violations == [
+        CollapseViolation(2, chain(2), "small-frame-validity", f"{render(f)} fails on a 2-world frame")
+        for f in (lem, dne)
+    ]
 
 
 def test_two_chain_validates_both_schemas():

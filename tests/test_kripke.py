@@ -536,6 +536,103 @@ def test_frame_keeps_its_search_tables(monkeypatch):
     assert not any(new is old for new, old in zip(built, cones))
 
 
+def _recorded_layouts(monkeypatch):
+    # the ups list each _layout call is given, in call order
+    built = []
+    real = kripke._layout
+
+    def recorded(n, ups, sliced, per_chunk):
+        built.append(ups)
+        return real(n, ups, sliced, per_chunk)
+
+    monkeypatch.setattr(kripke, "_layout", recorded)
+    return built
+
+
+def test_frame_keeps_the_layouts_of_its_one_chunk_searches(monkeypatch):
+    layout = kripke._layout
+    built = _recorded_layouts(monkeypatch)
+    # 5 upsets: 0 to 3 atoms fit one chunk (5**3 valuations); each atom
+    # count builds its layout on its first search of the frame alone
+    fr = fork()
+    texts = ["T->F", "p|~p", "(p->q)|(q->p)", "(p->q)->((q->r)->(p->r))", "~~p->p", "p&q->p", "T"]
+    first = [frame_valid(fr, parse(text)) for text in texts]
+    assert len(built) == 4 and all(ups is fr._tables[0] for ups in built)
+    assert [frame_valid(fr, parse(text)) for text in reversed(texts)] == first[::-1]
+    assert len(built) == 4
+    ups = fr._tables[0]
+    assert fr._layouts == {k: layout(3, ups, k, 5 ** k) for k in range(4)}
+    sliced, ones, every, slices = fr._layouts[2]
+    assert (sliced, ones, every) == (2, 2 ** 75 - 1, sum(1 << 3 * j for j in range(25)))
+    # ones and every are shared by every frame of its size and chunk
+    other = fork()
+    assert frame_valid(other, parse("(p->q)|(q->p)")) == first[2]
+    assert len(built) == 5 and built[-1] is other._tables[0]
+    assert other._layouts[2][1] is ones and other._layouts[2][2] is every
+    assert other._layouts[2][3] is not slices
+
+
+def test_multi_chunk_search_keeps_no_layout(monkeypatch):
+    built = _recorded_layouts(monkeypatch)
+    # a rooted frame with 17 upsets: 17**3 valuations take 17 chunks, so a
+    # 3-atom search builds its layout on every call and keeps none; 17**2
+    # fit one chunk
+    fr = make_frame(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    f = parse("(p->(q->r))->((p->q)->(p->r))")
+    assert frame_valid(fr, f) is None and frame_valid(fr, f) is None
+    assert len(built) == 2 and fr._layouts == {}
+    assert frame_valid(fr, GL_INSTANCE) is not None
+    assert frame_valid(fr, f) is None
+    assert len(built) == 4 and list(fr._layouts) == [2]
+
+
+def test_search_answered_by_its_cones_builds_no_layout_of_the_frame(monkeypatch):
+    built = _recorded_layouts(monkeypatch)
+    # 20**3 valuations on a fork beside a 3-chain: the two cones, new frames
+    # on every call, build their own, and the frame builds none
+    fork_chain = make_frame(6, [(0, 1), (0, 2), (3, 4), (4, 5)])
+    g = parse("(p->q)|(q->r)|(r->p)")
+    for _ in range(2):
+        built.clear()
+        assert frame_valid(fork_chain, g) is None
+        assert built == [_closed_masks(fork().up), _closed_masks(chain(3).up)]
+    assert fork_chain._layouts == {}
+    # a cone that refutes comes first, then the whole frame's layout, which
+    # is not kept
+    built.clear()
+    h = parse("(p->q)|(q->p)|r")
+    assert frame_valid(fork_chain, h) is not None
+    assert built == [_closed_masks(fork().up), fork_chain._tables[0]]
+    assert built[-1] is fork_chain._tables[0] and fork_chain._layouts == {}
+
+
+def test_kept_layouts_agree_with_naive_oracle():
+    # 0- to 3-atom formulas interleaved on the same frames, twice, in
+    # opposite orders, so the second round reads the layouts of the first;
+    # the 3-atom ones put q&r for q.  Every class representative up to 4
+    # worlds (one chunk for 3 atoms), and a rooted 5-world frame on which 3
+    # atoms take 17 chunks and keep no layout.
+    corpus = [parse(text) for text in ORACLE_CORPUS]
+    corpus += [substitute(f, {"q": parse("q&r")}) for f in corpus if "q" in atoms(f)]
+    rng = random.Random(27)
+    rng.shuffle(corpus)
+    frames = [fr for n in range(1, 5) for fr in enumerate_frames(n, dedup=True)]
+    frames.append(make_frame(5, [(0, 1), (0, 2), (0, 3), (0, 4)]))
+    expected = {}
+    for order in (corpus, corpus[::-1]):
+        for f in order:
+            for fr in frames:
+                key = (fr.up, f)
+                if key not in expected:
+                    names = sorted(atoms(f))
+                    expected[key] = naive_first_countermodel(fr.size, fr.strict_pairs(), f, names)
+                assert _first_countermodel(fr, f) == expected[key], key
+    counts = {len(atoms(f)) for f in corpus}
+    assert counts == {0, 1, 2, 3}
+    assert all(set(fr._layouts) == counts for fr in frames[:-1])
+    assert set(frames[-1]._layouts) == {0, 1, 2}
+
+
 IPC_TAUTOLOGIES = [
     "p->p",
     "T",

@@ -188,6 +188,56 @@ def test_audit_schemas_rejects_bad_bound(max_n):
         audit_schemas(GL, max_n)
 
 
+def _compiles(monkeypatch):
+    # every formula kripke compiles from here on, with the program slot empty
+    compiled = []
+    real = kripke._compile
+
+    def counted(f):
+        compiled.append(f)
+        return real(f)
+
+    monkeypatch.setattr(kripke, "_compile", counted)
+    monkeypatch.setattr(kripke, "_LAST", (object(), None))
+    return compiled
+
+
+def test_audit_schemas_compiles_once_per_call(monkeypatch):
+    # gl+bd2's two instances are searched as one conjunction on each of its
+    # 44 class frames up to 7 worlds, not in turn on each (88 compiles)
+    compiled = _compiles(monkeypatch)
+    assert audit_schemas(GLBD2, 7) is None
+    assert len(compiled) == 1
+    assert audit_schemas(IPC, 7) is None
+    assert len(compiled) == 1
+
+
+def _audit_schema_by_schema(logic, max_n):
+    # the search audit_schemas made before it searched the conjunction
+    instances = [schema_instance(schema) for schema in logic.axiom_schemas]
+    for n in range(1, max_n + 1):
+        for fr in kripke._class_reps(tuple(logic.conditions), n)[0]:
+            for f in instances:
+                cm = frame_valid(fr, f)
+                if cm is not None:
+                    return cm
+    return None
+
+
+def test_audit_schemas_returns_the_first_refuted_schemas_countermodel():
+    # with no conditions the gl instance fails first (on the fork), with LIN
+    # only the bd2 instance (on the 3-chain); the schemas in either order
+    firsts = []
+    for conditions in ((), (LIN,)):
+        for schemas in ((GL_SCHEMA, BD2_SCHEMA), (BD2_SCHEMA, GL_SCHEMA), (LEM_SCHEMA,)):
+            logic = LogicSpec("x", schemas, conditions)
+            cm = audit_schemas(logic, 4)
+            assert cm is not None and cm == _audit_schema_by_schema(logic, 4)
+            firsts.append(cm.formula)
+    gl, bd2, lem = (schema_instance(s) for s in (GL_SCHEMA, BD2_SCHEMA, LEM_SCHEMA))
+    assert firsts == [gl, gl, lem, bd2, bd2, lem]
+
+
 def test_decision_json():
     decision = decide(IPC, parse("p|~p"), 2)
     data = decision.to_json()
