@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 
-from .formula import And, Atom, Formula, Imp, Not, Or, _Record, render, substitute
+from .formula import Atom, Formula, Imp, Not, Or, _Record, render, substitute
 from .kripke import (
     Countermodel,
     Frame,
@@ -38,8 +38,8 @@ class FrameCondition(_Record):
         elif self.k is not None:
             raise ValueError(f"{self.kind} takes no bound, got {self.k!r}")
 
-    def __call__(self, fr: Frame, _new: int | None = None) -> bool:
-        return eval_condition(self, fr, _new)
+    def __call__(self, fr: Frame) -> bool:
+        return eval_condition(self, fr)
 
     @property
     def id(self) -> str:
@@ -91,21 +91,19 @@ def cone_size_le(k: int) -> FrameCondition:
     return FrameCondition("CONE_SIZE_LE", k)
 
 
-def eval_condition(cond: FrameCondition, fr: Frame, _new: int | None = None) -> bool:
-    """Evaluate a built-in condition on a frame; _new is as in _embedding."""
+def eval_condition(cond: FrameCondition, fr: Frame) -> bool:
+    """Evaluate a built-in condition on a frame."""
     verdict = CONDITIONS[cond.kind][0](fr, cond.k)
-    return _embedding(verdict, fr, _new) is None if isinstance(verdict, Frame) else verdict
+    return _embedding(verdict, fr) is None if isinstance(verdict, Frame) else verdict
 
 
-def _embedding(pattern: Frame, fr: Frame, _new: int | None = None) -> tuple[int, ...] | None:
+def _embedding(pattern: Frame, fr: Frame) -> tuple[int, ...] | None:
     """The lexicographically first order-embedding of pattern into fr, as
     the images of its worlds, or None.  pattern is rooted and lists each
-    world after the worlds below it.  If fr less world _new has no copy of
-    pattern, as in each frame the class store grows, every copy uses _new,
-    so only roots below _new are tried."""
+    world after the worlds below it."""
     m = pattern.size
     for x, row in enumerate(fr.up):  # a root sees all m worlds
-        if row.bit_count() >= m and (_new is None or row >> _new & 1):
+        if row.bit_count() >= m:
             found = _extend(pattern.up, fr.up, (x,), 1 << x)
             if found:
                 return found
@@ -175,9 +173,6 @@ def schema_instance(schema: Formula, left: str = "p", right: str = "q") -> Formu
 # The two schema instances whose frame validity the conditions track.
 GL_INSTANCE = schema_instance(GL_SCHEMA)
 BD2_INSTANCE = schema_instance(BD2_SCHEMA)
-# Both at once: collapse_check searches each small frame once for this, and
-# each instance only on a frame that refutes it.
-_BOTH_INSTANCES = And(GL_INSTANCE, BD2_INSTANCE)
 
 
 class SizeTally(_Record, frozen=False):
@@ -390,7 +385,7 @@ def collapse_check(max_n: int) -> CollapseReport:
                         f"LIN and BD2_CHAIN {both} but CONE_SIZE_LE(2) {small_cones}",
                     )
                 )
-            if n <= 2 and _first_failure(fr, _BOTH_INSTANCES) is not None:
+            if n <= 2:
                 for instance in (GL_INSTANCE, BD2_INSTANCE):
                     if _first_failure(fr, instance) is not None:
                         report.violations.append(

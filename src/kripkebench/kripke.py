@@ -4,10 +4,10 @@ A frame is a finite partial order on worlds 0..n-1, stored as one
 successor bitmask per world so that order queries and the semantic
 clauses reduce to integer bit operations.  All values are immutable
 after construction and safe to share between threads; a frame's first
-search fills its private search tables, and each one-chunk search the
-frame's layout for that many atoms, which racing threads build and store
-equal, and the module keeps the last formula compiled beside its program
-as one pair, so a thread never runs another formula's program.
+search fills its private search record, and each one-chunk search adds
+its layout to it, which racing threads build and store equal, and the
+module keeps the last formula compiled beside its program as one pair,
+so a thread never runs another formula's program.
 """
 
 from __future__ import annotations
@@ -58,15 +58,13 @@ class Frame(_Record):
 
     Build frames with make_frame (which closes and validates the input
     relation) or one of the shape helpers below; the constructor itself
-    trusts its argument.  _tables and _layouts, not fields, hold the
-    frame's _search_tables from its first search on and the _layout of
-    each one-chunk search, by the formula's atom count.
+    trusts its argument.  _tables, not a field, holds the frame's
+    _search_tables from its first search on.
     """
 
     __slots__ = {
         "up": "tuple[int, ...]",
-        "_tables": "tuple[list[int], list[tuple[int, int]]]",
-        "_layouts": "dict[int, tuple[int, int, int, list[int]]]",
+        "_tables": "tuple[list[int], list[tuple[int, int]], dict[int, tuple]]",
     }
 
     @property
@@ -458,33 +456,32 @@ def frame_valid(fr: Frame, f: Formula) -> Countermodel | None:
     return Countermodel(Model(fr, tuple(zip(_program(f)[0], masks))), world, f)
 
 
-def _search_tables(fr: Frame) -> tuple[list[int], list[tuple[int, int]]]:
-    """The search tables of a frame, which depend on it alone: its upsets,
-    ascending, and its strict-below rows (_below)."""
-    return _closed_masks(fr.up), _below(fr)
+def _search_tables(fr: Frame) -> tuple[list[int], list[tuple[int, int]], dict[int, tuple]]:
+    """The search record of a frame, (ups, below, layouts): its upsets,
+    ascending, its strict-below rows (_below), and the _layout of each of
+    its one-chunk searches so far, by the formula's atom count."""
+    return _closed_masks(fr.up), _below(fr), {}
 
 
 def _first_failure(fr: Frame, f: Formula) -> tuple[list[int], int] | None:
     """frame_valid's search: the atom masks and world of f's first
     countermodel on fr, or None.  The frame keeps its _search_tables from
-    its first search on, and the _layout of a search that fits one chunk
-    under the formula's atom count, so a later one-chunk search of it with
-    as many atoms runs only _eval.  A search of several chunks keeps no
-    layout: it is shared by every chunk, and it holds the widest ints."""
+    its first search on, and in them the _layout of a search that fits one
+    chunk, so a later one-chunk search of it with as many atoms runs only
+    _eval.  A search of several chunks keeps no layout: it is shared by
+    every chunk, and it holds the widest ints."""
     last = _LAST
     names, prog = last[1] if last[0] is f else _program(f)
     if not fr.up:
         return None  # no world to fail
     try:
-        ups, below = fr._tables
+        ups, below, layouts = fr._tables
     except AttributeError:
         tables = _search_tables(fr)
-        # _layouts first, so a thread that finds _tables finds it too
-        object.__setattr__(fr, "_layouts", {})
         object.__setattr__(fr, "_tables", tables)  # racing threads store equal ones
-        ups, below = tables
+        ups, below, layouts = tables
     atoms = len(names)
-    layout = fr._layouts.get(atoms)
+    layout = layouts.get(atoms)
     if layout is None:
         count, n = len(ups), len(fr.up)
         # Valuations are numbered in product(ups, ...) order.  The trailing
@@ -496,9 +493,7 @@ def _first_failure(fr: Frame, f: Formula) -> tuple[list[int], int] | None:
         while sliced < atoms and per_chunk * count <= _CHUNK_VALUATIONS:
             sliced += 1
             per_chunk *= count
-        if sliced == atoms:
-            layout = fr._layouts[atoms] = _layout(n, ups, sliced, per_chunk)
-        else:
+        if sliced < atoms:
             # f is valid iff it is valid on the cone of each minimal world
             # (generation); cones are rooted, so this recurses at most once.
             lower = {y for y, _ in below}
@@ -508,7 +503,9 @@ def _first_failure(fr: Frame, f: Formula) -> tuple[list[int], int] | None:
                 for cone in dict.fromkeys(fr.cone(x)[0] for x in minimal)
             ):
                 return None
-            layout = _layout(n, ups, sliced, per_chunk)
+        layout = _layout(n, ups, sliced, per_chunk)
+        if sliced == atoms:
+            layouts[atoms] = layout
     sliced, ones, every, slices = layout
     for combo in product(ups, repeat=atoms - sliced):
         regs = [mask * every for mask in combo] + slices
@@ -605,11 +602,10 @@ def _grow(bases: Iterable[Frame]) -> Iterator[Frame]:
 # hereditary, so a size grows from the full list of the size before: it holds
 # every class frame less a world, and a class's first labeled frame grows from
 # the first labeled frame of its base's class (else relabeling its base would
-# give an earlier one).  Conditions are told the new world n - 1, as the frame
-# less it is a class frame.  Nothing is evicted: ipc at bound 8 holds 4,495 frames.
+# give an earlier one).  Nothing is evicted: ipc at bound 8 holds 4,495 frames.
 # Threads growing one entry at once all get the first equal tuple stored.
-# A frame keeps its search tables once a search reads it (_first_failure),
-# so frames no search reads get none, and the tables go with the entry.
+# A frame keeps its search record once a search reads it (_first_failure),
+# so frames no search reads get none, and the record goes with the entry.
 _Entry = tuple[tuple[Frame, ...], tuple[int, ...]]
 _CLASS_REPS: dict[tuple[tuple, int, bool], _Entry] = {}
 
@@ -627,7 +623,7 @@ def _class_reps(conditions, n: int, rooted=False) -> _Entry:
         for fr in _grow(bases):
             if rooted and fr.full_mask not in fr.up:
                 continue
-            if conditions and not all(cond(fr, n - 1) for cond in conditions):
+            if conditions and not all(cond(fr) for cond in conditions):
                 continue
             canon, automorphisms = _canonical_key(fr)
             if canon not in seen:

@@ -101,14 +101,12 @@ def decide(logic: LogicSpec, f: Formula, bound: int) -> Decision:
     last size grows rooted ones only.  The grown lists stay in kripke's
     class store for the life of the process, keyed by the class's
     conditions, so a later call on the same class grows only sizes no
-    call has grown yet.  A searched frame keeps its search tables (upsets
-    and strict-below rows) and, when a search of it fits one chunk of
-    valuations, that chunk's layout under f's atom count, so a later call
-    with as many atoms only evaluates f on such a frame; at bound 8 ipc
-    keeps 4,495 frames and the tables of the 2,451 rooted ones.  Each
-    frame is searched by frame_valid, which compiles f once for all of
-    them, as kripke keeps the last program it compiled, and builds the
-    countermodel from the search that found it.
+    call has grown yet.  A searched frame keeps its search record (see
+    kripke._first_failure), so a later call does less work on it; at
+    bound 8 ipc keeps 4,495 frames and the records of the 2,451 rooted
+    ones.  Each frame is searched by frame_valid, which compiles f once
+    for all of them, as kripke keeps the last program it compiled, and
+    builds the countermodel from the search that found it.
     Valid is returned only when the class's exact completeness bound was
     covered; otherwise the search was merely exhaustive up to the bound.
     """

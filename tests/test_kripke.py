@@ -517,7 +517,7 @@ def test_frame_keeps_its_search_tables(monkeypatch):
     assert first is not None and frame_valid(fr, f) == first
     assert frame_valid(fr, parse("p|~p")) is not None
     assert built == [fr] and built[0] is fr
-    assert fr._tables == (_closed_masks(fr.up), _below(fr))
+    assert fr._tables[:2] == (_closed_masks(fr.up), _below(fr))
     # an equal frame built apart keeps its own
     other = fork()
     assert frame_valid(other, f) == first and len(built) == 2 and built[1] is other
@@ -560,16 +560,16 @@ def test_frame_keeps_the_layouts_of_its_one_chunk_searches(monkeypatch):
     assert len(built) == 4 and all(ups is fr._tables[0] for ups in built)
     assert [frame_valid(fr, parse(text)) for text in reversed(texts)] == first[::-1]
     assert len(built) == 4
-    ups = fr._tables[0]
-    assert fr._layouts == {k: layout(3, ups, k, 5 ** k) for k in range(4)}
-    sliced, ones, every, slices = fr._layouts[2]
+    ups, _, layouts = fr._tables
+    assert layouts == {k: layout(3, ups, k, 5 ** k) for k in range(4)}
+    sliced, ones, every, slices = layouts[2]
     assert (sliced, ones, every) == (2, 2 ** 75 - 1, sum(1 << 3 * j for j in range(25)))
     # ones and every are shared by every frame of its size and chunk
     other = fork()
     assert frame_valid(other, parse("(p->q)|(q->p)")) == first[2]
     assert len(built) == 5 and built[-1] is other._tables[0]
-    assert other._layouts[2][1] is ones and other._layouts[2][2] is every
-    assert other._layouts[2][3] is not slices
+    kept = other._tables[2][2]
+    assert kept[1] is ones and kept[2] is every and kept[3] is not slices
 
 
 def test_multi_chunk_search_keeps_no_layout(monkeypatch):
@@ -580,10 +580,10 @@ def test_multi_chunk_search_keeps_no_layout(monkeypatch):
     fr = make_frame(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     f = parse("(p->(q->r))->((p->q)->(p->r))")
     assert frame_valid(fr, f) is None and frame_valid(fr, f) is None
-    assert len(built) == 2 and fr._layouts == {}
+    assert len(built) == 2 and fr._tables[2] == {}
     assert frame_valid(fr, GL_INSTANCE) is not None
     assert frame_valid(fr, f) is None
-    assert len(built) == 4 and list(fr._layouts) == [2]
+    assert len(built) == 4 and list(fr._tables[2]) == [2]
 
 
 def test_search_answered_by_its_cones_builds_no_layout_of_the_frame(monkeypatch):
@@ -596,14 +596,14 @@ def test_search_answered_by_its_cones_builds_no_layout_of_the_frame(monkeypatch)
         built.clear()
         assert frame_valid(fork_chain, g) is None
         assert built == [_closed_masks(fork().up), _closed_masks(chain(3).up)]
-    assert fork_chain._layouts == {}
+    assert fork_chain._tables[2] == {}
     # a cone that refutes comes first, then the whole frame's layout, which
     # is not kept
     built.clear()
     h = parse("(p->q)|(q->p)|r")
     assert frame_valid(fork_chain, h) is not None
     assert built == [_closed_masks(fork().up), fork_chain._tables[0]]
-    assert built[-1] is fork_chain._tables[0] and fork_chain._layouts == {}
+    assert built[-1] is fork_chain._tables[0] and fork_chain._tables[2] == {}
 
 
 def test_kept_layouts_agree_with_naive_oracle():
@@ -629,8 +629,8 @@ def test_kept_layouts_agree_with_naive_oracle():
                 assert _first_countermodel(fr, f) == expected[key], key
     counts = {len(atoms(f)) for f in corpus}
     assert counts == {0, 1, 2, 3}
-    assert all(set(fr._layouts) == counts for fr in frames[:-1])
-    assert set(frames[-1]._layouts) == {0, 1, 2}
+    assert all(set(fr._tables[2]) == counts for fr in frames[:-1])
+    assert set(frames[-1]._tables[2]) == {0, 1, 2}
 
 
 IPC_TAUTOLOGIES = [
@@ -875,8 +875,11 @@ def _check_tables(key):
     assert len(counts) == len(frames), key
     for i in _filled(key):
         fr = frames[i]
-        ups, below = _tables(fr)
+        ups, below, layouts = _tables(fr)
         assert (ups, below) == (_closed_masks(fr.up), _below(fr)), (key, i)
+        assert all(
+            layout == kripke._layout(fr.size, ups, k, len(ups) ** k) for k, layout in layouts.items()
+        ), (key, i)
         assert all(0 <= m < 2 ** fr.size for m in ups), (key, i)
         assert all(0 <= y < fr.size and 0 < m < 2 ** fr.size for y, m in below), (key, i)
 

@@ -102,17 +102,21 @@ def test_frozen_records_reject_assignment(cls, build, fields):
 
 
 def test_frame_search_tables_are_not_a_field():
-    # a frame's search tables are private state: a searched frame compares,
-    # hashes, prints and pickles as a fresh one with the same rows
+    # a frame's search record, its tables and the layouts it keeps, is
+    # private state: a searched frame compares, hashes, prints and pickles
+    # as a fresh one with the same rows
     fr = fork()
     assert frame_valid(fr, parse("(p->q)|(q->p)")) is not None
+    assert frame_valid(fr, LEM) is not None
     assert fr._tables
+    assert list(fr._tables[2]) == [2, 1]
     fresh = Frame(fr.up)
     assert fr == fresh and hash(fr) == hash(fresh) == hash((fr.up,))
     assert repr(fr) == repr(fresh) == "Frame(up=(7, 2, 4))"
     assert fr._asdict() == fresh._asdict() == {"up": (7, 2, 4)}
     assert Frame._fields == Frame.__match_args__ == ("up",)
     assert list(Frame.__init__.__annotations__) == ["up"]
+    assert [name for name in Frame.__slots__ if name.startswith("_")] == ["_tables"]
     for copied in (pickle.loads(pickle.dumps(fr)), copy.copy(fr), copy.deepcopy(fr)):
         assert copied == fr and hash(copied) == hash(fr)
         assert not hasattr(copied, "_tables")
@@ -124,31 +128,6 @@ def test_frame_search_tables_are_not_a_field():
         Frame(fr.up, fr._tables)
     with pytest.raises(TypeError):
         Frame(up=fr.up, _tables=fr._tables)
-
-
-def test_frame_layouts_are_not_a_field():
-    # the layouts a frame keeps are private state too, as its tables are
-    fr = fork()
-    assert frame_valid(fr, parse("(p->q)|(q->p)")) is not None
-    assert frame_valid(fr, LEM) is not None
-    assert list(fr._layouts) == [2, 1]
-    fresh = Frame(fr.up)
-    assert fr == fresh and hash(fr) == hash(fresh) == hash((fr.up,))
-    assert repr(fr) == repr(fresh) == "Frame(up=(7, 2, 4))"
-    assert fr._asdict() == fresh._asdict() == {"up": (7, 2, 4)}
-    assert Frame._fields == Frame.__match_args__ == ("up",)
-    assert list(Frame.__init__.__annotations__) == ["up"]
-    for copied in (pickle.loads(pickle.dumps(fr)), copy.copy(fr), copy.deepcopy(fr)):
-        assert copied == fr and hash(copied) == hash(fr)
-        assert not hasattr(copied, "_layouts")
-    with pytest.raises(AttributeError):
-        fresh._layouts
-    with pytest.raises(AttributeError):
-        fresh._layouts = fr._layouts
-    with pytest.raises(TypeError):
-        Frame(fr.up, fr._tables, fr._layouts)
-    with pytest.raises(TypeError):
-        Frame(up=fr.up, _layouts=fr._layouts)
 
 
 def test_report_records_are_mutable():
