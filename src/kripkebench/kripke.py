@@ -4,10 +4,12 @@ A frame is a finite partial order on worlds 0..n-1, stored as one
 successor bitmask per world so that order queries and the semantic
 clauses reduce to integer bit operations.  All values are immutable
 after construction and safe to share between threads; a frame's first
-search fills its private search record, and each one-chunk search adds
-its layout to it, which racing threads build and store equal, and the
-module keeps the last formula compiled beside its program as one pair,
-so a thread never runs another formula's program.
+search fills its private search record, each one-chunk search adds its
+layout to it, and its first search of several chunks publishes it anew
+with the frame's cones, which racing threads build and store equal.
+The module keeps the programs of recent formulas by identity, each
+entry beside its formula, so a thread never runs another formula's
+program.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class Frame(_Record):
 
     __slots__ = {
         "up": "tuple[int, ...]",
-        "_tables": "tuple[list[int], list[tuple[int, int]], dict[int, tuple]]",
+        "_tables": "tuple[list[int], list[tuple[int, int]], dict[int, tuple], tuple[Frame, ...] | None]",
     }
 
     @property
@@ -390,25 +392,28 @@ def _eval(prog, ones: int, every: int, below, atom_regs) -> int:
     return regs[-1]
 
 
-# The last formula compiled and its program, as one tuple, so threads always
-# read a matching pair; keyed on identity, so a search and the re-check of its
-# countermodel compile once, and any other formula compiles its own.
-_LAST: tuple = (object(), None)
+# The programs of recent formulas, by id: an entry holds its formula, so its
+# id names no other object while it is kept.  A search and the re-check of
+# its countermodel compile once, and so does a formula object searched again
+# within 256 others, as collapse_check's two instances are on each frame.  A
+# full memo is cleared at once; nothing iterates over it.
+_PROGRAM_FORMULAS = 256
+_PROGRAMS: dict[int, tuple[Formula, tuple[list[str], list[tuple[str, int, int]]]]] = {}
 
 
 def _program(f: Formula) -> tuple[list[str], list[tuple[str, int, int]]]:
-    global _LAST
-    last = _LAST
-    if last[0] is f:
-        return last[1]
+    entry = _PROGRAMS.get(id(f))
+    if entry is not None:
+        return entry[1]
     program = _compile(f)
-    _LAST = (f, program)
+    if len(_PROGRAMS) >= _PROGRAM_FORMULAS:
+        _PROGRAMS.clear()
+    _PROGRAMS[id(f)] = (f, program)
     return program
 
 
 def _force_mask(model: Model, f: Formula) -> int:
-    last = _LAST
-    names, prog = last[1] if last[0] is f else _program(f)
+    names, prog = _program(f)
     fr = model.frame
     slots = [model.atom_mask(name) for name in names]
     return _eval(prog, fr.full_mask, 1, _below(fr), slots)
@@ -447,7 +452,8 @@ def frame_valid(fr: Frame, f: Formula) -> Countermodel | None:
     minimal worlds first searches the cone of each minimal world, once per
     distinct cone: f is valid on the frame iff it is valid on those cones.
     Only when a cone refutes f is the whole frame searched, so the
-    countermodel is the frame's first, as without the cones.
+    countermodel is the frame's first, as without the cones.  The frame
+    keeps its cones, so a later search reads their records too.
     """
     found = _first_failure(fr, f)
     if found is None:
@@ -456,11 +462,15 @@ def frame_valid(fr: Frame, f: Formula) -> Countermodel | None:
     return Countermodel(Model(fr, tuple(zip(_program(f)[0], masks))), world, f)
 
 
-def _search_tables(fr: Frame) -> tuple[list[int], list[tuple[int, int]], dict[int, tuple]]:
-    """The search record of a frame, (ups, below, layouts): its upsets,
-    ascending, its strict-below rows (_below), and the _layout of each of
-    its one-chunk searches so far, by the formula's atom count."""
-    return _closed_masks(fr.up), _below(fr), {}
+def _search_tables(
+    fr: Frame,
+) -> tuple[list[int], list[tuple[int, int]], dict[int, tuple], tuple[Frame, ...] | None]:
+    """The search record of a frame, (ups, below, layouts, cones): its
+    upsets, ascending, its strict-below rows (_below), the _layout of each
+    of its one-chunk searches so far, by the formula's atom count, and
+    None for the cones, which _first_failure fills in on the frame's first
+    search of several chunks."""
+    return _closed_masks(fr.up), _below(fr), {}, None
 
 
 def _first_failure(fr: Frame, f: Formula) -> tuple[list[int], int] | None:
@@ -469,17 +479,19 @@ def _first_failure(fr: Frame, f: Formula) -> tuple[list[int], int] | None:
     its first search on, and in them the _layout of a search that fits one
     chunk, so a later one-chunk search of it with as many atoms runs only
     _eval.  A search of several chunks keeps no layout: it is shared by
-    every chunk, and it holds the widest ints."""
-    last = _LAST
-    names, prog = last[1] if last[0] is f else _program(f)
+    every chunk, and it holds the widest ints.  It first searches the
+    distinct cones of the frame's minimal worlds, when there are several;
+    the frame's first such search publishes its record anew with them, so
+    each cone builds its own record and layouts once."""
+    names, prog = _program(f)
     if not fr.up:
         return None  # no world to fail
     try:
-        ups, below, layouts = fr._tables
+        ups, below, layouts, cones = fr._tables
     except AttributeError:
         tables = _search_tables(fr)
         object.__setattr__(fr, "_tables", tables)  # racing threads store equal ones
-        ups, below, layouts = tables
+        ups, below, layouts, cones = tables
     atoms = len(names)
     layout = layouts.get(atoms)
     if layout is None:
@@ -496,12 +508,12 @@ def _first_failure(fr: Frame, f: Formula) -> tuple[list[int], int] | None:
         if sliced < atoms:
             # f is valid iff it is valid on the cone of each minimal world
             # (generation); cones are rooted, so this recurses at most once.
-            lower = {y for y, _ in below}
-            minimal = [x for x in range(n) if x not in lower]
-            if len(minimal) > 1 and not any(
-                _first_failure(cone, f)
-                for cone in dict.fromkeys(fr.cone(x)[0] for x in minimal)
-            ):
+            if cones is None:
+                lower = {y for y, _ in below}
+                minimal = [x for x in range(n) if x not in lower]
+                cones = tuple(dict.fromkeys(fr.cone(x)[0] for x in minimal)) if len(minimal) > 1 else ()
+                object.__setattr__(fr, "_tables", (ups, below, layouts, cones))  # racing threads store equal ones
+            if cones and not any(_first_failure(cone, f) for cone in cones):
                 return None
         layout = _layout(n, ups, sliced, per_chunk)
         if sliced == atoms:

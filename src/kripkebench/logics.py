@@ -105,7 +105,7 @@ def decide(logic: LogicSpec, f: Formula, bound: int) -> Decision:
     kripke._first_failure), so a later call does less work on it; at
     bound 8 ipc keeps 4,495 frames and the records of the 2,451 rooted
     ones.  Each frame is searched by frame_valid, which compiles f once
-    for all of them, as kripke keeps the last program it compiled, and
+    for all of them, as kripke keeps the programs of recent formulas, and
     builds the countermodel from the search that found it.
     Valid is returned only when the class's exact completeness bound was
     covered; otherwise the search was merely exhaustive up to the bound.

@@ -2,7 +2,7 @@ from functools import lru_cache
 
 import pytest
 
-from kripkebench import correspondence
+from kripkebench import correspondence, kripke
 from kripkebench.formula import atoms, parse, render
 from kripkebench.kripke import (
     antichain,
@@ -481,6 +481,19 @@ def test_collapse_check_searches_each_small_frame_once(monkeypatch):
         CollapseViolation(2, chain(2), "small-frame-validity", f"{render(f)} fails on a 2-world frame")
         for f in (lem, dne)
     ]
+
+
+def test_collapse_check_compiles_each_instance_once(monkeypatch):
+    # the two instances alternate on each frame of up to 2 worlds, and each
+    # compiles on its first search alone; a second call compiles nothing
+    compiled = []
+    real = kripke._compile
+    monkeypatch.setattr(kripke, "_compile", lambda f: compiled.append(f) or real(f))
+    monkeypatch.setattr(kripke, "_PROGRAMS", {})
+    assert collapse_check(2).ok
+    assert compiled == [GL_INSTANCE, BD2_INSTANCE]
+    assert collapse_check(2).ok
+    assert compiled == [GL_INSTANCE, BD2_INSTANCE]
 
 
 def test_two_chain_validates_both_schemas():

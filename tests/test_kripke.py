@@ -342,35 +342,48 @@ def test_countermodel_constructor_rejects_unknown_world(world):
         chain(2).cone(world)
 
 
+def _compiles(monkeypatch):
+    # every formula kripke compiles from here on, with the program memo empty
+    compiled = []
+    real = kripke._compile
+    monkeypatch.setattr(kripke, "_compile", lambda f: compiled.append(f) or real(f))
+    monkeypatch.setattr(kripke, "_PROGRAMS", {})
+    return compiled
+
+
 def test_countermodel_recheck_reads_its_own_formula(monkeypatch):
-    # kripke keeps the last formula it compiled, by identity, with its
-    # program: a search and the re-check of its countermodel compile once,
-    # and every other re-check compiles its own formula.  b is forced where
-    # a fails, so only a refutes
+    # kripke keeps the programs of recent formulas, by identity: a search and
+    # the re-check of its countermodel compile once, every other formula
+    # compiles its own, and a formula pushed out by 256 others compiles
+    # again.  b is forced where a fails, so only a refutes
     model = make_model(chain(2), {"p": [1]})
     a, b = parse("p|~p"), parse("~~(p|~p)")
-    compiled = []
-    compile_ = kripke._compile
-    monkeypatch.setattr(kripke, "_compile", lambda f: compiled.append(f) or compile_(f))
+    compiled = _compiles(monkeypatch)
 
     def compiles(*formulas):
         assert compiled == list(formulas)
         compiled.clear()
 
     for first in (True, False):
-        # the second round starts with a still kept
+        # the second round finds a and b still kept
         assert frame_valid(chain(2), a) == Countermodel(model, 0, a)
         compiles(*[a] * first)
         with pytest.raises(ValueError, match="not a countermodel"):
             Countermodel(model, 0, b)
-        compiles(b)
+        compiles(*[b] * first)
         assert frame_valid(chain(2), b) is None
         compiles()
         with pytest.raises(ValueError, match="not a countermodel"):
             Countermodel(model, 0, b)
         compiles()
         assert Countermodel(model, 0, a).formula is a
-        compiles(a)
+        compiles()
+    others = [parse(f"p{i}") for i in range(256)]
+    for f in others:
+        assert frame_valid(chain(2), f) is not None
+    compiles(*others)
+    assert Countermodel(model, 0, a).formula is a
+    compiles(a)
 
 
 def test_frame_valid_threads_read_their_own_program():
@@ -408,6 +421,78 @@ def test_frame_valid_threads_read_their_own_program():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [[want] * 20] * 4
+
+
+def test_formulas_searched_in_turn_compile_once_each(monkeypatch):
+    # a frame-major loop alternates three formulas on every frame of 2 to 4
+    # worlds: each compiles on its first search, and a second round compiles
+    # nothing and answers the same
+    compiled = _compiles(monkeypatch)
+    frames = [fr for n in (2, 3, 4) for fr in enumerate_frames(n, dedup=True)]
+    assert len(frames) == 23
+    formulas = [parse(text) for text in ("(p->q)|~p|(q->r)", "~~(q|~q)", "p|~p")]
+    first = [[frame_valid(fr, f) for f in formulas] for fr in frames]
+    assert compiled == formulas
+    compiled.clear()
+    assert [[frame_valid(fr, f) for f in formulas] for fr in frames] == first
+    assert compiled == []
+
+
+def test_program_memo_is_bounded(monkeypatch):
+    # 300 formulas: the memo never holds more than 256 programs, the first
+    # formulas are pushed out, and every answer is the naive oracle's
+    compiled = _compiles(monkeypatch)
+    rng = random.Random(29)
+    formulas = [random_formula(rng, 3, ["p", "q"]) for _ in range(300)]
+    fr = fork()
+    for f in formulas:
+        expected = naive_first_countermodel(3, fr.strict_pairs(), f, sorted(atoms(f)))
+        assert _first_countermodel(fr, f) == expected, f
+        assert len(kripke._PROGRAMS) <= 256
+    assert compiled == formulas
+    assert id(formulas[0]) not in kripke._PROGRAMS
+
+
+def test_threads_read_their_own_programs_through_eviction(monkeypatch):
+    # four threads each cycle 300 formulas, from different starting points,
+    # over three shared frames, so the memo is cleared while others read it:
+    # a search or re-check that ran another formula's program would answer
+    # otherwise than a serial run
+    monkeypatch.setattr(kripke, "_PROGRAMS", {})
+    rng = random.Random(2929)
+    formulas = [random_formula(rng, 3, ["p", "q", "r"]) for _ in range(300)]
+    frames = [chain(2), fork(), antichain(2)]
+
+    def run(start):
+        order = formulas[start:] + formulas[:start]
+        return [
+            [None if cm is None else countermodel_to_json(cm) for cm in (frame_valid(fr, f) for fr in frames)]
+            for f in order
+        ]
+
+    want = run(0)
+    assert any(row != [None] * 3 for row in want) and [None] * 3 in want
+    results = [None] * 4
+    barrier = threading.Barrier(4, timeout=60)
+
+    def work(i):
+        barrier.wait()
+        results[i] = [run(75 * i) for _ in range(3)]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[want[75 * i:] + want[:75 * i]] * 3 for i in range(4)]
+    # threads that test the size at once may each add one entry past it
+    assert len(kripke._PROGRAMS) <= 256 + 3
 
 
 def test_frame_valid_substitution_closed():
@@ -467,13 +552,18 @@ def test_frame_valid_cone_check_agrees_with_naive_oracle():
 def check_cones_against_naive_oracle(n, corpus):
     # Every n-world class representative with several minimal worlds.  At
     # n = 5 a 3-atom search over more than 16 upsets takes more than one
-    # chunk, so it searches the cones first.
+    # chunk, so it searches the cones first.  Each frame is searched twice
+    # for the whole corpus: the second round reads the cones, layouts and
+    # programs the first one kept.
+    formulas = [parse(text) for text in corpus]
     for fr in enumerate_frames(n, dedup=True):
         if len(_minimal_worlds(fr)) > 1:
-            for text in corpus:
-                f = parse(text)
-                expected = naive_first_countermodel(n, fr.strict_pairs(), f, sorted(atoms(f)))
-                assert _first_countermodel(fr, f) == expected, (fr.up, text)
+            expected = [
+                naive_first_countermodel(n, fr.strict_pairs(), f, sorted(atoms(f))) for f in formulas
+            ]
+            for _ in range(2):
+                for f, want, text in zip(formulas, expected, corpus):
+                    assert _first_countermodel(fr, f) == want, (fr.up, text)
 
 
 def test_frame_valid_cone_check_runs_only_on_multi_chunk_searches(monkeypatch):
@@ -521,19 +611,28 @@ def test_frame_keeps_its_search_tables(monkeypatch):
     # an equal frame built apart keeps its own
     other = fork()
     assert frame_valid(other, f) == first and len(built) == 2 and built[1] is other
-    # a multi-chunk search (20**3 valuations) on a frame with two minimal
-    # worlds searches its two cones, new frames on every call, so each call
-    # builds their tables; the frame's own are built once
+    # a one-chunk search (20**2 valuations) on a frame with two minimal
+    # worlds builds no cones
     fork_chain = make_frame(6, [(0, 1), (0, 2), (3, 4), (4, 5)])
+    built.clear()
+    assert frame_valid(fork_chain, f) is not None
+    assert built == [fork_chain] and fork_chain._tables[3] is None
+    record = fork_chain._tables
+    # a multi-chunk search (20**3 valuations) searches its two cones, which
+    # the frame's record keeps from then on beside its own tables, so the
+    # cones' tables are built once
     g = parse("(p->q)|(q->r)|(r->p)")
     built.clear()
     assert frame_valid(fork_chain, g) is None
-    assert built == [fork_chain, fork(), chain(3)]
-    cones = built[1:]
+    assert built == [fork(), chain(3)]
+    cones = built[:]
+    assert all(new is old for new, old in zip(fork_chain._tables[:3], record[:3]))
+    assert list(fork_chain._tables[2]) == [2]
     built.clear()
     assert frame_valid(fork_chain, g) is None
-    assert built == [fork(), chain(3)]
-    assert not any(new is old for new, old in zip(built, cones))
+    assert built == []
+    assert fork_chain._tables[3] == (fork(), chain(3))
+    assert all(kept is cone for kept, cone in zip(fork_chain._tables[3], cones))
 
 
 def _recorded_layouts(monkeypatch):
@@ -560,7 +659,7 @@ def test_frame_keeps_the_layouts_of_its_one_chunk_searches(monkeypatch):
     assert len(built) == 4 and all(ups is fr._tables[0] for ups in built)
     assert [frame_valid(fr, parse(text)) for text in reversed(texts)] == first[::-1]
     assert len(built) == 4
-    ups, _, layouts = fr._tables
+    ups, _, layouts, _ = fr._tables
     assert layouts == {k: layout(3, ups, k, 5 ** k) for k in range(4)}
     sliced, ones, every, slices = layouts[2]
     assert (sliced, ones, every) == (2, 2 ** 75 - 1, sum(1 << 3 * j for j in range(25)))
@@ -588,21 +687,23 @@ def test_multi_chunk_search_keeps_no_layout(monkeypatch):
 
 def test_search_answered_by_its_cones_builds_no_layout_of_the_frame(monkeypatch):
     built = _recorded_layouts(monkeypatch)
-    # 20**3 valuations on a fork beside a 3-chain: the two cones, new frames
-    # on every call, build their own, and the frame builds none
+    # 20**3 valuations on a fork beside a 3-chain: the two cones, kept by
+    # the frame, build and keep their own on the first round, and the frame
+    # builds none
     fork_chain = make_frame(6, [(0, 1), (0, 2), (3, 4), (4, 5)])
     g = parse("(p->q)|(q->r)|(r->p)")
-    for _ in range(2):
-        built.clear()
-        assert frame_valid(fork_chain, g) is None
-        assert built == [_closed_masks(fork().up), _closed_masks(chain(3).up)]
-    assert fork_chain._tables[2] == {}
-    # a cone that refutes comes first, then the whole frame's layout, which
-    # is not kept
     built.clear()
+    assert frame_valid(fork_chain, g) is None
+    assert built == [_closed_masks(fork().up), _closed_masks(chain(3).up)]
+    built.clear()
+    assert frame_valid(fork_chain, g) is None
+    assert built == []
+    assert fork_chain._tables[2] == {}
+    # a cone that refutes reads its kept layout, then the whole frame's
+    # layout is built, and not kept
     h = parse("(p->q)|(q->p)|r")
     assert frame_valid(fork_chain, h) is not None
-    assert built == [_closed_masks(fork().up), fork_chain._tables[0]]
+    assert built == [fork_chain._tables[0]]
     assert built[-1] is fork_chain._tables[0] and fork_chain._tables[2] == {}
 
 
@@ -868,6 +969,12 @@ def _filled(key):
     return {i for i, fr in enumerate(_CLASS_REPS[key][0]) if _tables(fr) is not None}
 
 
+def _distinct_cones(fr):
+    # the distinct cones of fr's minimal worlds when it has several, else ()
+    minimal = _minimal_worlds(fr)
+    return tuple(dict.fromkeys(fr.cone(x)[0] for x in minimal)) if len(minimal) > 1 else ()
+
+
 def _check_tables(key):
     # every table a frame of the entry keeps is its own, recomputed, and
     # holds no int as wide as a chunk
@@ -875,8 +982,9 @@ def _check_tables(key):
     assert len(counts) == len(frames), key
     for i in _filled(key):
         fr = frames[i]
-        ups, below, layouts = _tables(fr)
+        ups, below, layouts, cones = _tables(fr)
         assert (ups, below) == (_closed_masks(fr.up), _below(fr)), (key, i)
+        assert cones is None or cones == _distinct_cones(fr), (key, i)
         assert all(
             layout == kripke._layout(fr.size, ups, k, len(ups) ** k) for k, layout in layouts.items()
         ), (key, i)

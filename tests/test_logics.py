@@ -189,7 +189,7 @@ def test_audit_schemas_rejects_bad_bound(max_n):
 
 
 def _compiles(monkeypatch):
-    # every formula kripke compiles from here on, with the program slot empty
+    # every formula kripke compiles from here on, with the program memo empty
     compiled = []
     real = kripke._compile
 
@@ -198,7 +198,7 @@ def _compiles(monkeypatch):
         return real(f)
 
     monkeypatch.setattr(kripke, "_compile", counted)
-    monkeypatch.setattr(kripke, "_LAST", (object(), None))
+    monkeypatch.setattr(kripke, "_PROGRAMS", {})
     return compiled
 
 
