@@ -20,6 +20,7 @@ from .kripke import (
     Frame,
     Model,
     _class_reps,
+    _labeled_count,
     countermodel_to_json,
     force_set,
     forces,
@@ -150,10 +151,13 @@ def cmd_witness(args) -> tuple[int, dict | None, list[str]]:
 
 
 def cmd_enumerate(args) -> tuple[int, dict | None, list[str]]:
-    # The n!/|Aut| labeled frames of a class share its depth and width.
-    frames, labelings = _class_reps((), args.n)
-    weights = [1] * len(frames) if args.dedup else labelings
-    count = sum(weights)
+    if args.dedup or args.stats:
+        # The n!/|Aut| labeled frames of a class share its depth and width.
+        frames, labelings = _class_reps((), args.n)
+        weights = [1] * len(frames) if args.dedup else labelings
+        count = sum(weights)
+    else:
+        count = _labeled_count(args.n)
     histogram: dict[tuple[int, int], int] = {}
     if args.stats:
         for fr, weight in zip(frames, weights):

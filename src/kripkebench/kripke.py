@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import groupby, permutations, product
+from operator import itemgetter
 
 from .formula import And, Atom, Bottom, Formula, Or, Top, _IDENT, _Record, render
 
@@ -585,25 +586,43 @@ def enumerate_frames(n: int, dedup: bool = False) -> Iterator[Frame]:
 
 
 def _grow(bases: Iterable[Frame]) -> Iterator[Frame]:
-    # Add one world to each base, last in the labeling: the new world gets
-    # a strict upper set U and a strict lower set D; the extension is a
-    # partial order exactly when U is an upset, D a downset, and every
-    # world of D lies below every world of U already.  The worlds outside
-    # U lying under all of U form a downset, below, so the lower sets D
-    # for U are the downsets inside it: the unions of its principal rows.
+    # Add one world to each base, last in the labeling, in each way
+    # _extensions lists.
     for base in bases:
         new_bit = 1 << base.size
-        down = base._down_masks()
-        for upper in _closed_masks(base.up):
-            below = base.full_mask & ~upper
-            for u in _bits(upper):
-                below &= down[u]
-            for lower in _closed_masks(down[d] for d in _bits(below)):
-                rows = list(base.up)
-                for d in _bits(lower):
-                    rows[d] |= new_bit
-                rows.append(upper | new_bit)
-                yield Frame(tuple(rows))
+        for upper, lower in _extensions(base):
+            rows = list(base.up)
+            for d in _bits(lower):
+                rows[d] |= new_bit
+            rows.append(upper | new_bit)
+            yield Frame(tuple(rows))
+
+
+def _extensions(base: Frame) -> Iterator[tuple[int, int]]:
+    # The ways to add a world to base: a strict upper set U and a strict
+    # lower set D for it; the extension is a partial order exactly when U
+    # is an upset, D a downset, and every world of D lies below every world
+    # of U already.  The worlds outside U lying under all of U form a
+    # downset, below, so the lower sets D for U are the downsets inside it:
+    # the unions of its principal rows.
+    down = base._down_masks()
+    for upper in _closed_masks(base.up):
+        below = base.full_mask & ~upper
+        for u in _bits(upper):
+            below &= down[u]
+        for lower in _closed_masks(down[d] for d in _bits(below)):
+            yield upper, lower
+
+
+def _labeled_count(n: int) -> int:
+    """The number of labeled n-world frames, A001035(n), counted from the
+    classes on n - 1 worlds: each labeled frame extends the labeled frame
+    on its first n - 1 worlds in exactly one way, a class has n!/|Aut|
+    labeled members, and isomorphic bases have equally many extensions."""
+    if n < 1:
+        raise ValueError("frame enumeration needs n >= 1")
+    bases, labelings = _class_reps((), n - 1) if n > 1 else ((Frame(()),), (1,))
+    return sum(count * sum(1 for _ in _extensions(base)) for base, count in zip(bases, labelings))
 
 
 # The one store of isomorphism-class representatives, by (conditions, size,
@@ -651,23 +670,68 @@ def _canonical_key(fr: Frame) -> tuple[tuple[int, ...], int]:
     """Isomorphism-invariant key, the minimal relabeled relation matrix,
     and the number of orders reaching it, which is |Aut(fr)|.
 
-    Worlds are grouped once by (successor count, predecessor count), which
-    every isomorphism preserves; only the orders listing the groups in
-    ascending order of that pair are tried.  Two orders give the same
-    matrix iff they differ by an automorphism, and automorphisms preserve the
-    groups, so each automorphism gives one order that ties for the minimum.
+    Worlds are grouped by (successor count, predecessor count), which every
+    isomorphism preserves; only the orders listing the groups in ascending
+    order of that pair are tried.  A strict successor has fewer successors,
+    so it lies in an earlier group, and a world's relabeled row is its own
+    bit above the bits of earlier positions.  So the key is built a group at
+    a time: for each kept order of the earlier groups, the group's least
+    rows list its worlds by those lower bits, only worlds with equal lower
+    bits are placed both ways, and only the orders whose rows still equal
+    the least are kept.  Two orders give the same matrix iff they differ by
+    an automorphism, and automorphisms preserve the groups, so the orders
+    left at the end are one per automorphism.
     """
-    down = fr._down_masks()
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, row in enumerate(fr.up):
-        groups.setdefault((row.bit_count(), down[i].bit_count()), []).append(i)
-    blocks = [groups[k] for k in sorted(groups)]
-    keys = [
-        _relabel(fr.up, [w for block in combo for w in block])
-        for combo in product(*(permutations(block) for block in blocks))
-    ]
-    key = min(keys)
-    return key, keys.count(key)
+    up = fr.up
+    n = len(up)
+    above = [_bits(row ^ 1 << w) for w, row in enumerate(up)]  # strict successors
+    # (successor count, predecessor count) as one int: fewer than n predecessors
+    rank = [row.bit_count() * n for row in up]
+    for succ in above:
+        for v in succ:
+            rank[v] += 1
+    groups: dict[int, list[int]] = {}
+    for w in sorted(range(n), key=rank.__getitem__):
+        groups.setdefault(rank[w], []).append(w)
+    key: list[int] = []
+    orders = [[0] * n]  # per kept order: 1 << the position of each world placed
+    for group in groups.values():
+        start = len(key)
+        if len(group) == 1:
+            # Most groups are one world: no sort, and no order to copy.
+            w = group[0]
+            least = None
+            for bit in orders:
+                low = sum(map(bit.__getitem__, above[w]))
+                if least is None or low < least:
+                    least, kept = low, [bit]
+                elif low == least:
+                    kept.append(bit)
+            for bit in kept:
+                bit[w] = 1 << start
+            key.append(1 << start | least)
+            orders = kept
+            continue
+        # Each kept order lists the group's worlds by their lower bits; the
+        # least lists are kept, once per way of ordering the worlds that tie.
+        best = None
+        for bit in orders:
+            ranked = sorted([(sum(map(bit.__getitem__, above[w])), w) for w in group])
+            lows = [low for low, _ in ranked]
+            if best is None or lows < best:
+                best, kept = lows, [(bit, ranked)]
+            elif lows == best:
+                kept.append((bit, ranked))
+        key += [1 << pos | low for pos, low in enumerate(best, start)]
+        orders = []
+        for bit, ranked in kept:
+            runs = [permutations([w for _, w in run]) for _, run in groupby(ranked, itemgetter(0))]
+            for combo in product(*runs):
+                placed = bit.copy()
+                for pos, w in enumerate([w for part in combo for w in part], start):
+                    placed[w] = 1 << pos
+                orders.append(placed)
+    return tuple(key), len(orders)
 
 
 def _relabel(up: tuple[int, ...], order: list[int]) -> tuple[int, ...]:

@@ -7,7 +7,7 @@ import pytest
 
 from kripkebench.cli import main
 from kripkebench.correspondence import condition_spellings
-from kripkebench.kripke import enumerate_frames
+from kripkebench.kripke import _CLASS_REPS, _class_reps, enumerate_frames
 from kripkebench.logics import LOGICS
 
 
@@ -302,6 +302,20 @@ def test_enumerate_stats_count_the_labeled_stream(capsys):
     stats = [{"depth": d, "width": w, "count": c} for (d, w), c in sorted(histogram.items())]
     data = json.loads(capsys.readouterr().out)
     assert data == {"n": 5, "dedup": False, "count": 4231, "stats": stats}
+
+
+def test_enumerate_counts_labeled_frames_from_the_classes_one_world_smaller(capsys):
+    # each labeled n-world frame extends the labeled frame on its first
+    # n - 1 worlds in exactly one way, so no class on n worlds is grown
+    for n, want in enumerate((1, 3, 19, 219, 4231, 130023), 1):  # A001035
+        _CLASS_REPS.clear()
+        assert main(["enumerate", "--n", str(n)]) == 0
+        assert capsys.readouterr().out == f"n={n}: {want} labeled frames\n"
+        assert ((), n, False) not in _CLASS_REPS
+        assert sum(_class_reps((), n)[1]) == want == sum(1 for _ in enumerate_frames(n))
+    for n in ("0", "-1"):
+        assert main(["enumerate", "--n", n]) == 2
+        assert capsys.readouterr().err == "error: frame enumeration needs n >= 1\n"
 
 
 # --- eval ----------------------------------------------------------------------

@@ -23,7 +23,9 @@ from kripkebench.kripke import (
     _class_reps,
     _closed_masks,
     _compile,
+    _extensions,
     _first_failure,
+    _grow,
     antichain,
     chain,
     countermodel_to_json,
@@ -1074,6 +1076,47 @@ def test_canonical_key_is_a_complete_invariant(dedup_frames):
                 ), fr.up
             keys.add(key)
         assert len(keys) == len(dedup_frames[n]), n
+
+
+def _all_orders_key(fr):
+    # the canonical key as trying every order gives it: the least relabeled
+    # matrix over all orders listing the (successor count, predecessor
+    # count) groups in ascending order, and how many orders reach it
+    n = fr.size
+    groups = {}
+    for w in range(n):
+        succ = sum(fr.le(w, v) for v in range(n))
+        pred = sum(fr.le(v, w) for v in range(n))
+        groups.setdefault((succ, pred), []).append(w)
+    keys = []
+    for combo in product(*(permutations(groups[k]) for k in sorted(groups))):
+        order = [w for block in combo for w in block]
+        keys.append(tuple(sum(1 << i for i, v in enumerate(order) if fr.le(w, v)) for w in order))
+    key = min(keys)
+    return key, keys.count(key)
+
+
+def test_canonical_key_matches_every_order():
+    # the key is built group by group, trying both ways only worlds whose
+    # rows tie; it must equal the least over every order, with its ties
+    frames = [Frame(())] + [fr for n in range(1, 6) for fr in enumerate_frames(n)]
+    rng = random.Random(30)
+    for n in (6, 7):
+        for fr in _class_reps((), n)[0]:
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                frames.append(make_frame(n, [(perm[i], perm[j]) for i, j in fr.strict_pairs()]))
+    assert len(frames) == 1 + 1 + 3 + 19 + 219 + 4231 + 3 * (318 + 2045)
+    for fr in frames:
+        assert _canonical_key(fr) == _all_orders_key(fr), fr.up
+
+
+def test_extension_count_is_the_grown_children(dedup_frames):
+    # labeled enumerate counts a base's extensions where growth builds them
+    for n in range(6):
+        for base in dedup_frames[n]:
+            assert sum(1 for _ in _extensions(base)) == len(list(_grow((base,)))), base.up
 
 
 # --- models and validation ------------------------------------------------
