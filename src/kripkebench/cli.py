@@ -152,7 +152,7 @@ def cmd_witness(args) -> tuple[int, dict | None, list[str]]:
 
 def cmd_enumerate(args) -> tuple[int, dict | None, list[str]]:
     if args.dedup or args.stats:
-        # The n!/|Aut| labeled frames of a class share its depth and width.
+        # A class's labeled members, counted in growth, share its depth and width.
         frames, labelings = _class_reps((), args.n)
         weights = [1] * len(frames) if args.dedup else labelings
         count = sum(weights)

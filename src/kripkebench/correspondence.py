@@ -262,8 +262,8 @@ def check_correspondence(
     frame with at most max_n worlds, recording the minimal mismatch
     (smallest size first, then enumeration order).  Both sides are
     isomorphism-invariant, so each class representative counts for its
-    n!/|Aut| labeled frames (once with dedup); it is its class's first
-    labeled frame, so the first mismatch is always a representative."""
+    labeled members, counted in growth (once with dedup); it is its class's
+    first labeled frame, so the first mismatch is always a representative."""
     if max_n < 1:
         raise ValueError("check_correspondence needs max_n >= 1")
     report = CorrespondenceReport(schema, condition, max_n, dedup)

@@ -579,7 +579,7 @@ def enumerate_frames(n: int, dedup: bool = False) -> Iterator[Frame]:
         return iter(_class_reps((), n)[0])
     # A lazy chain of growth steps: only the frame being extended at each
     # size is held, not the 4,231 labeled 5-world frames behind n = 6.
-    frames: Iterable[Frame] = (Frame(()),)  # grown from zero worlds
+    frames: Iterable[Frame] = _SEED[0]  # grown from zero worlds
     for _ in range(n):
         frames = _grow(frames)
     return iter(frames)
@@ -617,28 +617,32 @@ def _extensions(base: Frame) -> Iterator[tuple[int, int]]:
 def _labeled_count(n: int) -> int:
     """The number of labeled n-world frames, A001035(n), counted from the
     classes on n - 1 worlds: each labeled frame extends the labeled frame
-    on its first n - 1 worlds in exactly one way, a class has n!/|Aut|
+    on its first n - 1 worlds in exactly one way, a class counts its
     labeled members, and isomorphic bases have equally many extensions."""
     if n < 1:
         raise ValueError("frame enumeration needs n >= 1")
-    bases, labelings = _class_reps((), n - 1) if n > 1 else ((Frame(()),), (1,))
+    bases, labelings = _class_reps((), n - 1) if n > 1 else _SEED
     return sum(count * sum(1 for _ in _extensions(base)) for base, count in zip(bases, labelings))
 
 
 # The one store of isomorphism-class representatives, by (conditions, size,
 # rooted): the first labeled frame of each class of n-world frames meeting
 # every condition (() is every poset), in enumeration order, beside the class's
-# count of labeled frames, n!/|Aut|; with rooted, only frames with a least
+# labeled members, counted in growth; with rooted, only frames with a least
 # world.  Conditions are frame predicates, isomorphism-invariant and
 # hereditary, so a size grows from the full list of the size before: it holds
 # every class frame less a world, and a class's first labeled frame grows from
 # the first labeled frame of its base's class (else relabeling its base would
-# give an earlier one).  Nothing is evicted: ipc at bound 8 holds 4,495 frames.
+# give an earlier one).  A labeled frame extends the one on its first n - 1
+# worlds in exactly one way, and isomorphic bases extend alike, so each child
+# of a base adds the base's count to its class.  Nothing is evicted: ipc at
+# bound 8 holds 4,495 frames.
 # Threads growing one entry at once all get the first equal tuple stored.
 # A frame keeps its search record once a search reads it (_first_failure),
 # so frames no search reads get none, and the record goes with the entry.
 _Entry = tuple[tuple[Frame, ...], tuple[int, ...]]
 _CLASS_REPS: dict[tuple[tuple, int, bool], _Entry] = {}
+_SEED: _Entry = ((Frame(()),), (1,))  # the one frame of zero worlds
 
 
 def _class_reps(conditions, n: int, rooted=False) -> _Entry:
@@ -646,29 +650,21 @@ def _class_reps(conditions, n: int, rooted=False) -> _Entry:
         raise ValueError("frame enumeration needs n >= 1")
     entry = _CLASS_REPS.get((conditions, n, rooted))
     if entry is None:
-        bases = _class_reps(conditions, n - 1)[0] if n > 1 else (Frame(()),)
-        seen: set[tuple[int, ...]] = set()
-        frames, counts, labelings = [], [], 1
-        for i in range(2, n + 1):
-            labelings *= i  # n!
-        for fr in _grow(bases):
-            if rooted and fr.full_mask not in fr.up:
-                continue
-            if conditions and not all(cond(fr) for cond in conditions):
-                continue
-            canon, automorphisms = _canonical_key(fr)
-            if canon not in seen:
-                seen.add(canon)
-                frames.append(fr)
-                counts.append(labelings // automorphisms)
-        entry = (tuple(frames), tuple(counts))
+        classes: dict[tuple[int, ...], list] = {}  # key: [first frame, labeled members]
+        for base, count in zip(*(_class_reps(conditions, n - 1) if n > 1 else _SEED)):
+            for fr in _grow((base,)):
+                if rooted and fr.full_mask not in fr.up:
+                    continue
+                if conditions and not all(cond(fr) for cond in conditions):
+                    continue
+                classes.setdefault(_canonical_key(fr), [fr, 0])[1] += count
+        entry = (tuple(fr for fr, _ in classes.values()), tuple(c for _, c in classes.values()))
         entry = _CLASS_REPS.setdefault((conditions, n, rooted), entry)
     return entry
 
 
-def _canonical_key(fr: Frame) -> tuple[tuple[int, ...], int]:
-    """Isomorphism-invariant key, the minimal relabeled relation matrix,
-    and the number of orders reaching it, which is |Aut(fr)|.
+def _canonical_key(fr: Frame) -> tuple[int, ...]:
+    """Isomorphism-invariant key, the minimal relabeled relation matrix.
 
     Worlds are grouped by (successor count, predecessor count), which every
     isomorphism preserves; only the orders listing the groups in ascending
@@ -678,9 +674,8 @@ def _canonical_key(fr: Frame) -> tuple[tuple[int, ...], int]:
     a time: for each kept order of the earlier groups, the group's least
     rows list its worlds by those lower bits, only worlds with equal lower
     bits are placed both ways, and only the orders whose rows still equal
-    the least are kept.  Two orders give the same matrix iff they differ by
-    an automorphism, and automorphisms preserve the groups, so the orders
-    left at the end are one per automorphism.
+    the least are kept.  Only later groups read the orders, so the last
+    group places none.
     """
     up = fr.up
     n = len(up)
@@ -707,9 +702,11 @@ def _canonical_key(fr: Frame) -> tuple[tuple[int, ...], int]:
                     least, kept = low, [bit]
                 elif low == least:
                     kept.append(bit)
+            key.append(1 << start | least)
+            if len(key) == n:
+                break
             for bit in kept:
                 bit[w] = 1 << start
-            key.append(1 << start | least)
             orders = kept
             continue
         # Each kept order lists the group's worlds by their lower bits; the
@@ -723,6 +720,8 @@ def _canonical_key(fr: Frame) -> tuple[tuple[int, ...], int]:
             elif lows == best:
                 kept.append((bit, ranked))
         key += [1 << pos | low for pos, low in enumerate(best, start)]
+        if len(key) == n:
+            break
         orders = []
         for bit, ranked in kept:
             runs = [permutations([w for _, w in run]) for _, run in groupby(ranked, itemgetter(0))]
@@ -731,7 +730,7 @@ def _canonical_key(fr: Frame) -> tuple[tuple[int, ...], int]:
                 for pos, w in enumerate([w for part in combo for w in part], start):
                     placed[w] = 1 << pos
                 orders.append(placed)
-    return tuple(key), len(orders)
+    return tuple(key)
 
 
 def _relabel(up: tuple[int, ...], order: list[int]) -> tuple[int, ...]:

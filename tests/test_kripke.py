@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 from itertools import count, permutations, product
+from math import factorial
 
 import pytest
 
@@ -935,7 +936,7 @@ def test_class_growth_is_the_class_subsequence(dedup_frames):
     for n in range(1, 6):
         first, members = {}, {}
         for fr in enumerate_frames(n):
-            key = _canonical_key(fr)[0]
+            key = _canonical_key(fr)
             first.setdefault(key, fr)
             members[key] = members.get(key, 0) + 1
         frames, labelings = _class_reps((), n)
@@ -950,6 +951,36 @@ def test_rooted_growth_is_the_rooted_subsequence(dedup_frames):
             frames, _ = _class_reps(tuple(logic.conditions), n, True)
             want = [fr for fr in dedup_frames[n] if _has_root(fr) and logic.frame_class(fr)]
             assert list(frames) == want, (logic.name, n)
+
+
+def test_class_counts_are_the_labeled_members():
+    # each class counts, from growth alone, the labeled frames sharing its
+    # key that pass the same filter, for every entry of up to 5 worlds
+    _CLASS_REPS.clear()
+    for n in range(1, 6):
+        labeled = [(fr, _canonical_key(fr)) for fr in enumerate_frames(n)]
+        for conditions in [()] + [tuple(logic.conditions) for logic in LOGICS.values()]:
+            for rooted in (False, True):
+                members = {}
+                for fr, key in labeled:
+                    if (not rooted or _has_root(fr)) and all(cond(fr) for cond in conditions):
+                        members[key] = members.get(key, 0) + 1
+                frames, counts = _class_reps(conditions, n, rooted)
+                assert len(frames) == len(members), (conditions, n, rooted)
+                assert list(counts) == [members[_canonical_key(fr)] for fr in frames], (conditions, n, rooted)
+
+
+def test_exact_bounds_are_tabular():
+    # a class is hereditary: deleting non-root worlds from a rooted class
+    # frame leaves a rooted class frame, so a bigger one would leave one on
+    # s + 1 worlds.  An empty rooted entry at s + 1 therefore stays empty at
+    # every larger size, and s is exact for every n: the paper's collapse
+    bounds = {name: logic.exact_bound for name, logic in LOGICS.items() if logic.exact_bound is not None}
+    assert bounds == {"cpc": 1, "gl+bd2": 2}
+    for name, s in bounds.items():
+        conditions = tuple(LOGICS[name].conditions)
+        assert _class_reps(conditions, s + 1, True)[0] == (), name
+        assert _class_reps(conditions, s, True)[0] != (), name
 
 
 def test_rooted_growth_counts_follow_a000112_shifted(dedup_frames):
@@ -1060,17 +1091,17 @@ def test_canonical_key_is_a_complete_invariant(dedup_frames):
     rng = random.Random(7)
     for n in range(1, 7):
         keys = set()
-        for fr in dedup_frames[n]:
-            key, automorphisms = _canonical_key(fr)
+        for fr, count in zip(dedup_frames[n], _class_reps((), n)[1]):
+            key = _canonical_key(fr)
             for _ in range(3):
                 perm = list(range(n))
                 rng.shuffle(perm)
                 moved = make_frame(n, [(perm[i], perm[j]) for i, j in fr.strict_pairs()])
-                assert _canonical_key(moved) == (key, automorphisms), (fr.up, perm)
+                assert _canonical_key(moved) == key, (fr.up, perm)
             if n <= 5:
                 assert _isomorphic(Frame(key), fr), fr.up
-                # the tie count is |Aut(fr)|
-                assert automorphisms == sum(
+                # the class's growth count is n!/|Aut(fr)|
+                assert factorial(n) // count == sum(
                     all(fr.le(i, j) == fr.le(p[i], p[j]) for i in range(n) for j in range(n))
                     for p in permutations(range(n))
                 ), fr.up
@@ -1081,7 +1112,7 @@ def test_canonical_key_is_a_complete_invariant(dedup_frames):
 def _all_orders_key(fr):
     # the canonical key as trying every order gives it: the least relabeled
     # matrix over all orders listing the (successor count, predecessor
-    # count) groups in ascending order, and how many orders reach it
+    # count) groups in ascending order
     n = fr.size
     groups = {}
     for w in range(n):
@@ -1092,13 +1123,12 @@ def _all_orders_key(fr):
     for combo in product(*(permutations(groups[k]) for k in sorted(groups))):
         order = [w for block in combo for w in block]
         keys.append(tuple(sum(1 << i for i, v in enumerate(order) if fr.le(w, v)) for w in order))
-    key = min(keys)
-    return key, keys.count(key)
+    return min(keys)
 
 
 def test_canonical_key_matches_every_order():
     # the key is built group by group, trying both ways only worlds whose
-    # rows tie; it must equal the least over every order, with its ties
+    # rows tie; it must equal the least over every order
     frames = [Frame(())] + [fr for n in range(1, 6) for fr in enumerate_frames(n)]
     rng = random.Random(30)
     for n in (6, 7):
