@@ -9,7 +9,7 @@ from math import factorial
 
 import pytest
 
-from kripkebench import kripke
+from kripkebench import correspondence, kripke
 from kripkebench.formula import And, Atom, Bottom, Or, Top, atoms, parse, substitute
 from kripkebench.kripke import (
     AntisymmetryViolation,
@@ -106,6 +106,82 @@ def test_make_frame_rejects_unknown_world(world):
         with pytest.raises(UnknownWorld) as err:
             make_frame(2, [pair])
         assert err.value.world is world
+
+
+@pytest.mark.parametrize("rows", [(3,), (2, 2), (0,), (3, 6, 4)])
+def test_frame_rejects_rows_that_are_not_an_order(rows):
+    # a bit past the last world, a missing own bit (twice), and 0 <= 1 <= 2
+    # without 0 <= 2
+    with pytest.raises(ValueError, match="not a partial order") as err:
+        Frame(rows)
+    assert type(err.value) is ValueError
+
+
+def test_frame_rejects_two_way_rows():
+    with pytest.raises(AntisymmetryViolation) as err:
+        Frame((3, 3))
+    assert err.value.pair == (0, 1)
+    assert Frame(()).up == ()
+
+
+def test_bad_rows_never_reach_a_frame_condition():
+    # LIN, depth_le(1) and BD2_CHAIN once answered True on these rows, and
+    # frame_valid raised IndexError: now the constructor refuses them.
+    checks = [
+        ((3,), correspondence.LIN),
+        ((3,), correspondence.depth_le(1)),
+        ((3, 3), correspondence.BD2_CHAIN),
+        ((3,), lambda fr: frame_valid(fr, parse("p|~p"))),
+    ]
+    for rows, check in checks:
+        with pytest.raises(ValueError) as err:
+            check(Frame(rows))
+        assert err.traceback[-1].name == "__post_init__"
+
+
+def _first_two_way_pair(size, pairs):
+    # make_frame's own antisymmetry loop, from before the Frame constructor
+    # checked its rows: the first i < j the closure relates both ways.
+    up = [1 << i for i in range(size)]
+    for x, y in pairs:
+        up[x] |= 1 << y
+    for k in range(size):
+        for i in range(size):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    for i in range(size):
+        for j in range(i + 1, size):
+            if up[i] >> j & 1 and up[j] >> i & 1:
+                return i, j
+    return None
+
+
+def test_make_frame_reports_the_first_two_way_pair():
+    rng = random.Random(3333)
+    for _ in range(400):
+        size = rng.randint(2, 6)
+        pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.randint(0, size))]
+        cycle = rng.sample(range(size), rng.randint(2, size))
+        pairs += list(zip(cycle, cycle[1:] + cycle[:1]))
+        rng.shuffle(pairs)
+        with pytest.raises(AntisymmetryViolation) as err:
+            make_frame(size, pairs)
+        assert err.value.pair == _first_two_way_pair(size, pairs), (size, pairs)
+
+
+def test_growth_and_cones_build_only_orders():
+    # _grow and Frame.cone skip the constructor's check; every frame they
+    # built must pass it.
+    for conditions in [()] + [tuple(logic.conditions) for logic in LOGICS.values()]:
+        for rooted in (False, True):
+            for n in range(1, 7):
+                for fr in _class_reps(conditions, n, rooted)[0]:
+                    assert Frame(fr.up) == fr
+    for n in range(1, 7):
+        for fr in _class_reps((), n)[0]:
+            for x in range(n):
+                cone = fr.cone(x)[0]
+                assert Frame(cone.up) == cone
 
 
 # --- forcing --------------------------------------------------------------

@@ -74,7 +74,7 @@ def test_equal_fields_in_different_classes_differ():
     assert And(P, Q) != Or(P, Q) != Imp(P, Q) != And(P, Q)
     assert Top() != Bottom()
     assert And(P, Q) != And(Q, P)
-    assert Frame((3, 2)) != Frame((3, 3))
+    assert Frame((3, 2)) != Frame((1, 2))
     assert Frame((3, 2)) != (3, 2)
 
 
