@@ -59,8 +59,8 @@ def _mask_to_set(mask: int) -> frozenset[int]:
 class Frame(_Record):
     """Finite partial order: bit j of up[i] is set iff world i <= world j.
 
-    The constructor checks the rows: AntisymmetryViolation for two worlds
-    each below the other, else ValueError if not a partial order on 0..n-1.
+    The constructor checks up: AntisymmetryViolation for two worlds each
+    below the other, else ValueError if not a tuple of ints ordering 0..n-1.
     Growth and cones skip it (_unchecked_frame).  _tables, not a field,
     holds the frame's _search_tables from its first search on.
     """
@@ -74,6 +74,8 @@ class Frame(_Record):
         # On closed rows two-way partners pair up, so the first row with one
         # has all of them above it: the pair is make_frame's first i < j.
         up = self.up
+        if type(up) is not tuple or not all(type(row) is int for row in up):
+            raise ValueError(f"not a partial order: rows must be a tuple of ints, not {up!r}")
         for i, row in enumerate(up):
             if row >> len(up) or not row >> i & 1 or any(up[j] | row != row for j in _bits(row)):
                 raise ValueError(f"not a partial order on worlds 0..{len(up) - 1}: row {i}")

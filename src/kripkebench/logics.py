@@ -10,9 +10,8 @@ an exact completeness bound covered by the search.
 from __future__ import annotations
 
 import enum
-from functools import reduce
 
-from .formula import And, Formula, _Record
+from .formula import Formula, _Record
 from .kripke import Countermodel, Frame, _class_reps, countermodel_to_json, frame_valid
 from .correspondence import BD2_CHAIN, DISCRETE, LIN, FrameCondition
 # The schemas live beside their conditions; they are re-exported from here.
@@ -129,23 +128,20 @@ def audit_schemas(logic: LogicSpec, max_n: int) -> Countermodel | None:
     """Check that the logic's class validates its axiom schemas.
 
     Walks the class representatives up to max_n worlds, from the class
-    store decide reads, and returns the first countermodel to a schema's p, q
-    instance, or None when every class frame validates every schema.  Each
-    frame is searched for the conjunction of the instances, one program for
-    the whole walk; only the first frame refuting it is searched schema by
-    schema, so the countermodel is that of its first refuted schema.
+    store decide reads, searches each by frame_valid for each schema's p, q
+    instance in turn, and returns the first countermodel, or None when every
+    class frame validates every schema.  kripke keeps each instance's
+    program, so each compiles once per call.
     """
     if max_n < 1:
         raise ValueError("audit_schemas needs max_n >= 1")
     instances = [schema_instance(schema) for schema in logic.axiom_schemas]
     if not instances:
         return None
-    conjunction = reduce(And, instances)
     for n in range(1, max_n + 1):
         for fr in _class_reps(tuple(logic.conditions), n)[0]:
-            if frame_valid(fr, conjunction) is not None:
-                for f in instances:
-                    cm = frame_valid(fr, f)
-                    if cm is not None:
-                        return cm
+            for f in instances:
+                cm = frame_valid(fr, f)
+                if cm is not None:
+                    return cm
     return None

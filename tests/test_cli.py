@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import runpy
 import sys
 
 import pytest
@@ -351,6 +352,12 @@ def test_eval_rejects_downset_valuation(tmp_path, capsys):
     assert "upward closed" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_world_set_that_is_not_a_list(tmp_path, capsys):
+    bad = write(tmp_path, "bad_model.json", {"worlds": 1, "le": [], "valuation": {"p": 0}})
+    assert main(["eval", bad, "p"]) == 2
+    assert capsys.readouterr().err == "error: valuation of 'p' must be a list of worlds\n"
+
+
 def test_eval_json(capsys, model2):
     assert main(["eval", model2, "p", "--format", "json"]) == 1
     data = json.loads(capsys.readouterr().out)
@@ -504,6 +511,19 @@ def test_deep_json_exits_2(tmp_path, capsys, command):
     assert main([arg.format(path) for arg in command]) == 2
     err = capsys.readouterr().err
     assert err == "error: JSON nests too deeply\n"
+
+
+def test_module_run_as_a_script_exits_with_mains_code(monkeypatch, capsys):
+    # python -m kripkebench.cli; dropped from sys.modules so runpy runs it
+    # afresh without warning that it was imported already
+    assert main(["parse", "p|~p"]) == 0
+    want = capsys.readouterr().out
+    monkeypatch.delitem(sys.modules, "kripkebench.cli")
+    monkeypatch.setattr(sys, "argv", ["kripkebench.cli", "parse", "p|~p"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("kripkebench.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == want
 
 
 # --- registries --------------------------------------------------------------

@@ -509,6 +509,24 @@ def test_disjoint_chains_show_why_check_is_cone_based():
     assert two_chains.size == 4  # the class is not globally small
 
 
+def test_collapse_check_reports_a_cone_bound_that_disagrees(monkeypatch):
+    # with cones of up to 3 worlds in place of 2, the fork and the 3-chain
+    # are the classes at n = 3 on which the bound disagrees with LIN and
+    # BD2_CHAIN; each is one violation, named by its class representative
+    # (the store's fork lists its root last)
+    monkeypatch.setattr(correspondence, "cone_size_le", lambda k, real=cone_size_le: real(3))
+    report = collapse_check(3)
+    detail = "LIN and BD2_CHAIN False but CONE_SIZE_LE(2) True"
+    frames = [make_frame(3, [(2, 0), (2, 1)]), chain(3)]
+    assert report.violations == [CollapseViolation(3, fr, "cone-bound", detail) for fr in frames]
+    assert not report.ok and report.to_json()["ok"] is False
+    assert report.format_text().splitlines() == [
+        "checked 23 frames up to n=3",
+        f'violation (cone-bound) at n=3 on {{"le": [[2, 0], [2, 1]], "worlds": 3}}: {detail}',
+        f'violation (cone-bound) at n=3 on {{"le": [[0, 1], [0, 2], [1, 2]], "worlds": 3}}: {detail}',
+    ]
+
+
 def test_collapse_check_rejects_bad_bound():
     with pytest.raises(ValueError):
         collapse_check(0)

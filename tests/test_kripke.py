@@ -108,10 +108,11 @@ def test_make_frame_rejects_unknown_world(world):
         assert err.value.world is world
 
 
-@pytest.mark.parametrize("rows", [(3,), (2, 2), (0,), (3, 6, 4)])
+@pytest.mark.parametrize("rows", [(3,), (2, 2), (0,), (3, 6, 4), [1], (True,), ("a",), (1.0,)])
 def test_frame_rejects_rows_that_are_not_an_order(rows):
     # a bit past the last world, a missing own bit (twice), and 0 <= 1 <= 2
-    # without 0 <= 2
+    # without 0 <= 2; then rows that are not a tuple of ints: a list, which
+    # would not hash, a bool, which would equal Frame((1,)), a str and a float
     with pytest.raises(ValueError, match="not a partial order") as err:
         Frame(rows)
     assert type(err.value) is ValueError
@@ -1329,6 +1330,8 @@ def test_model_json_roundtrip_and_validation():
         model_from_json({"worlds": 2, "le": [[0, 1]], "valuation": {"p": [0]}})
     with pytest.raises(InvalidModel):
         model_from_json({"worlds": 2, "le": [[0, 1]]})
+    with pytest.raises(InvalidModel, match="valuation of 'p' must be a list of worlds"):
+        model_from_json({"worlds": 2, "le": [[0, 1]], "valuation": {"p": 1}})
 
 
 def test_countermodel_json():

@@ -202,18 +202,18 @@ def _compiles(monkeypatch):
     return compiled
 
 
-def test_audit_schemas_compiles_once_per_call(monkeypatch):
-    # gl+bd2's two instances are searched as one conjunction on each of its
-    # 44 class frames up to 7 worlds, not in turn on each (88 compiles)
+def test_audit_schemas_compiles_each_instance_once_per_call(monkeypatch):
+    # gl+bd2's two instances are searched in turn on each of its 44 class
+    # frames up to 7 worlds, and kripke keeps both programs: 2 compiles, not 88
     compiled = _compiles(monkeypatch)
     assert audit_schemas(GLBD2, 7) is None
-    assert len(compiled) == 1
+    assert len(compiled) == 2
     assert audit_schemas(IPC, 7) is None
-    assert len(compiled) == 1
+    assert len(compiled) == 2
 
 
 def _audit_schema_by_schema(logic, max_n):
-    # the search audit_schemas made before it searched the conjunction
+    # the reference walk: each class frame, each instance in turn
     instances = [schema_instance(schema) for schema in logic.axiom_schemas]
     for n in range(1, max_n + 1):
         for fr in kripke._class_reps(tuple(logic.conditions), n)[0]:
