@@ -264,7 +264,7 @@ def check_correspondence(
     isomorphism-invariant, so each class representative counts for its
     labeled members, counted in growth (once with dedup); it is its class's
     first labeled frame, so the first mismatch is always a representative."""
-    if max_n < 1:
+    if type(max_n) is not int or max_n < 1:
         raise ValueError("check_correspondence needs max_n >= 1")
     report = CorrespondenceReport(schema, condition, max_n, dedup)
     for n in range(1, max_n + 1):
@@ -366,7 +366,7 @@ def collapse_check(max_n: int) -> CollapseReport:
     """Verify the two-world collapse over all frames up to max_n worlds.
     The checks are isomorphism-invariant, so they run once per class
     representative, and a violation names the representative."""
-    if max_n < 1:
+    if type(max_n) is not int or max_n < 1:
         raise ValueError("collapse_check needs max_n >= 1")
     cone2 = cone_size_le(2)
     report = CollapseReport(max_n)

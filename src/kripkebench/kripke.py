@@ -131,7 +131,16 @@ class Frame(_Record):
         The mapping sends each new index to the original world it names.
         """
         members = _bits(self.up[_world(self.size, x)])
-        return _unchecked_frame(_relabel(self.up, members)), tuple(members)
+        # each member renamed to its position; members is an upset, so it
+        # lists every successor of each member
+        pos = {w: i for i, w in enumerate(members)}
+        rows = []
+        for w in members:
+            m = 0
+            for v in _bits(self.up[w]):
+                m |= 1 << pos[v]
+            rows.append(m)
+        return _unchecked_frame(tuple(rows)), tuple(members)
 
     def depth(self) -> int:
         """Worlds in a longest chain; a single world has depth 1."""
@@ -575,7 +584,7 @@ def enumerate_frames(n: int, dedup: bool = False) -> Iterator[Frame]:
     yielded.  Frame validity and the built-in frame conditions are
     isomorphism-invariant, so dedup never changes an aggregate verdict.
     """
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("frame enumeration needs n >= 1")
     if dedup:
         return iter(_class_reps((), n)[0])
@@ -733,19 +742,6 @@ def _canonical_key(fr: Frame) -> tuple[int, ...]:
                     placed[w] = 1 << pos
                 orders.append(placed)
     return tuple(key)
-
-
-def _relabel(up: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
-    """The rows of the worlds in order, each world renamed to its position
-    in order; order must list every successor of the worlds it lists."""
-    pos = {w: i for i, w in enumerate(order)}
-    rows = []
-    for w in order:
-        m = 0
-        for v in _bits(up[w]):
-            m |= 1 << pos[v]
-        rows.append(m)
-    return tuple(rows)
 
 
 # JSON formats.  Frame: {"worlds": n, "le": [[i, j], ...]} with the pairs

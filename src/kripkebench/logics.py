@@ -109,7 +109,7 @@ def decide(logic: LogicSpec, f: Formula, bound: int) -> Decision:
     Valid is returned only when the class's exact completeness bound was
     covered; otherwise the search was merely exhaustive up to the bound.
     """
-    if bound < 1:
+    if type(bound) is not int or bound < 1:
         raise ValueError("decide needs bound >= 1")
     limit = bound if logic.exact_bound is None else min(bound, logic.exact_bound)
     for n in range(1, limit + 1):
@@ -133,7 +133,7 @@ def audit_schemas(logic: LogicSpec, max_n: int) -> Countermodel | None:
     class frame validates every schema.  kripke keeps each instance's
     program, so each compiles once per call.
     """
-    if max_n < 1:
+    if type(max_n) is not int or max_n < 1:
         raise ValueError("audit_schemas needs max_n >= 1")
     instances = [schema_instance(schema) for schema in logic.axiom_schemas]
     if not instances:

@@ -331,8 +331,9 @@ def test_report_serialization():
 
 
 def test_check_correspondence_rejects_bad_bound():
-    with pytest.raises(ValueError):
-        check_correspondence(GL_INSTANCE, LIN, 0)
+    for max_n in [0, True, 2.0, "2"]:
+        with pytest.raises(ValueError, match="max_n >= 1"):
+            check_correspondence(GL_INSTANCE, LIN, max_n)
 
 
 # --- witnesses --------------------------------------------------------------
@@ -528,5 +529,6 @@ def test_collapse_check_reports_a_cone_bound_that_disagrees(monkeypatch):
 
 
 def test_collapse_check_rejects_bad_bound():
-    with pytest.raises(ValueError):
-        collapse_check(0)
+    for max_n in [0, True, 2.0, "2"]:
+        with pytest.raises(ValueError, match="max_n >= 1"):
+            collapse_check(max_n)

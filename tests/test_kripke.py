@@ -984,8 +984,9 @@ def test_enumeration_order_is_pinned():
 def test_enumerate_rejects_bad_n():
     with pytest.raises(ValueError):
         list(enumerate_frames(0))
-    with pytest.raises(ValueError):
-        enumerate_frames(0)
+    for n in [0, True, 2.0, "2"]:
+        with pytest.raises(ValueError, match="n >= 1"):
+            enumerate_frames(n)
 
 
 def _has_root(fr):

@@ -169,8 +169,9 @@ def test_decide_ipc_never_claims_valid():
 
 
 def test_decide_rejects_bad_bound():
-    with pytest.raises(ValueError):
-        decide(IPC, parse("p"), 0)
+    for bound in [0, True, 2.0, "2"]:
+        with pytest.raises(ValueError, match="bound >= 1"):
+            decide(IPC, parse("p"), bound)
 
 
 @pytest.mark.parametrize("bound", [0, -2, "2", 2.0, True])
@@ -181,7 +182,7 @@ def test_logic_spec_rejects_a_bad_exact_bound(bound):
     assert LogicSpec("x", (), (), exact_bound=1).exact_bound == 1
 
 
-@pytest.mark.parametrize("max_n", [0, -3])
+@pytest.mark.parametrize("max_n", [0, -3, True, 2.0, "2"])
 def test_audit_schemas_rejects_bad_bound(max_n):
     # A bound below 1 checks no frame, so None would claim a vacuous pass.
     with pytest.raises(ValueError, match="max_n >= 1"):

@@ -41,3 +41,15 @@ def test_cli_import_loads_no_typing_dataclasses_or_inspect():
         check=True,
     ).stdout
     assert out == "[]\n"
+
+
+def test_ci_runs_the_slow_checks_in_place_of_one_liners():
+    # The checks past tier-1's sizes are named tests in tests/slow_checks.py,
+    # which run locally and by name; a `python -c` step would hide one in the
+    # workflow again.  The one left prints the trace step's ignore paths.
+    workflow = (Path(__file__).parent.parent / ".github" / "workflows" / "tests.yml").read_text()
+    steps = workflow.split("\n      - name: ")[1:]
+    assert [step.split("\n")[0] for step in steps if "python -c" in step] == [
+        "Tier-1 runs every line of src/kripkebench"
+    ]
+    assert "\n        run: PYTHONPATH=src python -m pytest -q tests/slow_checks.py\n" in workflow
