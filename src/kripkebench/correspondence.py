@@ -4,6 +4,7 @@ witness countermodels, and the small-frame collapse audit."""
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 from .formula import Atom, Formula, Imp, Not, Or, _Record, render, substitute
 from .kripke import (
@@ -48,7 +49,8 @@ class FrameCondition(_Record):
         return f"{self.kind}({self.k})"
 
 
-_FORK, _CHAIN3, _CHAIN2 = fork(), chain(3), chain(2)
+_chain = lru_cache(maxsize=None)(chain)  # each n-chain built once, for DEPTH_LE
+_FORK, _CHAIN3, _CHAIN2 = fork(), _chain(3), _chain(2)
 
 # Each built-in kind: its test on (frame, k), which gives a truth value or a
 # frame the kind forbids as a subframe, and whether it takes the bound k.
@@ -63,7 +65,7 @@ CONDITIONS = {
     "BD2_PAPER": (lambda fr, k: _CHAIN2, False),
     "BD2_CHAIN": (lambda fr, k: _CHAIN3, False),
     "DISCRETE": (lambda fr, k: _CHAIN2, False),
-    "DEPTH_LE": (lambda fr, k: k >= fr.size or chain(k + 1), True),
+    "DEPTH_LE": (lambda fr, k: k >= fr.size or _chain(k + 1), True),
     "CONE_SIZE_LE": (lambda fr, k: all(m.bit_count() <= k for m in fr.up), True),
 }
 

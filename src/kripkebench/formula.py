@@ -183,59 +183,54 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 # The binary connectives: symbol -> (precedence, node class); higher binds
 # tighter.  -> is right-associative, & and | left-associative.  parse and
-# render both read this table; ~ binds tighter than all of them.
+# render both read this table, and both read the precedence of ~, which
+# binds tighter than all of them, from _NEG.
 _BINARY = {"->": (1, Imp), "|": (2, Or), "&": (3, And)}
 _SYMBOL = {cls: (symbol, prec) for symbol, (prec, cls) in _BINARY.items()}
 _NEG = 4
 
 
 def parse(text: str) -> Formula:
-    """Parse concrete syntax to a Formula; ~A desugars to A -> F.
-
-    Precedence climbing over _BINARY: binary(min_prec) reads an operand,
-    then every connective that binds at least as tightly as min_prec.
-    """
+    """Parse concrete syntax to a Formula; ~A desugars to A -> F."""
     tokens = _tokenize(text)
     tokens.append((None, len(text) + 1))  # end of input
-    pos = 0
-
-    def operand() -> Formula:
-        nonlocal pos
-        tok, at = tokens[pos]
-        pos += 1
-        if tok == "~":
-            return Imp(operand(), Bottom())
-        if tok == "(":
-            f = binary(1)
-            if tokens[pos][0] != ")":
-                raise ParseError("expected ')'", tokens[pos][1])
-            pos += 1
-            return f
-        if tok == "T":
-            return Top()
-        if tok == "F":
-            return Bottom()
-        if tok is None:
-            raise ParseError("unexpected end of input", at)
-        if tok[0].isalpha() or tok[0] == "_":
-            return Atom(tok)
-        raise ParseError(f"unexpected {tok!r}", at)
-
-    def binary(min_prec: int) -> Formula:
-        nonlocal pos
-        left = operand()
-        while True:
-            prec, cls = _BINARY.get(tokens[pos][0], (0, None))
-            if prec < min_prec:
-                return left
-            pos += 1
-            left = cls(left, binary(prec + (cls is not Imp)))
-
-    f = binary(1)
+    f, pos = _climb(tokens, 0, 1)
     tok, at = tokens[pos]
     if tok is not None:
         raise ParseError(f"unexpected {tok!r} after formula", at)
     return f
+
+
+def _climb(tokens: list, pos: int, min_prec: int) -> tuple[Formula, int]:
+    # Precedence climbing over _BINARY: the formula at tokens[pos] with every
+    # connective binding at least as tightly as min_prec, and the position
+    # after it.  Not a closure: a recursive closure is a reference cycle.
+    tok, at = tokens[pos]
+    pos += 1
+    if tok == "~":
+        left, pos = _climb(tokens, pos, _NEG)
+        left = Not(left)
+    elif tok == "(":
+        left, pos = _climb(tokens, pos, 1)
+        if tokens[pos][0] != ")":
+            raise ParseError("expected ')'", tokens[pos][1])
+        pos += 1
+    elif tok == "T":
+        left = Top()
+    elif tok == "F":
+        left = Bottom()
+    elif tok is None:
+        raise ParseError("unexpected end of input", at)
+    elif tok[0].isalpha() or tok[0] == "_":
+        left = Atom(tok)
+    else:
+        raise ParseError(f"unexpected {tok!r}", at)
+    while True:
+        prec, cls = _BINARY.get(tokens[pos][0], (0, None))
+        if prec < min_prec:
+            return left, pos
+        right, pos = _climb(tokens, pos + 1, prec + (cls is not Imp))
+        left = cls(left, right)
 
 
 def render(f: Formula) -> str:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import groupby, permutations, product
 from operator import itemgetter
 
-from .formula import And, Atom, Bottom, Formula, Or, Top, _IDENT, _Record, render
+from .formula import And, Atom, Bottom, Formula, Imp, Or, Top, _IDENT, _Record, render
 
 
 class UnknownWorld(ValueError):
@@ -341,35 +341,33 @@ def _compile(f: Formula) -> tuple[list[str], list[tuple[str, int, int]]]:
     """The sorted atom names of f and its program; atom nodes hold the
     index of their name in that list."""
     prog: list[tuple[str, int, int]] = []
-    index: dict[tuple[str, int, int], int] = {}
     slot: dict[str, int] = {}  # atom name -> order of first occurrence
-
-    def walk(g: Formula) -> int:
-        if isinstance(g, Atom):
-            node = ("atom", slot.setdefault(g.name, len(slot)), 0)
-        elif isinstance(g, Top):
-            node = ("top", 0, 0)
-        elif isinstance(g, Bottom):
-            node = ("bot", 0, 0)
-        else:
-            a = walk(g.left)
-            b = walk(g.right)
-            if isinstance(g, And):
-                node = ("and", a, b)
-            elif isinstance(g, Or):
-                node = ("or", a, b)
-            else:
-                node = ("imp", a, b)
-        i = index.get(node)
-        if i is None:
-            i = index[node] = len(prog)
-            prog.append(node)
-        return i
-
-    walk(f)
+    _walk(f, prog, {}, slot)
     names = sorted(slot)
     rank = {slot[name]: i for i, name in enumerate(names)}
     return names, [(op, rank[a], b) if op == "atom" else (op, a, b) for op, a, b in prog]
+
+
+# The op name of each binary node class in a program.
+_OPS = {And: "and", Or: "or", Imp: "imp"}
+
+
+def _walk(g: Formula, prog: list, index: dict, slot: dict) -> int:
+    # g's position in prog, which lists each distinct node once, after its
+    # operands (index: node -> position).  Not a closure, as formula._climb.
+    if isinstance(g, Atom):
+        node = ("atom", slot.setdefault(g.name, len(slot)), 0)
+    elif isinstance(g, Top):
+        node = ("top", 0, 0)
+    elif isinstance(g, Bottom):
+        node = ("bot", 0, 0)
+    else:
+        node = (_OPS[type(g)], _walk(g.left, prog, index, slot), _walk(g.right, prog, index, slot))
+    i = index.get(node)
+    if i is None:
+        i = index[node] = len(prog)
+        prog.append(node)
+    return i
 
 
 def _below(fr: Frame) -> list[tuple[int, int]]:
@@ -783,8 +781,8 @@ def model_to_json(model: Model) -> dict:
 
 
 def model_from_json(data: object) -> Model:
-    frame = frame_from_json(data)
-    valuation = data.get("valuation") if isinstance(data, dict) else None
+    frame = frame_from_json(data)  # refuses anything but an object
+    valuation = data.get("valuation")
     if not isinstance(valuation, dict):
         raise InvalidModel('model JSON needs a "valuation" object')
     cleaned: dict[str, list[int]] = {}

@@ -82,6 +82,16 @@ def test_parameterized_conditions():
     assert eval_condition(DISCRETE, chain(2)) is False
 
 
+def test_depth_le_builds_each_forbidden_chain_once():
+    # DEPTH_LE(k) forbids the (k+1)-chain on every frame of more than k
+    # worlds: one frame per k, not one per call.
+    forbidden = CONDITIONS["DEPTH_LE"][0]
+    first = forbidden(chain(5), 3)
+    assert first == chain(4)
+    assert forbidden(antichain(5), 3) is first
+    assert forbidden(fork(), 3) is True
+
+
 def test_condition_ids_and_names():
     assert LIN.id == "LIN"
     assert depth_le(2).id == "DEPTH_LE(2)"

@@ -10,7 +10,7 @@ from math import factorial
 import pytest
 
 from kripkebench import correspondence, kripke
-from kripkebench.formula import And, Atom, Bottom, Or, Top, atoms, parse, substitute
+from kripkebench.formula import And, Atom, Bottom, Or, Top, atoms, parse, render, substitute
 from kripkebench.kripke import (
     AntisymmetryViolation,
     Countermodel,
@@ -289,6 +289,36 @@ def test_compile_matches_structural_sharing():
         assert _compile(f) == (names, _structural_compile(f, slot)), f
     assert len(_compile(parse("(p->q)&(p->q)"))[1]) == 4
     assert len(_compile(parse("~" * 100 + "p"))[1]) == 102
+
+
+def test_per_call_paths_leave_no_cyclic_garbage():
+    # parse and _compile recurse through module-level functions, not closures:
+    # a recursive closure is a reference cycle, left for the garbage collector
+    # on every call.  cli.main is left out: argparse builds a cyclic parser,
+    # once per process.
+    fr, model = fork(), make_model(chain(2), {"p": [1]})
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(kripke._PROGRAM_FORMULAS + 8):  # fresh, past the program memo
+            f = parse(f"(p{i} -> q) | (q -> ~~p{i}) & T")
+            assert parse(render(f)) == f
+            _compile(f)
+            assert frame_valid(fr, f) is not None
+            force_set(model, f)
+        found = decide(IPC, parse("p|~p"), 3)
+        assert found.countermodel is not None
+        assert decide(IPC, parse("~~(p|~p)"), 3).countermodel is None
+        report = correspondence.check_correspondence(GL_INSTANCE, correspondence.LIN, 4)
+        witness = correspondence.gl_witness(fr)
+        assert model_from_json(model_to_json(model)) == model
+        assert frame_from_json(frame_to_json(fr)) == fr
+        for data in (found.to_json(), report.to_json(), countermodel_to_json(witness)):
+            json.loads(json.dumps(data))
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0
 
 
 # --- frame validity -------------------------------------------------------
