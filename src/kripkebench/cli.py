@@ -11,7 +11,6 @@ whose only output is DOT) and its text lines, and main prints one of them.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .formula import ast_repr, atoms, parse, render
@@ -45,6 +44,8 @@ EXIT_INCONCLUSIVE = 3
 
 
 def _load_json(path: str):
+    import json  # here and in main, so that text-mode commands never load it
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
@@ -242,6 +243,8 @@ def main(argv=None) -> int:
     try:
         code, data, lines = args.func(args)
         if data is not None and args.format == "json":
+            import json
+
             print(json.dumps(data, sort_keys=True, indent=2))
         elif lines:
             print("\n".join(lines))

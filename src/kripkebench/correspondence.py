@@ -3,7 +3,6 @@ witness countermodels, and the small-frame collapse audit."""
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 
 from .formula import Atom, Formula, Imp, Not, Or, _Record, render, substitute
@@ -248,6 +247,8 @@ class CorrespondenceReport(_Record, frozen=False):
         if self.first_mismatch is None:
             lines.append(f"equivalent on all frames up to n={self.max_n}")
         else:
+            import json  # only a mismatch line prints JSON
+
             n, fr, side = self.first_mismatch
             other = "condition" if side == "schema" else "schema"
             lines.append(
@@ -358,6 +359,8 @@ class CollapseReport(_Record, frozen=False):
         if self.ok:
             lines.append("no violations")
         else:
+            import json  # only a violation line prints JSON
+
             for v in self.violations:
                 frame = json.dumps(frame_to_json(v.frame), sort_keys=True)
                 lines.append(f"violation ({v.check}) at n={v.n} on {frame}: {v.detail}")

@@ -10,29 +10,26 @@ import re
 from collections.abc import Mapping
 
 
-class _Record:
-    """Base of the package's value types, in place of dataclasses.
-
-    A subclass's __slots__ maps each of its fields, in order, to its type,
-    and _defaults holds the defaults of its last fields; a slot whose name
-    starts with _ is private state, not a field, and stays unset until the
-    class sets it with object.__setattr__.  Its __init__ takes the fields
-    and then calls its __post_init__, if any.  Records of one class with
-    equal fields are equal, hash as the tuple of their fields and print as
-    Name(field=value, ...).  A record refuses assignment unless its class
-    is declared with frozen=False, which also makes it unhashable.
-    (Fields are not read from annotations: that takes a metaclass, and one
-    made isinstance on records 3.5 times slower.)
+class _Compiled:
+    """A record class's __init__, __eq__ or __hash__ before the class's
+    first use.  Looking up any of the three, as a call, a comparison, a
+    hash or Cls.__init__ does, compiles all three, sets them on the class
+    in place of these stand-ins, and returns the one looked up, bound as
+    the function would bind it.  Threads that race here compile equal
+    functions, so whichever the class keeps is right.
     """
 
-    __slots__ = ()
-    _defaults: tuple = ()
-    _fields: tuple[str, ...] = ()
+    __slots__ = ("cls", "name")
 
-    def __init_subclass__(cls, frozen: bool = True):
-        # Compiled per class, as dataclasses does: generic methods that read
-        # the fields by name made formula == and hash 1.4 to 4 times slower.
-        names = cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+    def __init__(self, cls: type, name: str):
+        self.cls, self.name = cls, name
+
+    def __get__(self, obj, owner=None):
+        # Compiled per class, on the class's first use (dataclasses compiles
+        # when the class is created): generic methods that read the fields
+        # by name made formula == and hash 1.4 to 4 times slower.
+        cls = self.cls
+        names = cls._fields
         mine = "".join(f"self.{name}, " for name in names)
         theirs = mine.replace("self.", "other.")
         scope: dict = {"_set": object.__setattr__}
@@ -45,13 +42,41 @@ class _Record:
             f"def __hash__(self):\n    return hash(({mine}))\n",
             scope,
         )
-        for method in ("__init__", "__eq__", "__hash__"):
-            scope[method].__qualname__ = f"{cls.__qualname__}.{method}"
         init = scope["__init__"]
         init.__defaults__, init.__annotations__ = cls._defaults, {n: cls.__slots__[n] for n in names}
-        cls.__init__ = init
-        cls.__eq__, cls.__hash__ = scope["__eq__"], scope["__hash__"] if frozen else None
-        cls.__match_args__ = names
+        for method in ("__init__", "__eq__", "__hash__"):
+            scope[method].__qualname__ = f"{cls.__qualname__}.{method}"
+            if cls.__dict__[method] is not None:  # a mutable record's __hash__ stays None
+                setattr(cls, method, scope[method])
+        return scope[self.name].__get__(obj, owner)
+
+
+class _Record:
+    """Base of the package's value types, in place of dataclasses.
+
+    A subclass's __slots__ maps each of its fields, in order, to its type,
+    and _defaults holds the defaults of its last fields; a slot whose name
+    starts with _ is private state, not a field, and stays unset until the
+    class sets it with object.__setattr__.  Its __init__ takes the fields
+    and then calls its __post_init__, if any.  Records of one class with
+    equal fields are equal, hash as the tuple of their fields and print as
+    Name(field=value, ...).  A record refuses assignment unless its class
+    is declared with frozen=False, which also makes it unhashable.
+    __init__, __eq__ and __hash__ are compiled on the class's first use,
+    not when it is created, since most record classes go unused in a
+    short process (see _Compiled).
+    (Fields are not read from annotations: that takes a metaclass, and one
+    made isinstance on records 3.5 times slower.)
+    """
+
+    __slots__ = ()
+    _defaults: tuple = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = True):
+        cls._fields = cls.__match_args__ = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls.__init__, cls.__eq__ = _Compiled(cls, "__init__"), _Compiled(cls, "__eq__")
+        cls.__hash__ = _Compiled(cls, "__hash__") if frozen else None
         if not frozen:
             cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
 

@@ -3,9 +3,16 @@ immutability and repr of the formula nodes, frames, models, conditions,
 logics, decisions and the correspondence reports."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
+
+import kripkebench
 
 from kripkebench.correspondence import (
     GL_INSTANCE,
@@ -16,7 +23,7 @@ from kripkebench.correspondence import (
     FrameCondition,
     SizeTally,
 )
-from kripkebench.formula import And, Atom, Bottom, Imp, Or, Top, parse
+from kripkebench.formula import And, Atom, Bottom, Imp, Or, Top, _Compiled, _Record, parse
 from kripkebench.kripke import Countermodel, Frame, InvalidModel, Model, chain, fork, frame_valid
 from kripkebench.logics import GL, GL_SCHEMA, Decision, LogicSpec, Verdict
 
@@ -240,3 +247,138 @@ def test_record_validation_still_fires():
         Model(chain(2), (("q", 2), ("p", 2)))
     with pytest.raises(ValueError, match="not a countermodel"):
         Countermodel(Model(chain(2), (("p", 3),)), 0, LEM)
+
+
+# Each of the package's 17 record classes is probed in a fresh interpreter,
+# with one probe as the first thing done to every class there, and then
+# again once the class has compiled its methods; a probe reads a class's
+# methods through their stand-ins only when it comes first.  A blank record
+# is made without __init__, so that hash and == come first too.
+FIRST_USE_PROBES = """
+import inspect, sys
+from kripkebench import correspondence, formula, kripke, logics
+from kripkebench.formula import _Compiled, _Record
+
+def blank(cls, start):
+    record = object.__new__(cls)
+    for i, name in enumerate(cls._fields):
+        object.__setattr__(record, name, start + i)
+    return record
+
+def error(call):
+    try:
+        call()
+    except TypeError as exc:
+        return str(exc)
+
+PROBES = {
+    "signature": lambda cls: str(inspect.signature(cls)),
+    "qualname": lambda cls: cls.__init__.__qualname__,
+    "annotations": lambda cls: cls.__init__.__annotations__,
+    "defaults": lambda cls: cls.__init__.__defaults__,
+    "missing": lambda cls: error(cls),
+    "extra": lambda cls: error(lambda: cls(*range(len(cls._fields) + 1))),
+    "hash": lambda cls: error(lambda: hash(blank(cls, 0))) or hash(blank(cls, 0)),
+    "eq": lambda cls: (blank(cls, 0) == blank(cls, 0), blank(cls, 0) == blank(cls, 1)),
+}
+classes = [
+    cls for module in (formula, kripke, correspondence, logics) for cls in vars(module).values()
+    if isinstance(cls, type) and issubclass(cls, _Record) and cls is not _Record
+    and cls.__module__ == module.__name__
+]
+probe = PROBES[sys.argv[1]]
+lazy = [cls.__name__ for cls in classes if isinstance(vars(cls)["__init__"], _Compiled)]
+first = [probe(cls) for cls in classes]
+for cls in classes:
+    cls.__init__
+compiled = all(not isinstance(vars(cls)[name], _Compiled) for cls in classes for name in vars(cls))
+print(len(classes), lazy, compiled, first == [probe(cls) for cls in classes])
+"""
+
+
+@pytest.mark.parametrize(
+    "probe", ["signature", "qualname", "annotations", "defaults", "missing", "extra", "hash", "eq"]
+)
+def test_records_read_the_same_before_and_after_first_use(probe):
+    src = Path(kripkebench.__file__).parent.parent
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", FIRST_USE_PROBES, probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    lazy = ["Formula", "Top", "And", "Model", "Countermodel", "SizeTally",
+            "CorrespondenceReport", "CollapseViolation", "CollapseReport", "Decision"]
+    assert out == f"17 {lazy} True True\n"
+
+
+def test_records_unpickle_and_print_the_same_when_unpickling_is_their_first_use():
+    records = [build() for _, build in ALL]
+    code = (
+        "import pickle, sys; records = pickle.load(sys.stdin.buffer); "
+        "print([repr(r) for r in records]); "
+        "print(records == pickle.loads(pickle.dumps(records)), "
+        "[hash(r) == hash(tuple(r._asdict().values())) for r in records if type(r).__hash__])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        input=pickle.dumps(records),
+        env={**os.environ, "PYTHONPATH": str(Path(kripkebench.__file__).parent.parent)},
+        capture_output=True,
+        check=True,
+    ).stdout.decode()
+    assert out == f"{[repr(r) for r in records]}\nTrue {[True] * len(FROZEN)}\n"
+
+
+def _fresh_record_class():
+    class Pair(_Record):
+        __slots__ = {"left": "int", "right": "int"}
+        _defaults = (0,)
+
+    return Pair
+
+
+def test_a_fresh_record_class_compiles_on_its_first_use():
+    Pair = _fresh_record_class()
+    assert all(isinstance(vars(Pair)[m], _Compiled) for m in ("__init__", "__eq__", "__hash__"))
+    first = object.__new__(Pair)
+    object.__setattr__(first, "left", 1)
+    object.__setattr__(first, "right", 2)
+    assert hash(first) == hash((1, 2))
+    assert not any(isinstance(vars(Pair)[m], _Compiled) for m in ("__init__", "__eq__", "__hash__"))
+    assert vars(Pair)["__init__"].__qualname__.endswith("Pair.__init__")
+    assert first == Pair(1, 2) != Pair(1) == Pair(1, 0)
+    match Pair(5, 6):
+        case Pair(left, right):
+            assert (left, right) == (5, 6)
+
+
+def test_threads_racing_on_a_record_class_first_use_agree():
+    Pair = _fresh_record_class()
+    results = [None] * 8
+    start = threading.Barrier(8, timeout=60)
+
+    def work(i):
+        start.wait()
+        pair = Pair(i, i + 1)
+        results[i] = (pair == Pair(i, i + 1), hash(pair) == hash((i, i + 1)), pair != Pair(i))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [(True, True, True)] * 8
+    methods = [vars(Pair)[m] for m in ("__init__", "__eq__", "__hash__")]
+    assert not any(isinstance(method, _Compiled) for method in methods)
+    assert [method.__qualname__.rsplit(".", 2)[-2:] for method in methods] == [
+        ["Pair", "__init__"], ["Pair", "__eq__"], ["Pair", "__hash__"]
+    ]
+    assert Pair(1, 2) == Pair(1, 2) and hash(Pair(1, 2)) == hash((1, 2))
