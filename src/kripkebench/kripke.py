@@ -672,6 +672,17 @@ def _class_reps(conditions, n: int, rooted=False) -> _Entry:
     return entry
 
 
+@lru_cache(maxsize=None)
+def _rooted_next_size(conditions, n: int) -> bool:
+    """Whether some rooted class frame has n + 1 worlds.  Deleting a maximal
+    non-root world from one leaves a rooted class frame on n worlds, so it
+    is isomorphic to a child of a rooted class representative on n worlds.
+    Only those children are grown, and none is stored."""
+    full = (1 << n + 1) - 1
+    children = _grow(_class_reps(conditions, n, True)[0])
+    return any(full in fr.up and all(cond(fr) for cond in conditions) for fr in children)
+
+
 def _canonical_key(fr: Frame) -> tuple[int, ...]:
     """Isomorphism-invariant key, the minimal relabeled relation matrix.
 

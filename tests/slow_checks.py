@@ -5,12 +5,13 @@ it; run it by path:
 
     PYTHONPATH=src python -m pytest -q tests/slow_checks.py
 
-Three tests read the whole class store or a frame's search record, so they
+Four tests read the whole class store or a frame's search record, so they
 start from an empty store, as they would in a fresh process.
 """
 
 import test_kripke as t
 from kripkebench import collapse_check, kripke, logics
+from kripkebench.correspondence import LIN, depth_le
 from kripkebench.formula import parse
 from kripkebench.kripke import _class_reps, enumerate_frames
 from kripkebench.logics import LOGICS, audit_schemas
@@ -53,6 +54,33 @@ def test_decide_answers_the_same_from_the_class_store_at_bound_8():
     sizes = {(n, rooted): len(frames) for (_, n, rooted), (frames, _) in kripke._CLASS_REPS.items()}
     counts = [1, 2, 5, 16, 63, 318, 2045]
     assert sizes == {**{(n, False): c for n, c in zip(range(1, 8), counts)}, (8, True): 2045}
+
+
+def test_decide_finds_each_completeness_bound_from_the_store_at_bound_8():
+    """LIN with depth at most k, whose rooted frames are the chains of up
+    to k worlds, is complete at exactly k for k = 1-6: the m = 1 column of
+    the breadth x depth grid.  Then a cold decide at bound 8 for every
+    built-in logic: cpc and gl+bd2 answer valid at 1 and 2, the others
+    no-countermodel, and the store holds only the entries the search read,
+    as the look at bound + 1 stores none.  Out of tier-1, about 2 s."""
+    f = parse('p->p')
+    for k in range(1, 7):
+        spec = logics.LogicSpec(f'lin-depth{k}', (), (LIN, depth_le(k)))
+        assert logics.decide(spec, f, 8).to_json() == {'verdict': 'valid', 'bound': k}
+        assert k == 1 or logics.decide(spec, f, k - 1).to_json() == {'verdict': 'no-countermodel', 'bound': k - 1}
+    kripke._CLASS_REPS.clear(); kripke._rooted_next_size.cache_clear()
+    got = {name: logics.decide(logic, f, 8).to_json() for name, logic in LOGICS.items()}
+    searched = {'cpc': 1, 'gl+bd2': 2}
+    assert got == {name: {'verdict': 'valid', 'bound': searched[name]} if name in searched
+                   else {'verdict': 'no-countermodel', 'bound': 8} for name in LOGICS}
+    keys = set()
+    for name, logic in LOGICS.items():
+        conditions = tuple(logic.conditions)
+        if name in searched:  # the full list one size past the last rooted frame
+            keys |= {(conditions, n, False) for n in range(1, searched[name] + 2)}
+        else:
+            keys |= {(conditions, n, False) for n in range(1, 8)} | {(conditions, 8, True)}
+    assert set(kripke._CLASS_REPS) == keys
 
 
 def test_decide_answers_the_same_from_the_stored_search_tables_at_bound_7():

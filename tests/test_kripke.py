@@ -1082,13 +1082,19 @@ def test_exact_bounds_are_tabular():
     # a class is hereditary: deleting non-root worlds from a rooted class
     # frame leaves a rooted class frame, so a bigger one would leave one on
     # s + 1 worlds.  An empty rooted entry at s + 1 therefore stays empty at
-    # every larger size, and s is exact for every n: the paper's collapse
-    bounds = {name: logic.exact_bound for name, logic in LOGICS.items() if logic.exact_bound is not None}
-    assert bounds == {"cpc": 1, "gl+bd2": 2}
+    # every larger size, and s is exact for every n: the paper's collapse.
+    # decide finds it from the store and answers valid at exactly s
+    bounds = {"cpc": 1, "gl+bd2": 2}
     for name, s in bounds.items():
         conditions = tuple(LOGICS[name].conditions)
         assert _class_reps(conditions, s + 1, True)[0] == (), name
         assert _class_reps(conditions, s, True)[0] != (), name
+    f = parse("p->p")
+    for name, logic in LOGICS.items():
+        for bound in range(1, 7):
+            s = bounds.get(name, bound + 1)
+            want = {"verdict": "valid", "bound": s} if s <= bound else {"verdict": "no-countermodel", "bound": bound}
+            assert decide(logic, f, bound).to_json() == want, (name, bound)
 
 
 def test_rooted_growth_counts_follow_a000112_shifted(dedup_frames):

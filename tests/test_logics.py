@@ -1,13 +1,14 @@
+import functools
 import random
 import sys
 import threading
 
 import pytest
 
-from kripkebench.formula import parse, render
+from kripkebench.formula import atoms, parse, render
 from kripkebench.kripke import chain, enumerate_frames, frame_valid, make_frame
 from kripkebench import correspondence, kripke
-from kripkebench.correspondence import BD2_CHAIN, GL_INSTANCE, LIN, eval_condition
+from kripkebench.correspondence import BD2_CHAIN, GL_INSTANCE, LIN, cone_size_le, depth_le, eval_condition
 from kripkebench.logics import (
     BD2,
     BD2_SCHEMA,
@@ -26,7 +27,7 @@ from kripkebench.logics import (
     get_logic,
     schema_instance,
 )
-from oracles import classical_taut, iso_classes, random_formula
+from oracles import classical_taut, iso_classes, naive_first_countermodel, random_formula
 
 # tautology flag is the classical truth-table verdict
 CORPUS = [
@@ -71,15 +72,10 @@ CORPUS = [
 def test_registry_shape():
     assert set(LOGICS) == {"ipc", "cpc", "gl", "bd2", "gl+bd2"}
     assert IPC.axiom_schemas == ()
-    assert IPC.exact_bound is None
     assert CPC.axiom_schemas == (LEM_SCHEMA,)
-    assert CPC.exact_bound == 1
     assert GL.axiom_schemas == (GL_SCHEMA,)
-    assert GL.exact_bound is None
     assert BD2.axiom_schemas == (BD2_SCHEMA,)
-    assert BD2.exact_bound is None
     assert GLBD2.axiom_schemas == (GL_SCHEMA, BD2_SCHEMA)
-    assert GLBD2.exact_bound == 2
 
 
 def test_frame_classes():
@@ -176,10 +172,12 @@ def test_decide_rejects_bad_bound():
 
 @pytest.mark.parametrize("bound", [0, -2, "2", 2.0, True])
 def test_logic_spec_rejects_a_bad_exact_bound(bound):
-    # A bound below 1 would make decide answer Valid with no frame searched.
-    with pytest.raises(ValueError, match="exact_bound"):
+    # There is no bound to declare: decide finds it from the class store, so
+    # the keyword is refused whatever its value.
+    with pytest.raises(TypeError, match="exact_bound"):
         LogicSpec("x", (), (), exact_bound=bound)
-    assert LogicSpec("x", (), (), exact_bound=1).exact_bound == 1
+    with pytest.raises(TypeError, match="exact_bound"):
+        LogicSpec("x", (), (), exact_bound=1)
 
 
 @pytest.mark.parametrize("max_n", [0, -3, True, 2.0, "2"])
@@ -344,18 +342,53 @@ def test_logic_classes_use_conditions():
 _CLASSES = {n: [c[0] for c in iso_classes(list(enumerate_frames(n)))] for n in range(1, 5)}
 
 
+@functools.cache
+def _rooted_labeled_class_frames(logic, n):
+    return [fr for fr in enumerate_frames(n) if (1 << n) - 1 in fr.up and logic.frame_class(fr)]
+
+
 def _reference_decide(logic, f, bound):
-    """Scan every isomorphism class of every size up to the bound."""
-    limit = bound if logic.exact_bound is None else min(bound, logic.exact_bound)
-    for n in range(1, limit + 1):
+    """Scan every isomorphism class of every size up to the bound.  The scan
+    is complete at the first size s with no rooted class frame among the
+    labeled frames on s + 1 worlds."""
+    exact = next((s for s in range(1, bound + 1) if not _rooted_labeled_class_frames(logic, s + 1)), None)
+    for n in range(1, (exact or bound) + 1):
         for fr in _CLASSES[n]:
             if logic.frame_class(fr):
                 cm = frame_valid(fr, f)
                 if cm is not None:
                     return Decision(Verdict.REFUTED, n, cm)
-    if logic.exact_bound is not None and logic.exact_bound <= bound:
-        return Decision(Verdict.VALID, limit)
+    if exact is not None:
+        return Decision(Verdict.VALID, exact)
     return Decision(Verdict.NO_COUNTERMODEL, bound)
+
+
+def test_decide_proves_completeness_without_a_declared_bound():
+    # The paper's collapse on frames whose cones have at most two worlds,
+    # and two classes complete at 3: valid from the bound on, found from
+    # the class store alone
+    depth3 = "p|(p->(q|(q->(r|~r))))"
+    cases = [
+        (LogicSpec("ht", (), (cone_size_le(2),)), "p|~q|(p->q)", 2),
+        (LogicSpec("lin-depth3", (), (LIN, depth_le(3))), depth3, 3),
+        (LogicSpec("cone3", (), (cone_size_le(3),)), depth3, 3),
+    ]
+    for logic, text, s in cases:
+        f = parse(text)
+        for bound in range(1, 7):
+            want = {"verdict": "valid", "bound": s} if s <= bound else {"verdict": "no-countermodel", "bound": bound}
+            assert decide(logic, f, bound).to_json() == want, (logic.name, bound)
+        # the oracle validates f on every rooted labeled class frame, of
+        # which there are none on s + 1 worlds
+        names = sorted(atoms(f))
+        for n in range(1, s + 2):
+            frames = _rooted_labeled_class_frames(logic, n)
+            assert bool(frames) == (n <= s), (logic.name, n)
+            assert all(naive_first_countermodel(n, fr.strict_pairs(), f, names) is None for fr in frames)
+    theorems = [parse(text) for text in ("p->p", "~~(p|~p)", "(p->q)|(q->p)", "p|(p->(q|~q))")]
+    for logic in (IPC, GL, BD2):
+        for bound in range(1, 7):
+            assert all(decide(logic, f, bound).verdict is not Verdict.VALID for f in theorems), (logic.name, bound)
 
 
 # first refuted in ipc at 2, 3 and 4 worlds; bd2 at 3 and 4; gl at 4

@@ -52,7 +52,7 @@ FROZEN = [
     (Model, _model, (chain(2), (("p", 2),))),
     (Countermodel, _countermodel, (_model(), 0, LEM)),
     (FrameCondition, lambda: FrameCondition("DEPTH_LE", 2), ("DEPTH_LE", 2)),
-    (LogicSpec, lambda: LogicSpec("x", (GL_SCHEMA,), (LIN,), 3), ("x", (GL_SCHEMA,), (LIN,), 3)),
+    (LogicSpec, lambda: LogicSpec("x", (GL_SCHEMA,), (LIN,)), ("x", (GL_SCHEMA,), (LIN,))),
     (Decision, lambda: Decision(Verdict.REFUTED, 2, _countermodel()),
      (Verdict.REFUTED, 2, _countermodel())),
 ]
@@ -157,7 +157,7 @@ def test_record_reprs():
     assert repr(FrameCondition("DEPTH_LE", k=2)) == "FrameCondition(kind='DEPTH_LE', k=2)"
     assert repr(GL) == (
         "LogicSpec(name='gl', axiom_schemas=(Or(Imp(A, B), Imp(B, A)),), "
-        "conditions=(FrameCondition(kind='LIN', k=None),), exact_bound=None)"
+        "conditions=(FrameCondition(kind='LIN', k=None),))"
     )
     assert repr(Decision(Verdict.VALID, 2)) == (
         "Decision(verdict=<Verdict.VALID: 'valid'>, bound=2, countermodel=None)"
@@ -177,9 +177,8 @@ def test_record_reprs():
 def test_record_fields_defaults_and_keywords():
     assert FrameCondition("DEPTH_LE", k=2) == FrameCondition(kind="DEPTH_LE", k=2)
     assert FrameCondition("LIN").k is None
-    spec = LogicSpec("x", (), (), exact_bound=1)
-    assert (spec.name, spec.axiom_schemas, spec.conditions, spec.exact_bound) == ("x", (), (), 1)
-    assert LogicSpec("x", (), ()).exact_bound is None
+    spec = LogicSpec("x", axiom_schemas=(), conditions=(LIN,))
+    assert (spec.name, spec.axiom_schemas, spec.conditions) == ("x", (), (LIN,))
     decision = Decision(Verdict.NO_COUNTERMODEL, bound=4)
     assert (decision.verdict, decision.bound, decision.countermodel) == (
         Verdict.NO_COUNTERMODEL, 4, None
@@ -239,8 +238,6 @@ def test_record_validation_still_fires():
         FrameCondition("DEPTH_LE", k=0)
     with pytest.raises(ValueError, match="takes no bound"):
         FrameCondition("LIN", 2)
-    with pytest.raises(ValueError, match="exact_bound"):
-        LogicSpec("x", (), (), exact_bound=0)
     with pytest.raises(InvalidModel, match="not upward closed"):
         Model(chain(2), (("p", 1),))
     with pytest.raises(InvalidModel, match="unique and sorted"):
