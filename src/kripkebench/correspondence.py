@@ -176,7 +176,7 @@ GL_INSTANCE = schema_instance(GL_SCHEMA)
 BD2_INSTANCE = schema_instance(BD2_SCHEMA)
 
 
-class SizeTally(_Record, frozen=False):
+class SizeTally(_Record):
     __slots__ = {
         "frames": "int",
         "schema_valid": "int",
@@ -186,7 +186,7 @@ class SizeTally(_Record, frozen=False):
     _defaults = (0, 0, 0, 0)
 
 
-class CorrespondenceReport(_Record, frozen=False):
+class CorrespondenceReport(_Record):
     """Per-size comparison of schema validity against a frame condition.
 
     first_mismatch, when present, is (n, frame, side) where side names
@@ -202,10 +202,6 @@ class CorrespondenceReport(_Record, frozen=False):
         "sizes": "dict[int, SizeTally]",
         "first_mismatch": "tuple[int, Frame, str] | None",
     }
-    _defaults = (None, None)
-
-    def __post_init__(self):
-        self.sizes = {} if self.sizes is None else self.sizes  # a new dict for each report
 
     @property
     def total_mismatches(self) -> int:
@@ -269,24 +265,24 @@ def check_correspondence(
     first labeled frame, so the first mismatch is always a representative."""
     if type(max_n) is not int or max_n < 1:
         raise ValueError("check_correspondence needs max_n >= 1")
-    report = CorrespondenceReport(schema, condition, max_n, dedup)
+    sizes, first_mismatch = {}, None
     for n in range(1, max_n + 1):
-        tally = report.sizes[n] = SizeTally()
+        frames = schema_valid = condition_true = mismatches = 0
         for fr, labelings in zip(*_class_reps((), n)):
             weight = 1 if dedup else labelings
-            tally.frames += weight
+            frames += weight
             valid = _first_failure(fr, schema) is None
             holds = condition(fr)
             if valid:
-                tally.schema_valid += weight
+                schema_valid += weight
             if holds:
-                tally.condition_true += weight
+                condition_true += weight
             if valid != holds:
-                tally.mismatches += weight
-                if report.first_mismatch is None:
-                    side = "schema" if valid else "condition"
-                    report.first_mismatch = (n, fr, side)
-    return report
+                mismatches += weight
+                if first_mismatch is None:
+                    first_mismatch = (n, fr, "schema" if valid else "condition")
+        sizes[n] = SizeTally(frames, schema_valid, condition_true, mismatches)
+    return CorrespondenceReport(schema, condition, max_n, dedup, sizes, first_mismatch)
 
 
 def gl_witness(fr: Frame) -> Countermodel:
@@ -315,11 +311,11 @@ def _transfer(pattern: Frame, f: Formula, fr: Frame, missing: str) -> Countermod
 WITNESSES = {"gl": gl_witness, "bd2": bd2_witness}
 
 
-class CollapseViolation(_Record, frozen=False):
+class CollapseViolation(_Record):
     __slots__ = {"n": "int", "frame": "Frame", "check": "str", "detail": "str"}
 
 
-class CollapseReport(_Record, frozen=False):
+class CollapseReport(_Record):
     """Audit of the collapse of the combined frame class.
 
     Over every frame up to max_n worlds: local linearity plus no-3-chain
@@ -332,12 +328,6 @@ class CollapseReport(_Record, frozen=False):
         "frames": "dict[int, int]",
         "violations": "list[CollapseViolation]",
     }
-    _defaults = (None, None)
-
-    def __post_init__(self):
-        # A new dict and list for each report.
-        self.frames = {} if self.frames is None else self.frames
-        self.violations = [] if self.violations is None else self.violations
 
     @property
     def ok(self) -> bool:
@@ -374,15 +364,15 @@ def collapse_check(max_n: int) -> CollapseReport:
     if type(max_n) is not int or max_n < 1:
         raise ValueError("collapse_check needs max_n >= 1")
     cone2 = cone_size_le(2)
-    report = CollapseReport(max_n)
+    counts, violations = {}, []
     for n in range(1, max_n + 1):
         frames, labelings = _class_reps((), n)
-        report.frames[n] = sum(labelings)
+        counts[n] = sum(labelings)
         for fr in frames:
             both = LIN(fr) and BD2_CHAIN(fr)
             small_cones = cone2(fr)
             if both != small_cones:
-                report.violations.append(
+                violations.append(
                     CollapseViolation(
                         n,
                         fr,
@@ -393,7 +383,7 @@ def collapse_check(max_n: int) -> CollapseReport:
             if n <= 2:
                 for instance in (GL_INSTANCE, BD2_INSTANCE):
                     if _first_failure(fr, instance) is not None:
-                        report.violations.append(
+                        violations.append(
                             CollapseViolation(
                                 n,
                                 fr,
@@ -401,4 +391,4 @@ def collapse_check(max_n: int) -> CollapseReport:
                                 f"{render(instance)} fails on a {n}-world frame",
                             )
                         )
-    return report
+    return CollapseReport(max_n, counts, violations)

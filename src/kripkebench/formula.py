@@ -46,8 +46,7 @@ class _Compiled:
         init.__defaults__, init.__annotations__ = cls._defaults, {n: cls.__slots__[n] for n in names}
         for method in ("__init__", "__eq__", "__hash__"):
             scope[method].__qualname__ = f"{cls.__qualname__}.{method}"
-            if cls.__dict__[method] is not None:  # a mutable record's __hash__ stays None
-                setattr(cls, method, scope[method])
+            setattr(cls, method, scope[method])
         return scope[self.name].__get__(obj, owner)
 
 
@@ -60,8 +59,8 @@ class _Record:
     class sets it with object.__setattr__.  Its __init__ takes the fields
     and then calls its __post_init__, if any.  Records of one class with
     equal fields are equal, hash as the tuple of their fields and print as
-    Name(field=value, ...).  A record refuses assignment unless its class
-    is declared with frozen=False, which also makes it unhashable.
+    Name(field=value, ...).  A record refuses assignment, so it is safe to
+    share between threads.
     __init__, __eq__ and __hash__ are compiled on the class's first use,
     not when it is created, since most record classes go unused in a
     short process (see _Compiled).
@@ -73,12 +72,10 @@ class _Record:
     _defaults: tuple = ()
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, frozen: bool = True):
+    def __init_subclass__(cls):
         cls._fields = cls.__match_args__ = tuple(name for name in cls.__slots__ if name[0] != "_")
-        cls.__init__, cls.__eq__ = _Compiled(cls, "__init__"), _Compiled(cls, "__eq__")
-        cls.__hash__ = _Compiled(cls, "__hash__") if frozen else None
-        if not frozen:
-            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+        for method in ("__init__", "__eq__", "__hash__"):
+            setattr(cls, method, _Compiled(cls, method))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__}.{name} is read-only")
@@ -168,6 +165,10 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # bounds the tree height and keeps the parser and every recursive walk
 # well inside Python's default recursion limit of 1000.
 NESTING_LIMIT = 100
+
+# Most worlds a frame or model file may declare.  make_frame is quadratic in
+# the world count, and a 1,000-world chain builds in well under a second.
+WORLD_LIMIT = 1000
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import groupby, permutations, product
 from operator import itemgetter
 
-from .formula import And, Atom, Bottom, Formula, Imp, Or, Top, _IDENT, _Record, render
+from .formula import And, Atom, Bottom, Formula, Imp, Or, Top, WORLD_LIMIT, _IDENT, _Record, render
 
 
 class UnknownWorld(ValueError):
@@ -92,7 +92,8 @@ class Frame(_Record):
         return (1 << len(self.up)) - 1
 
     def le(self, x: int, y: int) -> bool:
-        return self.up[x] >> y & 1 == 1
+        size = len(self.up)
+        return self.up[_world(size, x)] >> _world(size, y) & 1 == 1
 
     def strict_pairs(self) -> list[tuple[int, int]]:
         """All pairs (i, j) with i < j in the order, i != j."""
@@ -646,6 +647,8 @@ def _labeled_count(n: int) -> int:
 # worlds in exactly one way, and isomorphic bases extend alike, so each child
 # of a base adds the base's count to its class.  Nothing is evicted: ipc at
 # bound 8 holds 4,495 frames.
+# The entries for rooted and for all frames of one size share the frames of
+# the classes both hold, so a frame's search record serves both.
 # Threads growing one entry at once all get the first equal tuple stored.
 # A frame keeps its search record once a search reads it (_first_failure),
 # so frames no search reads get none, and the record goes with the entry.
@@ -667,7 +670,12 @@ def _class_reps(conditions, n: int, rooted=False) -> _Entry:
                 if conditions and not all(cond(fr) for cond in conditions):
                     continue
                 classes.setdefault(_canonical_key(fr), [fr, 0])[1] += count
-        entry = (tuple(fr for fr, _ in classes.values()), tuple(c for _, c in classes.values()))
+        frames = tuple(fr for fr, _ in classes.values())
+        other = _CLASS_REPS.get((conditions, n, not rooted))
+        if other is not None:  # both hold a class's first labeled frame: share it
+            shared = {fr.up: fr for fr in other[0]}
+            frames = tuple(shared.get(fr.up, fr) for fr in frames)
+        entry = (frames, tuple(c for _, c in classes.values()))
         entry = _CLASS_REPS.setdefault((conditions, n, rooted), entry)
     return entry
 
@@ -768,6 +776,8 @@ def frame_from_json(data: object) -> Frame:
     worlds = data.get("worlds")
     if not isinstance(worlds, int) or isinstance(worlds, bool) or worlds < 1:
         raise ValueError('frame JSON needs a positive integer "worlds"')
+    if worlds > WORLD_LIMIT:
+        raise ValueError(f'frame JSON "worlds" is {worlds}, more than the limit of {WORLD_LIMIT}')
     le = data.get("le", [])
     if not isinstance(le, list):
         raise ValueError('frame JSON "le" must be a list of world pairs')

@@ -8,6 +8,7 @@ import pytest
 
 from kripkebench.cli import main
 from kripkebench.correspondence import condition_spellings
+from kripkebench.formula import WORLD_LIMIT
 from kripkebench.kripke import _CLASS_REPS, _class_reps, enumerate_frames
 from kripkebench.logics import LOGICS
 
@@ -103,6 +104,23 @@ def test_valid_malformed_frame(tmp_path, capsys):
     bad = write(tmp_path, "bad.json", {"worlds": 2, "le": [[0, 1], [1, 0]]})
     assert main(["valid", bad, "p"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("worlds", [10**12, WORLD_LIMIT + 1], ids=["1e12", "limit+1"])
+@pytest.mark.parametrize("command", ["valid", "export-dot", "eval"])
+def test_frame_files_over_the_world_limit_exit_2(tmp_path, capsys, command, worlds):
+    data = {"worlds": worlds, "le": [], "valuation": {"p": [0]}}
+    path = write(tmp_path, "huge.json", data if command == "eval" else {"worlds": worlds})
+    assert main([command, path] + ([] if command == "export-dot" else ["p"])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "limit" in err
+    assert "Traceback" not in err
+
+
+def test_export_dot_at_the_world_limit(tmp_path, capsys):
+    path = write(tmp_path, "wide.json", {"worlds": WORLD_LIMIT})
+    assert main(["export-dot", path]) == 0
+    assert capsys.readouterr().out.count(" [label=") == WORLD_LIMIT
 
 
 def test_valid_missing_file(capsys):

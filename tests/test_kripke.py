@@ -442,7 +442,7 @@ def test_countermodel_constructor_rejects_forced_formula():
 @pytest.mark.parametrize("world", [5, -1, True, False, 0.0, None, "0"])
 def test_countermodel_constructor_rejects_unknown_world(world):
     # as make_model does: a world is an int naming a world of the frame, and
-    # forces and Frame.cone run the same check (True is not world 1)
+    # forces, Frame.cone and Frame.le run the same check (True is not world 1)
     model = make_model(chain(2), {"p": [1]})
     with pytest.raises(UnknownWorld):
         Countermodel(model, world, parse("p"))
@@ -450,6 +450,10 @@ def test_countermodel_constructor_rejects_unknown_world(world):
         forces(model, world, parse("p"))
     with pytest.raises(UnknownWorld):
         chain(2).cone(world)
+    with pytest.raises(UnknownWorld):
+        chain(2).le(world, 0)
+    with pytest.raises(UnknownWorld):
+        chain(2).le(0, world)
 
 
 def _compiles(monkeypatch):
@@ -1199,6 +1203,35 @@ def test_cleared_store_keeps_no_search_tables(monkeypatch):
     gc.collect()
     for tables in built:
         assert [ref for ref in gc.get_referrers(tables) if ref is not built] == []
+
+
+def test_rooted_and_full_entries_share_their_class_frames(monkeypatch):
+    # decide reads the rooted entry at its bound and the entry of every
+    # frame below it, so bounds 5 and 6 read both five-world entries: the
+    # one grown second holds the first one's frames, searched once
+    key = {rooted: ((), 5, rooted) for rooted in (False, True)}
+    cold = {}
+    for rooted in (False, True):
+        _CLASS_REPS.clear()
+        cold[rooted] = _class_reps(*key[rooted])
+    f = parse("(p->q)->((q->r)->(p->r))")
+    sizes, search_tables = [], kripke._search_tables
+
+    def recorded(fr):
+        sizes.append(fr.size)
+        return search_tables(fr)
+
+    monkeypatch.setattr(kripke, "_search_tables", recorded)
+    for first, second in [(5, 6), (6, 5)]:
+        _CLASS_REPS.clear()
+        decide(IPC, f, first)
+        sizes.clear()
+        decide(IPC, f, second)
+        assert 5 not in sizes, (first, second)
+        rooted, full = _CLASS_REPS[key[True]], _CLASS_REPS[key[False]]
+        assert (rooted, full) == (cold[True], cold[False])
+        assert len(rooted[0]) == 16
+        assert all(a is b for a, b in zip(rooted[0], [fr for fr in full[0] if _has_root(fr)]))
 
 
 def test_canonical_key_is_a_complete_invariant(dedup_frames):
