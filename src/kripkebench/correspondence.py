@@ -1,11 +1,11 @@
 """Frame conditions, schema/condition correspondence sweeps, explicit
-witness countermodels, and the small-frame collapse audit."""
+witness countermodels, and the paper's collapse as one such sweep."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .formula import Atom, Formula, Imp, Not, Or, _Record, render, substitute
+from .formula import And, Atom, Formula, Imp, Not, Or, _Record, render, substitute
 from .kripke import (
     Countermodel,
     Frame,
@@ -311,84 +311,7 @@ def _transfer(pattern: Frame, f: Formula, fr: Frame, missing: str) -> Countermod
 WITNESSES = {"gl": gl_witness, "bd2": bd2_witness}
 
 
-class CollapseViolation(_Record):
-    __slots__ = {"n": "int", "frame": "Frame", "check": "str", "detail": "str"}
-
-
-class CollapseReport(_Record):
-    """Audit of the collapse of the combined frame class.
-
-    Over every frame up to max_n worlds: local linearity plus no-3-chain
-    must hold exactly when every cone has at most two worlds, and every
-    frame of one or two worlds must validate both schema instances.
-    """
-
-    __slots__ = {
-        "max_n": "int",
-        "frames": "dict[int, int]",
-        "violations": "list[CollapseViolation]",
-    }
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_json(self) -> dict:
-        return {
-            "max_n": self.max_n,
-            "frames": {str(n): c for n, c in self.frames.items()},
-            "violations": [
-                {**v._asdict(), "frame": frame_to_json(v.frame)} for v in self.violations
-            ],
-            "ok": self.ok,
-        }
-
-    def format_text(self) -> str:
-        total = sum(self.frames.values())
-        lines = [f"checked {total} frames up to n={self.max_n}"]
-        if self.ok:
-            lines.append("no violations")
-        else:
-            import json  # only a violation line prints JSON
-
-            for v in self.violations:
-                frame = json.dumps(frame_to_json(v.frame), sort_keys=True)
-                lines.append(f"violation ({v.check}) at n={v.n} on {frame}: {v.detail}")
-        return "\n".join(lines)
-
-
-def collapse_check(max_n: int) -> CollapseReport:
-    """Verify the two-world collapse over all frames up to max_n worlds.
-    The checks are isomorphism-invariant, so they run once per class
-    representative, and a violation names the representative."""
-    if type(max_n) is not int or max_n < 1:
-        raise ValueError("collapse_check needs max_n >= 1")
-    cone2 = cone_size_le(2)
-    counts, violations = {}, []
-    for n in range(1, max_n + 1):
-        frames, labelings = _class_reps((), n)
-        counts[n] = sum(labelings)
-        for fr in frames:
-            both = LIN(fr) and BD2_CHAIN(fr)
-            small_cones = cone2(fr)
-            if both != small_cones:
-                violations.append(
-                    CollapseViolation(
-                        n,
-                        fr,
-                        "cone-bound",
-                        f"LIN and BD2_CHAIN {both} but CONE_SIZE_LE(2) {small_cones}",
-                    )
-                )
-            if n <= 2:
-                for instance in (GL_INSTANCE, BD2_INSTANCE):
-                    if _first_failure(fr, instance) is not None:
-                        violations.append(
-                            CollapseViolation(
-                                n,
-                                fr,
-                                "small-frame-validity",
-                                f"{render(instance)} fails on a {n}-world frame",
-                            )
-                        )
-    return CollapseReport(max_n, counts, violations)
+def collapse_check(max_n: int) -> CorrespondenceReport:
+    """The paper's collapse as one correspondence: a frame validates both
+    schema instances iff each of its cones has at most two worlds."""
+    return check_correspondence(And(GL_INSTANCE, BD2_INSTANCE), cone_size_le(2), max_n)

@@ -406,7 +406,7 @@ def _eval(prog, ones: int, every: int, below, atom_regs) -> int:
 # The programs of recent formulas, by id: an entry holds its formula, so its
 # id names no other object while it is kept.  A search and the re-check of
 # its countermodel compile once, and so does a formula object searched again
-# within 256 others, as collapse_check's two instances are on each frame.  A
+# within 256 others, as audit_schemas's instances are on each frame.  A
 # full memo is cleared at once; nothing iterates over it.
 _PROGRAM_FORMULAS = 256
 _PROGRAMS: dict[int, tuple[Formula, tuple[list[str], list[tuple[str, int, int]]]]] = {}

@@ -26,7 +26,8 @@ class LogicSpec(_Record):
     class is closed under cones, and deleting a maximal non-root world
     from a rooted class frame leaves a rooted class frame: once a size
     has no rooted class frame, no larger size has one.  decide relies on
-    both.
+    both.  Every built-in condition is hereditary, and a condition must be
+    one of them: an arbitrary predicate could make decide's Valid false.
     """
 
     __slots__ = {
@@ -34,6 +35,11 @@ class LogicSpec(_Record):
         "axiom_schemas": "tuple[Formula, ...]",
         "conditions": "tuple[FrameCondition, ...]",
     }
+
+    def __post_init__(self):
+        for cond in self.conditions:
+            if not isinstance(cond, FrameCondition):
+                raise ValueError(f"a logic's condition must be a FrameCondition, not {cond!r}")
 
     def frame_class(self, fr: Frame) -> bool:
         """Whether fr lies in the logic's class of frames."""

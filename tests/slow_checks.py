@@ -11,7 +11,7 @@ start from an empty store, as they would in a fresh process.
 
 import test_kripke as t
 from kripkebench import collapse_check, kripke, logics
-from kripkebench.correspondence import LIN, depth_le
+from kripkebench.correspondence import BD2_CHAIN, LIN, cone_size_le, depth_le
 from kripkebench.formula import parse
 from kripkebench.kripke import _class_reps, enumerate_frames
 from kripkebench.logics import LOGICS, audit_schemas
@@ -124,7 +124,19 @@ def test_gl_bd2_collapse_on_every_labeled_poset_up_to_n6():
     """A001035 up to n = 6, checked once per class representative; out of
     tier-1, which stops at n = 4, and about 0.1 s."""
     r = collapse_check(6)
-    assert r.ok and r.frames == {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231, 6: 130023}
+    assert r.ok and {n: t.frames for n, t in r.sizes.items()} == {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231, 6: 130023}
+
+
+def test_gl_bd2_frame_classes_are_one_store_entry_up_to_n7():
+    """LIN with BD2_CHAIN and cones of at most two worlds grow the same
+    class representatives and labeled counts: 1, 2, 3, 5, 7, 11 and 15
+    classes.  Tier-1 stops at n = 5; about 0.1 s."""
+    counts = []
+    for n in range(1, 8):
+        lin_bd2 = _class_reps((LIN, BD2_CHAIN), n)
+        assert lin_bd2 == _class_reps((cone_size_le(2),), n), n
+        counts.append(len(lin_bd2[0]))
+    assert counts == [1, 2, 3, 5, 7, 11, 15]
 
 
 def test_frame_valid_against_the_naive_oracle_on_every_labeled_poset_on_5_worlds():

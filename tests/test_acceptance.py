@@ -136,8 +136,8 @@ def test_acceptance_5_collapse():
     _report(
         5,
         ok,
-        "LIN+BD2_CHAIN equals cone-size<=2 up to n=5, small frames validate "
-        "both schemas, and gl+bd2 still refutes p|~p",
+        "a frame validates both schema instances iff its cones have at most "
+        "two worlds, up to n=5, and gl+bd2 still refutes p|~p",
     )
 
 

@@ -3,7 +3,7 @@ from functools import lru_cache
 import pytest
 
 from kripkebench import correspondence, kripke
-from kripkebench.formula import atoms, parse, render
+from kripkebench.formula import And, atoms, parse, render
 from kripkebench.kripke import (
     antichain,
     chain,
@@ -19,7 +19,6 @@ from kripkebench.correspondence import (
     BD2_INSTANCE,
     BD2_PAPER,
     CONDITIONS,
-    CollapseViolation,
     DISCRETE,
     GL_INSTANCE,
     LIN,
@@ -473,38 +472,52 @@ def test_incomparability():
 # --- collapse ----------------------------------------------------------------
 
 def test_collapse_check():
+    # the paper's collapse is one correspondence: the conjunction of the two
+    # instances against cones of at most two worlds
+    both = And(GL_INSTANCE, BD2_INSTANCE)
     report = collapse_check(4)
-    assert report.ok
-    assert report.violations == []
-    assert report.frames == {1: 1, 2: 3, 3: 19, 4: 219}
+    assert report == check_correspondence(both, cone_size_le(2), 4)
+    assert report.ok and report.first_mismatch is None
+    assert [(t.frames, t.schema_valid) for t in report.sizes.values()] == [
+        (1, 1), (3, 3), (19, 10), (219, 41)
+    ]
     data = report.to_json()
-    assert data["ok"] is True and data["violations"] == []
-    assert "no violations" in report.format_text()
+    assert data["equivalent"] is True and data["first_mismatch"] is None
+    assert report.format_text().endswith("equivalent on all frames up to n=4")
+
+
+def test_collapse_frame_classes_are_one_store_entry():
+    # the frame-level half of the collapse: LIN with BD2_CHAIN grows the same
+    # class representatives, with the same labeled counts, as cones of at
+    # most two worlds; tests/slow_checks.py goes on to n = 7
+    for n in range(1, 6):
+        lin_bd2 = kripke._class_reps((LIN, BD2_CHAIN), n)
+        assert lin_bd2 == kripke._class_reps((cone_size_le(2),), n), n
+        assert len(lin_bd2[0]) == (1, 2, 3, 5, 7)[n - 1]
 
 
 def test_collapse_check_searches_each_small_frame_once(monkeypatch):
-    # each instance refuted on a frame of up to 2 worlds is one violation
-    lem, dne = parse("p|~p"), parse("~~p->p")
-    monkeypatch.setattr(correspondence, "GL_INSTANCE", lem)
-    monkeypatch.setattr(correspondence, "BD2_INSTANCE", dne)
+    # with instances the 2-chain refutes, the collapse fails on it first:
+    # the cone bound holds there and the conjunction does not
+    monkeypatch.setattr(correspondence, "GL_INSTANCE", parse("p|~p"))
+    monkeypatch.setattr(correspondence, "BD2_INSTANCE", parse("~~p->p"))
     report = collapse_check(2)
-    assert report.violations == [
-        CollapseViolation(2, chain(2), "small-frame-validity", f"{render(f)} fails on a 2-world frame")
-        for f in (lem, dne)
-    ]
+    assert report.first_mismatch == (2, chain(2), "condition")
+    assert report.sizes[2].mismatches == 2 and not report.ok
 
 
 def test_collapse_check_compiles_each_instance_once(monkeypatch):
-    # the two instances alternate on each frame of up to 2 worlds, and each
-    # compiles on its first search alone; a second call compiles nothing
+    # the sweep searches one formula, the conjunction built per call, and
+    # compiles it on its first search alone
     compiled = []
     real = kripke._compile
     monkeypatch.setattr(kripke, "_compile", lambda f: compiled.append(f) or real(f))
     monkeypatch.setattr(kripke, "_PROGRAMS", {})
+    both = And(GL_INSTANCE, BD2_INSTANCE)
     assert collapse_check(2).ok
-    assert compiled == [GL_INSTANCE, BD2_INSTANCE]
+    assert compiled == [both]
     assert collapse_check(2).ok
-    assert compiled == [GL_INSTANCE, BD2_INSTANCE]
+    assert compiled == [both, both]
 
 
 def test_two_chain_validates_both_schemas():
@@ -521,21 +534,19 @@ def test_disjoint_chains_show_why_check_is_cone_based():
 
 
 def test_collapse_check_reports_a_cone_bound_that_disagrees(monkeypatch):
-    # with cones of up to 3 worlds in place of 2, the fork and the 3-chain
-    # are the classes at n = 3 on which the bound disagrees with LIN and
-    # BD2_CHAIN; each is one violation, named by its class representative
-    # (the store's fork lists its root last)
+    # with cones of up to 3 worlds in place of 2, the fork (3 labelings) and
+    # the 3-chain (6) are the classes at n = 3 on which the bound holds and
+    # the conjunction fails; the first is the store's fork, root listed last
     monkeypatch.setattr(correspondence, "cone_size_le", lambda k, real=cone_size_le: real(3))
     report = collapse_check(3)
-    detail = "LIN and BD2_CHAIN False but CONE_SIZE_LE(2) True"
-    frames = [make_frame(3, [(2, 0), (2, 1)]), chain(3)]
-    assert report.violations == [CollapseViolation(3, fr, "cone-bound", detail) for fr in frames]
-    assert not report.ok and report.to_json()["ok"] is False
-    assert report.format_text().splitlines() == [
-        "checked 23 frames up to n=3",
-        f'violation (cone-bound) at n=3 on {{"le": [[2, 0], [2, 1]], "worlds": 3}}: {detail}',
-        f'violation (cone-bound) at n=3 on {{"le": [[0, 1], [0, 2], [1, 2]], "worlds": 3}}: {detail}',
-    ]
+    n, fr, held = report.first_mismatch
+    assert (n, fr.up, held) == (3, (1, 2, 7), "condition")
+    assert report.total_mismatches == 9 and not report.ok
+    assert report.to_json()["equivalent"] is False
+    assert report.format_text().splitlines()[-1] == (
+        "first mismatch at n=3: condition holds, schema fails "
+        'on frame {"le": [[2, 0], [2, 1]], "worlds": 3}'
+    )
 
 
 def test_collapse_check_rejects_bad_bound():

@@ -180,6 +180,21 @@ def test_logic_spec_rejects_a_bad_exact_bound(bound):
         LogicSpec("x", (), (), exact_bound=1)
 
 
+def test_logic_spec_takes_only_frame_conditions():
+    # decide's Valid rests on a hereditary class.  "No frame of two worlds"
+    # is not hereditary: with no rooted class frame at n = 2, decide would
+    # answer valid at bound 1 for p|~p, which the 3-chain, in the class,
+    # refutes.  Every built-in condition is hereditary, as a list too.
+    def no_2(fr):
+        return fr.size != 2
+
+    assert no_2(chain(3)) and frame_valid(chain(3), parse("p|~p")) is not None
+    for conditions in ((no_2,), (LIN, no_2), ("LIN",), (None,)):
+        with pytest.raises(ValueError, match="must be a FrameCondition"):
+            LogicSpec("bad", (), conditions)
+    assert LogicSpec("lin-list", (), [LIN]).conditions == [LIN]
+
+
 @pytest.mark.parametrize("max_n", [0, -3, True, 2.0, "2"])
 def test_audit_schemas_rejects_bad_bound(max_n):
     # A bound below 1 checks no frame, so None would claim a vacuous pass.

@@ -48,8 +48,7 @@ import contextlib, io, sys, kripkebench, kripkebench.cli
 from kripkebench import correspondence, kripke, logics
 from kripkebench.formula import _Compiled
 unused = (kripke.Countermodel, logics.Decision, correspondence.SizeTally,
-          correspondence.CorrespondenceReport, correspondence.CollapseViolation,
-          correspondence.CollapseReport)
+          correspondence.CorrespondenceReport)
 seen = ["json" in sys.modules]
 seen.append([cls.__name__ for cls in unused if any(
     not isinstance(vars(cls)[name], _Compiled) for name in ("__init__", "__eq__"))])

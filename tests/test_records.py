@@ -1,6 +1,6 @@
 """The value types' record contract: construction, equality, hashing,
 immutability and repr of the formula nodes, frames, models, conditions,
-logics, decisions and the correspondence reports."""
+logics, decisions and the correspondence report."""
 
 import copy
 import os
@@ -17,8 +17,6 @@ import kripkebench
 from kripkebench.correspondence import (
     GL_INSTANCE,
     LIN,
-    CollapseReport,
-    CollapseViolation,
     CorrespondenceReport,
     FrameCondition,
     SizeTally,
@@ -56,13 +54,10 @@ FROZEN = [
     (Decision, lambda: Decision(Verdict.REFUTED, 2, _countermodel()),
      (Verdict.REFUTED, 2, _countermodel())),
     (SizeTally, lambda: SizeTally(1, 2, 3, 4), (1, 2, 3, 4)),
-    (CollapseViolation, lambda: CollapseViolation(2, chain(2), "cone-bound", "why"),
-     (2, chain(2), "cone-bound", "why")),
 ]
-# The two reports hold a dict or a list, so they do not hash.
+# The report holds a dict, so it does not hash.
 UNHASHABLE = [
     (CorrespondenceReport, lambda: CorrespondenceReport(GL_INSTANCE, LIN, 3, False, {}, None)),
-    (CollapseReport, lambda: CollapseReport(2, {}, [])),
 ]
 ALL = [(cls, build) for cls, build, _ in FROZEN] + UNHASHABLE
 
@@ -189,11 +184,6 @@ def test_record_fields_defaults_and_keywords():
     assert (report.dedup, report.sizes, report.first_mismatch) == (True, {}, None)
     with pytest.raises(TypeError, match="sizes"):
         CorrespondenceReport(GL_INSTANCE, LIN, 3, True, first_mismatch=None)
-    collapse = CollapseReport(max_n=2, frames={}, violations=[])
-    assert (collapse.max_n, collapse.frames, collapse.violations) == (2, {}, [])
-    violation = CollapseViolation(n=2, frame=chain(2), check="c", detail="d")
-    assert (violation.n, violation.frame) == (2, chain(2))
-    assert (violation.check, violation.detail) == ("c", "d")
     with pytest.raises(TypeError, match=r"Atom\.__init__\(\) missing 1 required"):
         Atom()
     with pytest.raises(TypeError):
@@ -230,7 +220,7 @@ def test_record_validation_still_fires():
         Countermodel(Model(chain(2), (("p", 3),)), 0, LEM)
 
 
-# Each of the package's 17 record classes is probed in a fresh interpreter,
+# Each of the package's 15 record classes is probed in a fresh interpreter,
 # with one probe as the first thing done to every class there, and then
 # again once the class has compiled its methods; a probe reads a class's
 # methods through their stand-ins only when it comes first.  A blank record
@@ -290,8 +280,8 @@ def test_records_read_the_same_before_and_after_first_use(probe):
         check=True,
     ).stdout
     lazy = ["Formula", "Top", "And", "Model", "Countermodel", "SizeTally",
-            "CorrespondenceReport", "CollapseViolation", "CollapseReport", "Decision"]
-    assert out == f"17 {lazy} True True\n"
+            "CorrespondenceReport", "Decision"]
+    assert out == f"15 {lazy} True True\n"
 
 
 def test_every_record_class_hashes_and_refuses_assignment():
@@ -303,7 +293,7 @@ def test_every_record_class_hashes_and_refuses_assignment():
         if isinstance(cls, type) and issubclass(cls, _Record) and cls is not _Record
         and cls.__module__ == module.__name__
     ]
-    assert len(classes) == 17
+    assert len(classes) == 15
     for cls in classes:
         assert cls.__hash__ is not None, cls
         blank = object.__new__(cls)
