@@ -6,11 +6,13 @@ countermodel or mismatch was produced, 2 malformed input, 3 inconclusive
 or precondition failed.  All output is byte-deterministic.  Each
 subcommand returns its exit code, its JSON object (None for export-dot,
 whose only output is DOT) and its text lines, and main prints one of them.
+One table, _COMMANDS, gives every subcommand's arguments.  main reads a
+plain command line from it directly; argparse, built from the same table,
+serves only help, usage errors and the forms the fast path leaves to it.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from .formula import ast_repr, atoms, parse, render
@@ -184,62 +186,121 @@ def cmd_export_dot(args) -> tuple[int, dict | None, list[str]]:
     return EXIT_OK, None, [] if args.dot else to_dot(obj).splitlines()
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# The subcommands, the one source of both parsers: each name maps to its
+# function, help text, positionals as (name, help, choices) and options as
+# (flag, type, default, metavar, required, choices).  The type is int, None
+# for a string, or bool for a store_true flag.  Each subcommand takes
+# _FORMAT first; an option's dest is its flag less "--", with - as _.
+_FORMAT = ("--format", None, "text", None, False, ("text", "json"))
+_DOT = ("--dot", None, None, "PATH", False, None)
+_FORMULA = ("formula", None, None)
+_FRAME = ("frame", "frame JSON file", None)
+_DEDUP = ("--dedup", bool, False, None, False, None)
+_COMMANDS = {
+    "parse": (cmd_parse, "parse a formula and show its structure", (_FORMULA,), ()),
+    "eval": (cmd_eval, "evaluate forcing of a formula on a model file",
+             (("model", "model JSON file", None), _FORMULA), (("--world", int, None, None, False, None),)),
+    "valid": (cmd_valid, "decide frame validity by exhaustive valuation search", (_FRAME, _FORMULA), (_DOT,)),
+    "decide": (cmd_decide, "bounded countermodel search in a logic's frame class",
+               (("logic", "one of: " + ", ".join(LOGICS), None), _FORMULA),
+               (("--bound", int, 4, "K", False, None),)),
+    "correspond": (cmd_correspond, "compare schema validity against a frame condition",
+                   (("schema", None, None), ("condition", ", ".join(condition_spellings()), None)),
+                   (("--max-n", int, 4, "K", False, None), _DEDUP)),
+    "witness": (cmd_witness, "build the explicit countermodel on a violating frame",
+                (("kind", None, tuple(WITNESSES)), _FRAME), (_DOT,)),
+    "enumerate": (cmd_enumerate, "enumerate all partial orders on n worlds", (),
+                  (("--n", int, None, None, True, None), _DEDUP, ("--stats", bool, False, None, False, None))),
+    "export-dot": (cmd_export_dot, "emit Graphviz source for a frame or model file",
+                   (("input", "frame or model JSON file", None),), (_DOT,)),
+}
+
+
+def _build_parser():
+    import argparse  # only for help and usage errors: see _fast_args
+
     top = argparse.ArgumentParser(
         prog="kripkebench",
         description="Kripke-semantics workbench for intuitionistic and intermediate logics",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
+    for name, (func, help_text, positionals, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=("text", "json"), default="text")
         p.set_defaults(func=func)
-        return p
-
-    p = add("parse", cmd_parse, "parse a formula and show its structure")
-    p.add_argument("formula")
-
-    p = add("eval", cmd_eval, "evaluate forcing of a formula on a model file")
-    p.add_argument("model", help="model JSON file")
-    p.add_argument("formula")
-    p.add_argument("--world", type=int, default=None)
-
-    p = add("valid", cmd_valid, "decide frame validity by exhaustive valuation search")
-    p.add_argument("frame", help="frame JSON file")
-    p.add_argument("formula")
-    p.add_argument("--dot", metavar="PATH", default=None)
-
-    p = add("decide", cmd_decide, "bounded countermodel search in a logic's frame class")
-    p.add_argument("logic", help="one of: " + ", ".join(LOGICS))
-    p.add_argument("formula")
-    p.add_argument("--bound", type=int, default=4, metavar="K")
-
-    p = add("correspond", cmd_correspond, "compare schema validity against a frame condition")
-    p.add_argument("schema")
-    p.add_argument("condition", help=", ".join(condition_spellings()))
-    p.add_argument("--max-n", type=int, default=4, metavar="K")
-    p.add_argument("--dedup", action="store_true")
-
-    p = add("witness", cmd_witness, "build the explicit countermodel on a violating frame")
-    p.add_argument("kind", choices=tuple(WITNESSES))
-    p.add_argument("frame", help="frame JSON file")
-    p.add_argument("--dot", metavar="PATH", default=None)
-
-    p = add("enumerate", cmd_enumerate, "enumerate all partial orders on n worlds")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dedup", action="store_true")
-    p.add_argument("--stats", action="store_true")
-
-    p = add("export-dot", cmd_export_dot, "emit Graphviz source for a frame or model file")
-    p.add_argument("input", help="frame or model JSON file")
-    p.add_argument("--dot", metavar="PATH", default=None)
-
+        for flag, kind, default, metavar, required, choices in (_FORMAT, *options):
+            if kind is bool:
+                p.add_argument(flag, action="store_true")
+            else:
+                p.add_argument(
+                    flag, type=kind, default=default, metavar=metavar,
+                    required=required, choices=choices,
+                )
+        for arg, arg_help, choices in positionals:
+            p.add_argument(arg, help=arg_help, choices=choices)
     return top
 
 
+class _Args:
+    """The parsed command line, as argparse's Namespace holds it."""
+
+    def __init__(self, values: dict):
+        self.__dict__.update(values)
+
+
+def _fast_args(argv) -> _Args | None:
+    """The namespace argparse makes of argv, if argv keeps to plain form:
+    an exact subcommand, then its positionals and its options by exact
+    flag, each option but a flag followed by its own value, and no
+    positional or value starting with "-"; every value passing its type
+    and choices, the positionals all there and every required option
+    given.  None for anything else, which argparse parses: so argparse
+    writes every help and usage message, and a plain command never
+    imports it or builds its parser.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, positionals, options = _COMMANDS[argv[0]]
+    specs = {flag: (flag[2:].replace("-", "_"), *spec) for flag, *spec in (_FORMAT, *options)}
+    values = {"command": argv[0], "func": func}
+    values.update((dest, default) for dest, _, default, *_ in specs.values())
+    if any(required and flag not in argv for flag, _, _, _, required, _ in options):
+        return None
+    free = []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg[:1] != "-":
+            free.append(arg)
+            continue
+        if arg not in specs:
+            return None
+        dest, kind, _, _, _, choices = specs[arg]
+        if kind is bool:
+            value = True
+        else:
+            value = next(rest, "-")  # a missing value falls back as a "-" would
+            if value[:1] == "-":
+                return None
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            if choices and value not in choices:
+                return None
+        values[dest] = value
+    if len(free) != len(positionals):
+        return None
+    for (name, _, choices), value in zip(positionals, free):
+        if choices and value not in choices:
+            return None
+        values[name] = value
+    return _Args(values)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_args(argv) or _build_parser().parse_args(argv)
     try:
         code, data, lines = args.func(args)
         if data is not None and args.format == "json":

@@ -3,8 +3,6 @@ witness countermodels, and the paper's collapse as one such sweep."""
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .formula import And, Atom, Formula, Imp, Not, Or, _Record, render, substitute
 from .kripke import (
     Countermodel,
@@ -48,7 +46,17 @@ class FrameCondition(_Record):
         return f"{self.kind}({self.k})"
 
 
-_chain = lru_cache(maxsize=None)(chain)  # each n-chain built once, for DEPTH_LE
+_CHAINS: dict[int, Frame] = {}
+
+
+def _chain(n: int) -> Frame:
+    # Each n-chain built once, for DEPTH_LE.
+    fr = _CHAINS.get(n)
+    if fr is None:
+        fr = _CHAINS[n] = chain(n)
+    return fr
+
+
 _FORK, _CHAIN3, _CHAIN2 = fork(), _chain(3), _chain(2)
 
 # Each built-in kind: its test on (frame, k), which gives a truth value or a

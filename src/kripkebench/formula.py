@@ -6,9 +6,6 @@ its own: ~A is parsed to, and printed back from, A -> F.
 
 from __future__ import annotations
 
-import re
-from collections.abc import Mapping
-
 
 class _Compiled:
     """A record class's __init__, __eq__ or __hash__ before the class's
@@ -158,7 +155,9 @@ class ParseError(ValueError):
         self.position = position
 
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# The characters of an atom name after its first, [A-Za-z0-9_]; the first
+# is an ASCII letter or _.
+_IDENT = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
 
 # Most connectives (~, &, |, ->) and deepest parenthesis nesting that parse
 # accepts.  Every node above an atom comes from one connective, so this
@@ -181,9 +180,10 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
             i += 1
             continue
         if c.isascii() and (c.isalpha() or c == "_"):
-            m = _IDENT.match(text, i)
-            out.append((m.group(), i + 1))
-            i = m.end()
+            start, i = i, i + 1
+            while i < n and text[i] in _IDENT:
+                i += 1
+            out.append((text[start:i], start + 1))
             continue
         if c in "()":
             depth += 1 if c == "(" else -1

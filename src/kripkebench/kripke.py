@@ -14,12 +14,10 @@ program.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
-from functools import lru_cache
 from itertools import groupby, permutations, product
 from operator import itemgetter
 
-from .formula import And, Atom, Bottom, Formula, Imp, Or, Top, WORLD_LIMIT, _IDENT, _Record, render
+from .formula import And, Atom, Bottom, Formula, Imp, Or, Top, WORLD_LIMIT, _Record, render
 
 
 class UnknownWorld(ValueError):
@@ -263,7 +261,9 @@ class Model(_Record):
     def __post_init__(self):
         names = [name for name, _ in self.valuation]
         for name in names:
-            if not isinstance(name, str) or not _IDENT.fullmatch(name) or name in ("T", "F"):
+            # On ASCII, isidentifier is exactly [A-Za-z_][A-Za-z0-9_]*, parse's atom names.
+            atom = isinstance(name, str) and name.isascii() and name.isidentifier()
+            if not atom or name in ("T", "F"):
                 raise InvalidModel(f"bad atom name {name!r}")
         if names != sorted(set(names)):
             raise InvalidModel("valuation atoms must be unique and sorted")
@@ -304,7 +304,7 @@ def make_model(frame: Frame, valuation: Mapping[str, Iterable[int]]) -> Model:
     entries = []
     for name in sorted(valuation):
         worlds = valuation[name]
-        if not isinstance(worlds, Iterable):
+        if not _iterable(worlds):
             raise InvalidModel(f"valuation of {name!r} must be a set of worlds")
         mask = 0
         for w in worlds:
@@ -313,6 +313,16 @@ def make_model(frame: Frame, valuation: Mapping[str, Iterable[int]]) -> Model:
             mask |= 1 << w
         entries.append((name, mask))
     return Model(frame, tuple(entries))
+
+
+def _iterable(obj) -> bool:
+    # isinstance(obj, collections.abc.Iterable), which only a world set that
+    # is not a list, tuple or set (JSON's and the witnesses' are) imports.
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return True
+    from collections.abc import Iterable
+
+    return isinstance(obj, Iterable)
 
 
 class Countermodel(_Record):
@@ -541,12 +551,20 @@ def _first_failure(fr: Frame, f: Formula) -> tuple[list[int], int] | None:
     return None
 
 
-@lru_cache(maxsize=256)
+_CHUNK_BITS: dict[tuple[int, int], tuple[int, int]] = {}  # at most 256 entries
+
+
 def _chunk_bits(n: int, per_chunk: int) -> tuple[int, int]:
     # ones and every of a chunk of per_chunk valuations on n worlds, shared
     # by the layouts of every frame of that size and chunk.
-    ones = (1 << n * per_chunk) - 1
-    return ones, ones // ((1 << n) - 1)  # every: bit 0 of each valuation
+    bits = _CHUNK_BITS.get((n, per_chunk))
+    if bits is None:
+        ones = (1 << n * per_chunk) - 1
+        bits = ones, ones // ((1 << n) - 1)  # every: bit 0 of each valuation
+        if len(_CHUNK_BITS) >= 256:
+            _CHUNK_BITS.clear()
+        _CHUNK_BITS[n, per_chunk] = bits
+    return bits
 
 
 def _layout(n: int, ups: list[int], sliced: int, per_chunk: int) -> tuple[int, int, int, list[int]]:
@@ -680,15 +698,22 @@ def _class_reps(conditions, n: int, rooted=False) -> _Entry:
     return entry
 
 
-@lru_cache(maxsize=None)
+_ROOTED_NEXT: dict[tuple[tuple, int], bool] = {}
+
+
 def _rooted_next_size(conditions, n: int) -> bool:
     """Whether some rooted class frame has n + 1 worlds.  Deleting a maximal
     non-root world from one leaves a rooted class frame on n worlds, so it
     is isomorphic to a child of a rooted class representative on n worlds.
-    Only those children are grown, and none is stored."""
-    full = (1 << n + 1) - 1
-    children = _grow(_class_reps(conditions, n, True)[0])
-    return any(full in fr.up and all(cond(fr) for cond in conditions) for fr in children)
+    Only those children are grown, and none is stored; the answer is kept
+    in _ROOTED_NEXT."""
+    found = _ROOTED_NEXT.get((conditions, n))
+    if found is None:
+        full = (1 << n + 1) - 1
+        children = _grow(_class_reps(conditions, n, True)[0])
+        found = any(full in fr.up and all(cond(fr) for cond in conditions) for fr in children)
+        _ROOTED_NEXT[conditions, n] = found
+    return found
 
 
 def _canonical_key(fr: Frame) -> tuple[int, ...]:

@@ -9,8 +9,6 @@ every rooted frame of the class.
 
 from __future__ import annotations
 
-import enum
-
 from .formula import Formula, _Record
 from .kripke import Countermodel, Frame, _class_reps, _rooted_next_size, countermodel_to_json, frame_valid
 from .correspondence import BD2_CHAIN, DISCRETE, LIN, FrameCondition
@@ -64,10 +62,27 @@ def get_logic(name: str) -> LogicSpec:
         ) from None
 
 
-class Verdict(enum.Enum):
-    VALID = "valid"
-    REFUTED = "refuted"
-    NO_COUNTERMODEL = "no-countermodel"
+class Verdict:
+    """A decision's verdict: Verdict.VALID, REFUTED or NO_COUNTERMODEL,
+    each one object with a name and a value, compared by identity.  Not an
+    enum.Enum: importing enum loads functools, collections, types and
+    reprlib, which nothing else in the package needs."""
+
+    __slots__ = ("name", "value")
+
+    def __init__(self, name: str, value: str):
+        self.name, self.value = name, value
+
+    def __repr__(self) -> str:
+        return f"<Verdict.{self.name}: {self.value!r}>"
+
+    def __reduce__(self):
+        return getattr, (Verdict, self.name)
+
+
+Verdict.VALID = Verdict("VALID", "valid")
+Verdict.REFUTED = Verdict("REFUTED", "refuted")
+Verdict.NO_COUNTERMODEL = Verdict("NO_COUNTERMODEL", "no-countermodel")
 
 
 class Decision(_Record):

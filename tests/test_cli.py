@@ -1,12 +1,15 @@
+import ast
 import hashlib
 import io
 import json
 import runpy
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
-from kripkebench.cli import main
+from kripkebench.cli import _build_parser, _fast_args, main
 from kripkebench.correspondence import condition_spellings
 from kripkebench.formula import WORLD_LIMIT
 from kripkebench.kripke import _CLASS_REPS, _class_reps, enumerate_frames
@@ -614,3 +617,62 @@ def test_help_text_lists_the_registries(capsys, monkeypatch, command):
     # Python 3.10 titles the options section "optional arguments"
     out = capsys.readouterr().out.replace("optional arguments:", "options:")
     assert out == _HELP[command]
+
+
+# --- argparse only for help and errors --------------------------------------------
+
+def test_readme_and_headline_commands_take_the_fast_path():
+    # The README's commands, with their optional parts given, and the
+    # benchmark's headline commands all take the fast path, which reads
+    # each as argparse does.
+    root = Path(__file__).parent.parent
+    readme = [
+        shlex.split(line.replace("[", "").replace("]", ""))[1:]
+        for line in (root / "README.md").read_text(encoding="utf-8").splitlines()
+        if line.startswith("kripkebench ")
+    ]
+    workloads = ast.parse((root / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+    headline = next(
+        ast.literal_eval(node.value) for node in workloads.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "HEADLINE"
+    )
+    commands = readme + [list(argv) for argv in headline]
+    assert len(readme) >= 20 and len(headline) == 15
+    parser = _build_parser()
+    for argv in commands:
+        args = _fast_args(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(parser.parse_args(argv)), argv
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ([], 2),
+        (["bogus"], 2),
+        (["parse"], 2),
+        (["parse", "p", "q"], 2),
+        (["parse", "p", "--colour"], 2),
+        (["parse", "p", "--help"], 0),
+        (["enumerate"], 2),
+        (["enumerate", "--n"], 2),
+        (["enumerate", "--n", "x"], 2),
+        (["decide", "cpc", "p", "--format", "xml"], 2),
+        (["witness", "tree", "frame.json"], 2),
+        (["enumerate", "--n=2"], 0),
+        (["decide", "cpc", "p|~p", "--bou", "2"], 0),
+        (["decide", "cpc", "p", "--bound", "-1"], 2),
+        (["parse", "--", "-p"], 2),
+    ],
+)
+def test_argparse_parses_what_the_fast_path_leaves(capsys, argv, code):
+    # Help, usage errors, abbreviations, --x=y, -- and values starting with -
+    # go to argparse, which exits itself or hands main its namespace.
+    assert _fast_args(argv) is None
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err

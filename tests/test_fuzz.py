@@ -1,5 +1,7 @@
 """CLI fuzzing: every input exits with a contract code 0-3 and no exception
-escapes main.
+escapes main.  Differential tests: the CLI's argparse-free parse of a plain
+command line against argparse, and the tokenizer and the model's atom-name
+check against the regular expression they replaced.
 
 The work of valid and decide grows exponentially with the number of atoms,
 and no work budget bounds it yet, so they are fuzzed with formulas over p
@@ -11,6 +13,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -20,8 +23,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kripkebench.cli import main
-from kripkebench.formula import ParseError, parse, render
+from kripkebench.cli import _build_parser, _fast_args, main
+from kripkebench.formula import NESTING_LIMIT, ParseError, _tokenize, parse, render
+from kripkebench.kripke import InvalidModel, chain, make_model
 from kripkebench.logics import LOGICS
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=300)
@@ -149,3 +153,153 @@ def test_enumerate_fuzz(n, dedup, stats):
 def test_export_dot_fuzz(doc):
     with json_file(doc) as path:
         assert run(["export-dot", path]) in (0, 1, 2, 3)
+
+
+# --- the plain command line, against argparse ----------------------------------
+
+# Values that the subcommands take, then bad ints and choices and the forms
+# that argparse alone parses: values starting with -, --x=y, abbreviations,
+# --, - and help.
+FORMATS = st.sampled_from(["text", "json"])
+INTS = st.sampled_from(["3", "0", " 4", "+2", "1_0", "\u0663"])
+TEXTS = st.sampled_from(["p|~p", "cpc", "lin", "f.json", "gl", ""])
+ODD = st.sampled_from(
+    ["xml", "x", "3.0", "-1", "-p", "-", "--", "-h", "--help", "--form", "--max", "--n=3",
+     "--format=json", "--colour", "--dedup", "--stats", "--n", "--world", "--bound", "--max-n"]
+)
+WORDS = FORMATS | INTS | TEXTS | ODD | st.text(max_size=3)
+# Each subcommand's positionals, each with the values it takes, and its
+# options, each with its values or None for a flag.
+SHAPES = {
+    "parse": ([TEXTS], {"--format": FORMATS}),
+    "eval": ([TEXTS, TEXTS], {"--format": FORMATS, "--world": INTS}),
+    "valid": ([TEXTS, TEXTS], {"--format": FORMATS, "--dot": TEXTS}),
+    "decide": ([TEXTS, TEXTS], {"--format": FORMATS, "--bound": INTS}),
+    "correspond": ([TEXTS, TEXTS], {"--format": FORMATS, "--max-n": INTS, "--dedup": None}),
+    "witness": ([st.sampled_from(["gl", "bd2"]), TEXTS], {"--format": FORMATS, "--dot": TEXTS}),
+    "enumerate": ([], {"--format": FORMATS, "--n": INTS, "--dedup": None, "--stats": None}),
+    "export-dot": ([TEXTS], {"--format": FORMATS, "--dot": TEXTS}),
+}
+
+
+@st.composite
+def command_lines(draw):
+    # Mostly what the subcommand takes: a word from WORDS in place of a value
+    # a quarter of the time, options anywhere between the positionals in
+    # order, and a positional dropped or added or an odd word added each a
+    # tenth of the time.  enumerate's --n is required, so it is always drawn.
+    def value(values):
+        return draw(WORDS if draw(st.integers(0, 3)) == 3 else values)
+
+    name = draw(st.sampled_from(sorted(SHAPES)))
+    positionals, options = SHAPES[name]
+    units = [[value(values)] for values in positionals]
+    flags = ["--n"] * (name == "enumerate") + draw(st.lists(st.sampled_from(sorted(options)), max_size=3))
+    for flag in flags:
+        unit = [flag] if options[flag] is None else [flag, value(options[flag])]
+        units.insert(draw(st.integers(0, len(units))), unit)
+    change = draw(st.integers(0, 9))
+    if change == 7 and units:
+        units.pop(draw(st.integers(0, len(units) - 1)))
+    elif change in (8, 9):
+        units.insert(draw(st.integers(0, len(units))), [draw(TEXTS if change == 8 else ODD)])
+    return [name] + [word for unit in units for word in unit]
+
+
+PARSER = _build_parser()
+
+
+@settings(derandomize=True, deadline=None, max_examples=1500)
+@given(st.one_of(command_lines(), command_lines(), st.lists(st.sampled_from(sorted(SHAPES)) | WORDS, max_size=6)))
+@example(["enumerate", "--n", "3", "--stats", "--n", "4", "--stats"])
+@example(["witness", "gl", "f.json", "--format", "json", "--dot", ""])
+@example(["decide", "--bound", "\u0663", "cpc", "p"])
+def test_fast_args_agree_with_argparse(argv):
+    # A namespace from the fast path is argparse's, func included; None
+    # leaves argv to argparse, which then parses it or writes the error.
+    fast = _fast_args(argv)
+    if fast is not None:
+        assert vars(fast) == vars(PARSER.parse_args(argv))
+
+
+# --- the tokenizer and atom names, against the regular expression -------------
+
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def regex_tokenize(text):
+    """The tokenizer as it was with atom names matched by _IDENT."""
+    out = []
+    connectives = depth = 0
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c.isascii() and (c.isalpha() or c == "_"):
+            m = _IDENT.match(text, i)
+            out.append((m.group(), i + 1))
+            i = m.end()
+            continue
+        if c in "()":
+            depth += 1 if c == "(" else -1
+            if depth > NESTING_LIMIT:
+                raise ParseError(f"parentheses nest deeper than {NESTING_LIMIT}", i + 1)
+            tok = c
+        else:
+            if c in "~&|":
+                tok = c
+            elif text.startswith("->", i):
+                tok = "->"
+            elif c == "-":
+                raise ParseError("expected '->'", i + 1)
+            else:
+                raise ParseError(f"unexpected character {c!r}", i + 1)
+            connectives += 1
+            if connectives > NESTING_LIMIT:
+                raise ParseError(f"more than {NESTING_LIMIT} connectives", i + 1)
+        out.append((tok, i + 1))
+        i += len(tok)
+    return out
+
+
+def tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as err:
+        return str(err), err.position
+
+
+# ASCII name characters beside letters and digits that are not ASCII, which
+# isalpha, isidentifier or isdigit take: é, superscript two, the titlecase
+# digraph, the Arabic-Indic three and the fullwidth A.
+NAME_TEXT = st.text(st.sampled_from("pqTF_19 \u00e9\u00b2\u01c5\u0663\uff21") | st.characters(), max_size=8)
+
+
+@FUZZ
+@given(NAME_TEXT | st.text(st.sampled_from("pq_1\u00e9\u00b2 ()~&|->TF"), max_size=16))
+@example("p" + "&p" * NESTING_LIMIT)
+@example("(" * (NESTING_LIMIT + 1) + "p")
+@example("_1 p\u00b2 \u01c5 p\u00e9q")
+def test_tokenizer_matches_the_regular_expression(text):
+    assert tokens_or_error(_tokenize, text) == tokens_or_error(regex_tokenize, text)
+
+
+@FUZZ
+@given(NAME_TEXT)
+@example("_1")
+@example("p\u00e9")
+@example("p\u00b2")
+@example("\u01c5")
+@example("p\n")
+@example("if")
+def test_model_atom_names_are_the_regular_expressions(name):
+    try:
+        make_model(chain(1), {name: []})
+    except InvalidModel as err:
+        assert str(err) == f"bad atom name {name!r}"
+        taken = False
+    else:
+        taken = True
+    assert taken == (_IDENT.fullmatch(name) is not None and name not in ("T", "F"))

@@ -1,15 +1,18 @@
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import random
 import sys
 import threading
+from collections.abc import Iterable
 from itertools import count, permutations, product
 from math import factorial
 
 import pytest
 
-from kripkebench import correspondence, kripke
+from kripkebench import cli, correspondence, kripke
 from kripkebench.formula import And, Atom, Bottom, Or, Top, atoms, parse, render, substitute
 from kripkebench.kripke import (
     AntisymmetryViolation,
@@ -294,8 +297,9 @@ def test_compile_matches_structural_sharing():
 def test_per_call_paths_leave_no_cyclic_garbage():
     # parse and _compile recurse through module-level functions, not closures:
     # a recursive closure is a reference cycle, left for the garbage collector
-    # on every call.  cli.main is left out: argparse builds a cyclic parser,
-    # once per process.
+    # on every call.  cli.main runs in text mode: a plain command line builds
+    # no argparse parser, which is cyclic, and --format json leaves the json
+    # encoder's cycle.
     fr, model = fork(), make_model(chain(2), {"p": [1]})
     gc.collect()
     gc.disable()
@@ -315,6 +319,10 @@ def test_per_call_paths_leave_no_cyclic_garbage():
         assert frame_from_json(frame_to_json(fr)) == fr
         for data in (found.to_json(), report.to_json(), countermodel_to_json(witness)):
             json.loads(json.dumps(data))
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["parse", "p|~p"], ["decide", "cpc", "p|~p"], ["enumerate", "--n", "3", "--stats"],
+                         ["correspond", "(p->q)|(q->p)", "lin", "--max-n", "3", "--dedup"]):
+                assert cli.main(argv) == 0
         garbage = gc.collect()
     finally:
         gc.enable()
@@ -498,6 +506,15 @@ def test_countermodel_recheck_reads_its_own_formula(monkeypatch):
     compiles(*others)
     assert Countermodel(model, 0, a).formula is a
     compiles(a)
+
+
+def test_chunk_bits_memo_keeps_at_most_256_entries():
+    # ones and every of a chunk are kept per (n, per_chunk), and the memo is
+    # emptied when full, as the bound on big ints kept for the process.
+    for per_chunk in range(1, 300):
+        assert kripke._chunk_bits(2, per_chunk) == ((1 << 2 * per_chunk) - 1, int("01" * per_chunk, 2))
+        assert kripke._chunk_bits(2, per_chunk) is kripke._CHUNK_BITS[2, per_chunk]
+        assert len(kripke._CHUNK_BITS) <= 256
 
 
 def test_frame_valid_threads_read_their_own_program():
@@ -1318,6 +1335,45 @@ def test_make_model_rejects_unknown_world_and_bad_name():
         make_model(chain(1), {"p": [0], 1: [0]})
     with pytest.raises(InvalidModel, match="must be a set of worlds"):
         make_model(chain(1), {"p": 1})
+
+
+class _IndexOnly:
+    """Iterable by iter(), through __getitem__, but not an Iterable."""
+
+    def __getitem__(self, i):
+        if i:
+            raise IndexError(i)
+        return 1
+
+
+class _IterNone:
+    __iter__ = None
+
+
+@pytest.mark.parametrize(
+    "worlds, taken",
+    [
+        (1, False),
+        (None, False),
+        (_IndexOnly(), False),
+        (_IterNone(), False),
+        ({1: "x"}, True),
+        ((w for w in [1]), True),
+        (frozenset([1]), True),
+        (range(1, 2), True),
+    ],
+    ids=["int", "none", "getitem-only", "iter-none", "dict", "generator", "frozenset", "range"],
+)
+def test_make_model_takes_exactly_the_iterables(worlds, taken):
+    # make_model takes a world set exactly when it is a
+    # collections.abc.Iterable, which it imports only for a world set that is
+    # not a list, tuple or set.
+    assert isinstance(worlds, Iterable) is taken
+    if taken:
+        assert make_model(chain(2), {"p": worlds}).valuation == (("p", 2),)
+    else:
+        with pytest.raises(InvalidModel, match="must be a set of worlds"):
+            make_model(chain(2), {"p": worlds})
 
 
 @pytest.mark.parametrize(

@@ -25,13 +25,19 @@ def test_runtime_imports_are_stdlib_only():
 
 
 def test_cli_import_loads_no_typing_dataclasses_or_inspect():
-    # Annotations stay unevaluated, so collections.abc serves them, and the
-    # value types are records rather than dataclasses, which import inspect:
-    # the CLI's start-up pays for none of these modules.
+    # Annotations stay unevaluated strings, which import nothing; the value
+    # types are records rather than dataclasses, which import inspect; atom
+    # names are scanned without re, memos are dicts rather than functools'
+    # caches, Verdict is no enum, and argparse loads only for help and
+    # errors: the CLI's start-up pays for none of these modules.
     src = Path(kripkebench.__file__).parent.parent
+    unloaded = (
+        "typing", "dataclasses", "inspect", "re", "enum", "functools", "collections",
+        "argparse", "gettext", "shutil", "locale",
+    )
     code = (
         "import sys, kripkebench, kripkebench.cli; "
-        "print([m for m in ('typing', 'dataclasses', 'inspect') if m in sys.modules])"
+        f"print([m for m in {unloaded} if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -59,6 +65,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         ["correspond", "(p->q)|(q->p)", "lin", "--max-n", "3"],
     )])
 seen.append("json" in sys.modules)
+seen.append("argparse" in sys.modules)
 print(seen)
 """
 
@@ -76,7 +83,34 @@ def test_text_mode_commands_load_no_json_and_records_compile_on_first_use():
         text=True,
         check=True,
     ).stdout
-    assert out == "[False, [], [0, 0, 0], False]\n"
+    assert out == "[False, [], [0, 0, 0], False, False]\n"
+
+
+FALLBACK = """
+import contextlib, io, sys, kripkebench.cli
+for argv in (["decide", "--help"], ["parse", "p", "--colour"]):
+    sys.modules.pop("argparse", None)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            kripkebench.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    print(code, "argparse" in sys.modules)
+"""
+
+
+def test_help_and_usage_errors_load_argparse():
+    # argparse writes every help and usage message, so a command line that
+    # asks for help or that the fast path does not read loads it.
+    src = Path(kripkebench.__file__).parent.parent
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", FALLBACK],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "0 True\n2 True\n"
 
 
 def test_ci_runs_the_slow_checks_in_place_of_one_liners():

@@ -134,6 +134,20 @@ def test_frame_search_tables_are_not_a_field():
         Frame(up=fr.up, _tables=fr._tables)
 
 
+def test_verdicts_keep_their_names_values_reprs_and_identity():
+    # Verdict is a plain class, not an enum.Enum, with the members' enum
+    # interface: name, value, repr, hashing and identity through copies.
+    verdicts = (Verdict.VALID, Verdict.REFUTED, Verdict.NO_COUNTERMODEL)
+    assert [(v.name, v.value) for v in verdicts] == [
+        ("VALID", "valid"), ("REFUTED", "refuted"), ("NO_COUNTERMODEL", "no-countermodel")
+    ]
+    assert repr(Verdict.NO_COUNTERMODEL) == "<Verdict.NO_COUNTERMODEL: 'no-countermodel'>"
+    assert len({v: v.value for v in verdicts}) == 3
+    for v in verdicts:
+        copies = [pickle.loads(pickle.dumps(v, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        assert all(c is v for c in (*copies, copy.copy(v), copy.deepcopy(v)))
+
+
 def test_record_reprs():
     fr = chain(2)
     assert repr(fr) == "Frame(up=(3, 2))"
