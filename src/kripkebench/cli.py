@@ -9,6 +9,10 @@ whose only output is DOT) and its text lines, and main prints one of them.
 One table, _COMMANDS, gives every subcommand's arguments.  main reads a
 plain command line from it directly; argparse, built from the same table,
 serves only help, usage errors and the forms the fast path leaves to it.
+A frame or model file is read by json's own C scanner, without importing
+json, whose import loads re and enum: json loads only for --format json
+and for a document the scanner does not read whole, so that json.loads
+words its error.
 """
 
 from __future__ import annotations
@@ -43,16 +47,37 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
+_JSON_SPACE = " \t\n\r"  # json.decoder.WHITESPACE
 
 
 def _load_json(path: str):
-    import json  # here and in main, so that text-mode commands never load it
-
     with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except RecursionError:
-            raise ValueError("JSON nests too deeply") from None
+        text = handle.read()
+    try:
+        # json.loads's own C scanner and settings, without importing json,
+        # whose import loads re and enum.  Anything the scanner does not read
+        # whole, json.loads reads again and words the error for.
+        from _json import make_scanner
+
+        settings = _Args({
+            "strict": True, "object_hook": None, "object_pairs_hook": None,
+            "parse_float": float, "parse_int": int,
+            "parse_constant": {
+                "-Infinity": float("-inf"), "Infinity": float("inf"), "NaN": float("nan"),
+            }.__getitem__,
+        })
+        start = len(text) - len(text.lstrip(_JSON_SPACE))
+        value, end = make_scanner(settings)(text, start)
+        if not text[end:].lstrip(_JSON_SPACE):
+            return value
+    except Exception:  # without json loaded, 3.10 and 3.11 raise SystemError here
+        pass
+    import json  # only here and for --format json
+
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nests too deeply") from None
 
 
 def _write_dot(path: str | None, obj) -> None:
@@ -241,7 +266,8 @@ def _build_parser():
 
 
 class _Args:
-    """The parsed command line, as argparse's Namespace holds it."""
+    """Values as attributes: the parsed command line, as argparse's
+    Namespace holds it, and the JSON scanner's settings."""
 
     def __init__(self, values: dict):
         self.__dict__.update(values)

@@ -251,13 +251,14 @@ class CorrespondenceReport(_Record):
         if self.first_mismatch is None:
             lines.append(f"equivalent on all frames up to n={self.max_n}")
         else:
-            import json  # only a mismatch line prints JSON
-
             n, fr, side = self.first_mismatch
             other = "condition" if side == "schema" else "schema"
+            # The frame as json.dumps(data, sort_keys=True) writes it: a list
+            # of int lists prints the same from Python, so json is not loaded.
+            data = frame_to_json(fr)
             lines.append(
                 f"first mismatch at n={n}: {side} holds, {other} fails "
-                f"on frame {json.dumps(frame_to_json(fr), sort_keys=True)}"
+                f'on frame {{"le": {data["le"]}, "worlds": {data["worlds"]}}}'
             )
         return "\n".join(lines)
 

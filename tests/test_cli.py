@@ -2,13 +2,16 @@ import ast
 import hashlib
 import io
 import json
+import os
 import runpy
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import kripkebench
 from kripkebench.cli import _build_parser, _fast_args, main
 from kripkebench.correspondence import condition_spellings
 from kripkebench.formula import WORLD_LIMIT
@@ -532,6 +535,48 @@ def test_deep_json_exits_2(tmp_path, capsys, command):
     assert main([arg.format(path) for arg in command]) == 2
     err = capsys.readouterr().err
     assert err == "error: JSON nests too deeply\n"
+
+
+MALFORMED = {
+    "delimiter": '{"worlds" 3}',
+    "empty": "",
+    "bom": '\ufeff{"worlds": 2}',
+    "extra-data": '{"worlds": 2} x',
+}
+
+
+def json_loads_error(text) -> str:
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(text)
+    return f"error: {exc.value}\n"
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_json_in_a_fresh_interpreter_exits_2_with_json_loads_message(tmp_path, text):
+    # With json not loaded, 3.10's and 3.11's scanner report a malformed
+    # document as a SystemError; json.loads reads it again and words it.
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    code = "import sys, kripkebench.cli; assert 'json' not in sys.modules; sys.exit(kripkebench.cli.main())"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, "valid", str(path), "p"],
+        env={**os.environ, "PYTHONPATH": str(Path(kripkebench.__file__).parent.parent)},
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", json_loads_error(text))
+
+
+def test_load_json_without_the_c_scanner(tmp_path, capsys, monkeypatch):
+    # where there is no _json, as on PyPy, json.loads reads every document
+    monkeypatch.setitem(sys.modules, "_json", None)
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('{"worlds": 2, "le": [[0, 1]]}', encoding="utf-8")
+    bad.write_text(MALFORMED["delimiter"], encoding="utf-8")
+    assert main(["valid", str(good), "p|~p"]) == 1
+    assert capsys.readouterr().out.startswith("countermodel: world 0 does not force p | ~p\n")
+    assert main(["valid", str(bad), "p"]) == 2
+    assert capsys.readouterr() == ("", json_loads_error(MALFORMED["delimiter"]))
 
 
 def test_module_run_as_a_script_exits_with_mains_code(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import json
 from functools import lru_cache
 
 import pytest
@@ -19,6 +20,7 @@ from kripkebench.correspondence import (
     BD2_INSTANCE,
     BD2_PAPER,
     CONDITIONS,
+    CorrespondenceReport,
     DISCRETE,
     GL_INSTANCE,
     LIN,
@@ -337,6 +339,20 @@ def test_report_serialization():
     ok_report = check_correspondence(GL_INSTANCE, LIN, 2)
     assert ok_report.to_json()["first_mismatch"] is None
     assert "equivalent on all frames" in ok_report.format_text()
+
+
+def test_mismatch_line_writes_the_frame_as_json_dumps_does():
+    # format_text writes the frame without json: a list of int lists prints
+    # from Python as json.dumps prints it, and an empty le as []
+    frames = [fr for n in range(1, 6) for fr in kripke._class_reps((), n)[0]]
+    assert len(frames) == 1 + 2 + 5 + 16 + 63
+    for fr in frames + [antichain(3)]:
+        report = CorrespondenceReport(GL_INSTANCE, LIN, fr.size, False, {}, (fr.size, fr, "schema"))
+        assert report.format_text().splitlines()[-1] == (
+            f"first mismatch at n={fr.size}: schema holds, condition fails on frame "
+            + json.dumps(frame_to_json(fr), sort_keys=True)
+        )
+    assert frame_to_json(antichain(3))["le"] == []
 
 
 def test_check_correspondence_rejects_bad_bound():

@@ -1,7 +1,8 @@
 """CLI fuzzing: every input exits with a contract code 0-3 and no exception
 escapes main.  Differential tests: the CLI's argparse-free parse of a plain
-command line against argparse, and the tokenizer and the model's atom-name
-check against the regular expression they replaced.
+command line against argparse, its JSON file reader against json.load, and
+the tokenizer and the model's atom-name check against the regular expression
+they replaced.
 
 The work of valid and decide grows exponentially with the number of atoms,
 and no work budget bounds it yet, so they are fuzzed with formulas over p
@@ -23,7 +24,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kripkebench.cli import _build_parser, _fast_args, main
+from kripkebench.cli import _build_parser, _fast_args, _load_json, main
 from kripkebench.formula import NESTING_LIMIT, ParseError, _tokenize, parse, render
 from kripkebench.kripke import InvalidModel, chain, make_model
 from kripkebench.logics import LOGICS
@@ -220,6 +221,76 @@ def test_fast_args_agree_with_argparse(argv):
     fast = _fast_args(argv)
     if fast is not None:
         assert vars(fast) == vars(PARSER.parse_args(argv))
+
+
+# --- the JSON file reader, against json.load --------------------------------------
+
+def json_load(path):
+    """The CLI's reader as it was: json.load, deep nesting worded."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError("JSON nests too deeply") from None
+
+
+def value_or_error(load, path):
+    # repr tells NaN, -0.0, 1 and 1.0 and True apart, and shows key order
+    try:
+        return repr(load(path))
+    except Exception as err:
+        return type(err), str(err)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+# Characters that move the scanner to another branch or error, beside any.
+JSON_DAMAGE = st.text(st.sampled_from(' \t\n\r\x00{}[]:,"\\/0123456789.eE+-ntfuNaIy\ufeff\ud800') | st.characters(), max_size=3)
+
+
+@st.composite
+def json_texts(draw):
+    """A document as json.dumps writes it, then edited in up to three
+    places, and with a BOM, whitespace or trailing data around it."""
+    text = json.dumps(
+        draw(JSON_VALUES), ensure_ascii=draw(st.booleans()), indent=draw(st.none() | st.integers(0, 2))
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(JSON_DAMAGE) + text[i + draw(st.integers(0, 2)):]
+    head = draw(st.sampled_from(["", " ", "\n\t\r", "\ufeff", "\f", "\u00a0"]))
+    tail = draw(st.sampled_from(["", " \r\n", "x", "{}", "1", "\x00", "\u2028"]))
+    return head + text + tail
+
+
+@settings(derandomize=True, deadline=None, max_examples=1500)
+@given(json_texts() | st.text(max_size=8))
+@example("")
+@example(" \n\t\r")
+@example('\ufeff{"worlds": 2}')
+@example('{"worlds": 2} x')
+@example('{"worlds" 3}')
+@example('{"worlds": 3,}')
+@example('[NaN, Infinity, -Infinity, -0.0, 1e400, 1E-400]')
+@example('{"\\ud800": "\\udc00\\ud83d\\ude00", "\\u0070": "\\n\\/\\\\"}')
+@example('"\\ud800')
+@example('["tab\tand nul\x00"]')
+@example("9" * 4300)
+@example("9" * 4301)
+@example("[" * 100000 + "]" * 100000)
+@example("\ud800")
+def test_load_json_matches_json_load(text):
+    # the same value, or the same exception type and message; pytest has
+    # loaded json, so the SystemError that 3.10's and 3.11's scanner raise
+    # without it is seen only in tests/test_cli.py's fresh interpreters
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8", errors="surrogatepass") as handle:
+            handle.write(text)
+        assert value_or_error(_load_json, path) == value_or_error(json_load, path)
 
 
 # --- the tokenizer and atom names, against the regular expression -------------

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import kripkebench
 
 
@@ -71,10 +73,10 @@ print(seen)
 
 
 def test_text_mode_commands_load_no_json_and_records_compile_on_first_use():
-    # json is imported where JSON is read or written, and a record class
-    # compiles its methods on its first use: the import leaves the classes
-    # that no module constant builds uncompiled, and text-mode commands
-    # never load json.
+    # json is imported only to write --format json and to word what its
+    # scanner does not read whole, and a record class compiles its methods
+    # on its first use: the import leaves the classes that no module
+    # constant builds uncompiled, and text-mode commands never load json.
     src = Path(kripkebench.__file__).parent.parent
     out = subprocess.run(
         [sys.executable, "-S", "-c", TEXT_COMMANDS],
@@ -84,6 +86,50 @@ def test_text_mode_commands_load_no_json_and_records_compile_on_first_use():
         check=True,
     ).stdout
     assert out == "[False, [], [0, 0, 0], False, False]\n"
+
+
+ONE_COMMAND = """
+import contextlib, io, sys, kripkebench.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = kripkebench.cli.main(sys.argv[1:])
+print(code, [m for m in ("json", "re", "enum") if m in sys.modules])
+"""
+FILES = {
+    "frame": '{"worlds": 3, "le": [[0, 1], [0, 2]]}',
+    "model": '{"worlds": 2, "le": [[0, 1]], "valuation": {"p": [1]}}',
+    "bad": '{"worlds" 3}',
+}
+JSON_OR_NOT = [
+    (["valid", "{frame}", "(p->q)|(q->p)"], "1 []"),
+    (["valid", "{frame}", "p|(p->(q|~q))"], "0 []"),
+    (["witness", "gl", "{frame}"], "1 []"),
+    (["eval", "{model}", "p"], "1 []"),
+    (["eval", "{model}", "p", "--world", "1"], "0 []"),
+    (["export-dot", "{frame}"], "0 []"),
+    (["export-dot", "{model}"], "0 []"),
+    (["correspond", "p|(p->(q|~q))", "bd2-paper", "--max-n", "3"], "1 []"),
+    (["valid", "{frame}", "p|(p->(q|~q))", "--format", "json"], "0 ['json', 're', 'enum']"),
+    (["valid", "{bad}", "p"], "2 ['json', 're', 'enum']"),
+]
+
+
+@pytest.mark.parametrize("argv, want", JSON_OR_NOT, ids=[" ".join(argv) for argv, _ in JSON_OR_NOT])
+def test_text_mode_file_commands_load_no_json_re_or_enum(tmp_path, argv, want):
+    # The CLI reads a frame or model file with json's C scanner and prints a
+    # mismatch's frame itself; json, and with it re and enum, loads only for
+    # --format json and for a document the scanner does not read whole.
+    paths = {name: str(tmp_path / f"{name}.json") for name in FILES}
+    for name, text in FILES.items():
+        Path(paths[name]).write_text(text, encoding="utf-8")
+    src = Path(kripkebench.__file__).parent.parent
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", ONE_COMMAND, *(arg.format(**paths) for arg in argv)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == want + "\n"
 
 
 FALLBACK = """
