@@ -275,12 +275,6 @@ class Model(_Record):
                 raise InvalidModel(f"valuation of {name!r} mentions unknown worlds")
             _check_upward_closed(self.frame, mask, name)
 
-    def atom_mask(self, name: str) -> int:
-        for atom, mask in self.valuation:
-            if atom == name:
-                return mask
-        return 0
-
     def valuation_dict(self) -> dict[str, frozenset[int]]:
         return {name: _mask_to_set(mask) for name, mask in self.valuation}
 
@@ -336,8 +330,13 @@ class Countermodel(_Record):
     __slots__ = {"model": "Model", "world": "int", "formula": "Formula"}
 
     def __post_init__(self):
-        world = _world(self.model.frame.size, self.world)
-        if _force_mask(self.model, self.formula) >> world & 1:
+        fr = self.model.frame
+        world = _world(fr.size, self.world)
+        try:
+            below = fr._tables[1]  # a searched frame, as frame_valid's, keeps its rows
+        except AttributeError:
+            below = _below(fr)
+        if _force_mask(self.model, self.formula, below) >> world & 1:
             raise ValueError(f"world {world} forces {render(self.formula)}; not a countermodel")
 
 
@@ -347,37 +346,69 @@ class Countermodel(_Record):
 # int; forces and force_set run the same program on a one-valuation chunk.
 # Subterms are shared by their compiled node: equal subterms compile to
 # equal child indices, so looking up (op, a, b) never hashes a subtree.
+# Forcing is monotone in an atom that never sits under an odd number of
+# implication antecedents (~A is A -> F), so _first_failure searches a
+# program in which each such positive-only atom reads as F, and its atom
+# nodes hold positions among the searched atoms.
 
-def _compile(f: Formula) -> tuple[list[str], list[tuple[str, int, int]]]:
-    """The sorted atom names of f and its program; atom nodes hold the
-    index of their name in that list."""
-    prog: list[tuple[str, int, int]] = []
+_Program = list[tuple[str, int, int]]
+
+
+def _compile(f: Formula) -> tuple[list[str], _Program, tuple[Sequence[int], _Program]]:
+    """The sorted atom names of f, its program, whose atom nodes hold the
+    index of their name in that list, and its search: the indices of the
+    atoms that occur negatively, ascending, and the search program."""
+    index: dict[tuple[str, int, int], int] = {}  # node -> position in prog
     slot: dict[str, int] = {}  # atom name -> order of first occurrence
-    _walk(f, prog, {}, slot)
+    negative: set[str] = set()  # atom names under an odd number of antecedents
+    _walk(f, index, slot, negative, False)
+    prog = list(index)
     names = sorted(slot)
-    rank = {slot[name]: i for i, name in enumerate(names)}
-    return names, [(op, rank[a], b) if op == "atom" else (op, a, b) for op, a, b in prog]
+    if names != list(slot):
+        rank = {slot[name]: i for i, name in enumerate(names)}
+        prog = [(op, rank[a], b) if op == "atom" else (op, a, b) for op, a, b in prog]
+    if len(negative) == len(names):
+        return names, prog, (range(len(names)), prog)
+    search, searched = prog.copy(), []
+    for i, name in enumerate(names):
+        at = index["atom", slot[name], 0]
+        if name in negative:
+            search[at] = ("atom", len(searched), 0)
+            searched.append(i)
+        else:
+            search[at] = ("bot", 0, 0)
+    return names, prog, (searched, search)
 
 
 # The op name of each binary node class in a program.
 _OPS = {And: "and", Or: "or", Imp: "imp"}
 
 
-def _walk(g: Formula, prog: list, index: dict, slot: dict) -> int:
-    # g's position in prog, which lists each distinct node once, after its
-    # operands (index: node -> position).  Not a closure, as formula._climb.
-    if isinstance(g, Atom):
+def _walk(g: Formula, index: dict, slot: dict, negative: set, neg: bool) -> int:
+    # g's position in the program, whose nodes index lists in order, each
+    # distinct node once, after its operands.  Each occurrence is walked, so
+    # an atom under an odd number of antecedents (neg) enters negative.  Not
+    # a closure, as formula._climb.
+    op = _OPS.get(type(g))
+    if op is not None:
+        node = (
+            op,
+            _walk(g.left, index, slot, negative, neg ^ (op == "imp")),
+            _walk(g.right, index, slot, negative, neg),
+        )
+    elif isinstance(g, Atom):
+        if neg:
+            negative.add(g.name)
         node = ("atom", slot.setdefault(g.name, len(slot)), 0)
     elif isinstance(g, Top):
         node = ("top", 0, 0)
     elif isinstance(g, Bottom):
         node = ("bot", 0, 0)
     else:
-        node = (_OPS[type(g)], _walk(g.left, prog, index, slot), _walk(g.right, prog, index, slot))
+        raise TypeError(f"not a formula: {g!r}")
     i = index.get(node)
     if i is None:
-        i = index[node] = len(prog)
-        prog.append(node)
+        i = index[node] = len(index)
     return i
 
 
@@ -419,10 +450,10 @@ def _eval(prog, ones: int, every: int, below, atom_regs) -> int:
 # within 256 others, as audit_schemas's instances are on each frame.  A
 # full memo is cleared at once; nothing iterates over it.
 _PROGRAM_FORMULAS = 256
-_PROGRAMS: dict[int, tuple[Formula, tuple[list[str], list[tuple[str, int, int]]]]] = {}
+_PROGRAMS: dict[int, tuple[Formula, tuple]] = {}
 
 
-def _program(f: Formula) -> tuple[list[str], list[tuple[str, int, int]]]:
+def _program(f: Formula) -> tuple[list[str], _Program, tuple[Sequence[int], _Program]]:
     entry = _PROGRAMS.get(id(f))
     if entry is not None:
         return entry[1]
@@ -433,11 +464,11 @@ def _program(f: Formula) -> tuple[list[str], list[tuple[str, int, int]]]:
     return program
 
 
-def _force_mask(model: Model, f: Formula) -> int:
-    names, prog = _program(f)
-    fr = model.frame
-    slots = [model.atom_mask(name) for name in names]
-    return _eval(prog, fr.full_mask, 1, _below(fr), slots)
+def _force_mask(model: Model, f: Formula, below: list[tuple[int, int]]) -> int:
+    # The worlds forcing f; below is the frame's _below.
+    names, prog, _ = _program(f)
+    valuation = dict(model.valuation)
+    return _eval(prog, model.frame.full_mask, 1, below, [valuation.get(name, 0) for name in names])
 
 
 def forces(model: Model, x: int, f: Formula) -> bool:
@@ -447,12 +478,12 @@ def forces(model: Model, x: int, f: Formula) -> bool:
     pointwise, and A -> B holds at x iff every y >= x forcing A forces B.
     """
     _world(model.frame.size, x)
-    return _force_mask(model, f) >> x & 1 == 1
+    return _force_mask(model, f, _below(model.frame)) >> x & 1 == 1
 
 
 def force_set(model: Model, f: Formula) -> frozenset[int]:
     """All worlds forcing f; upward closed for every legal model."""
-    return _mask_to_set(_force_mask(model, f))
+    return _mask_to_set(_force_mask(model, f, _below(model.frame)))
 
 
 # Most valuations per chunk in _first_failure: bounds the size of every
@@ -468,6 +499,11 @@ def frame_valid(fr: Frame, f: Formula) -> Countermodel | None:
     forces f under every such valuation, else the first countermodel in
     lexicographic order: upsets ascending per atom with the first atom
     most significant, then lowest world index.
+
+    An atom with no occurrence under an odd number of implication
+    antecedents is held at the empty upset, the first: forcing is monotone
+    in it, so the first countermodel has it empty, and only the other
+    atoms are searched, in the same order.
 
     A search of more than one chunk of valuations on a frame with several
     minimal worlds first searches the cone of each minimal world, once per
@@ -488,7 +524,7 @@ def _search_tables(
 ) -> tuple[list[int], list[tuple[int, int]], dict[int, tuple], tuple[Frame, ...] | None]:
     """The search record of a frame, (ups, below, layouts, cones): its
     upsets, ascending, its strict-below rows (_below), the _layout of each
-    of its one-chunk searches so far, by the formula's atom count, and
+    of its one-chunk searches so far, by the number of searched atoms, and
     None for the cones, which _first_failure fills in on the frame's first
     search of several chunks."""
     return _closed_masks(fr.up), _below(fr), {}, None
@@ -499,12 +535,14 @@ def _first_failure(fr: Frame, f: Formula) -> tuple[list[int], int] | None:
     countermodel on fr, or None.  The frame keeps its _search_tables from
     its first search on, and in them the _layout of a search that fits one
     chunk, so a later one-chunk search of it with as many atoms runs only
-    _eval.  A search of several chunks keeps no layout: it is shared by
-    every chunk, and it holds the widest ints.  It first searches the
-    distinct cones of the frame's minimal worlds, when there are several;
-    the frame's first such search publishes its record anew with them, so
-    each cone builds its own record and layouts once."""
-    names, prog = _program(f)
+    _eval.  Product, slices and layouts range over the searched atoms of
+    f's _compile, and a countermodel puts mask 0 at every other atom.  A
+    search of several chunks keeps no layout: it is shared by every chunk,
+    and it holds the widest ints.  It first searches the distinct cones of
+    the frame's minimal worlds, when there are several; the frame's first
+    such search publishes its record anew with them, so each cone builds
+    its own record and layouts once."""
+    names, _, (searched, prog) = _program(f)
     if not fr.up:
         return None  # no world to fail
     try:
@@ -513,7 +551,7 @@ def _first_failure(fr: Frame, f: Formula) -> tuple[list[int], int] | None:
         tables = _search_tables(fr)
         object.__setattr__(fr, "_tables", tables)  # racing threads store equal ones
         ups, below, layouts, cones = tables
-    atoms = len(names)
+    atoms = len(searched)
     layout = layouts.get(atoms)
     if layout is None:
         count, n = len(ups), len(fr.up)
@@ -547,7 +585,10 @@ def _first_failure(fr: Frame, f: Formula) -> tuple[list[int], int] | None:
             n, full = len(fr.up), fr.full_mask
             failing = ones & ~root
             j, world = divmod((failing & -failing).bit_length() - 1, n)
-            return [reg >> j * n & full for reg in regs], world
+            masks = [0] * len(names)
+            for i, reg in zip(searched, regs):
+                masks[i] = reg >> j * n & full
+            return masks, world
     return None
 
 

@@ -121,6 +121,20 @@ def _truth(f: Formula, env: dict[str, bool]) -> bool:
     return not _truth(f.left, env) or _truth(f.right, env)
 
 
+def polarities(f: Formula, sign: str = "+") -> dict[str, set[str]]:
+    """Each atom of f mapped to the signs of its occurrences: "-" under an
+    odd number of implication antecedents, "+" under an even number."""
+    if isinstance(f, Atom):
+        return {f.name: {sign}}
+    if isinstance(f, (Top, Bottom)):
+        return {}
+    flipped = {"+": "-", "-": "+"}[sign] if isinstance(f, Imp) else sign
+    out = polarities(f.left, flipped)
+    for name, signs in polarities(f.right, sign).items():
+        out.setdefault(name, set()).update(signs)
+    return out
+
+
 def brute_force_posets(n: int) -> list[frozenset[tuple[int, int]]]:
     """All labeled partial orders on n worlds, by filtering every
     candidate relation on the off-diagonal cells."""

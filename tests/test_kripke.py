@@ -13,7 +13,7 @@ from math import factorial
 import pytest
 
 from kripkebench import cli, correspondence, kripke
-from kripkebench.formula import And, Atom, Bottom, Or, Top, atoms, parse, render, substitute
+from kripkebench.formula import And, Atom, Bottom, Imp, Or, Top, atoms, parse, render, substitute
 from kripkebench.kripke import (
     AntisymmetryViolation,
     Countermodel,
@@ -58,6 +58,7 @@ from oracles import (
     naive_first_countermodel,
     naive_upsets,
     naive_width,
+    polarities,
     random_formula,
     random_frame,
     random_model,
@@ -281,6 +282,19 @@ def _structural_compile(f, slot):
     return prog
 
 
+def check_search(f):
+    # The searched atoms are those with a negative occurrence, and the
+    # search program is the program with each other atom read as F.
+    names, prog, (searched, search) = _compile(f)
+    signs = polarities(f)
+    assert list(searched) == [i for i, name in enumerate(names) if "-" in signs[name]], f
+    place = {i: k for k, i in enumerate(searched)}
+    assert search == [
+        node if node[0] != "atom" else ("atom", place[node[1]], 0) if node[1] in place else ("bot", 0, 0)
+        for node in prog
+    ], f
+
+
 def test_compile_matches_structural_sharing():
     rng = random.Random(4242)
     fixed = ["(p->q)&(p->q)", "((p|q)->(p|q))|~(p|q)", "T&T|F->F", "~~p->~~p&q"]
@@ -289,9 +303,32 @@ def test_compile_matches_structural_sharing():
     for f in formulas:
         names = sorted(atoms(f))
         slot = {name: i for i, name in enumerate(names)}
-        assert _compile(f) == (names, _structural_compile(f, slot)), f
+        assert _compile(f)[:2] == (names, _structural_compile(f, slot)), f
+        check_search(f)
     assert len(_compile(parse("(p->q)&(p->q)"))[1]) == 4
     assert len(_compile(parse("~" * 100 + "p"))[1]) == 102
+
+
+def test_compile_refuses_what_is_not_a_formula():
+    for f in ("p", And(Atom("p"), None)):
+        with pytest.raises(TypeError, match="not a formula"):
+            frame_valid(fork(), f)
+
+
+def test_compile_finds_the_polarity_of_every_occurrence_of_a_shared_subterm():
+    # One subterm object at both polarities: the walk visits each
+    # occurrence, though the program lists the subterm once.  In the first
+    # formula q is positive in one occurrence of g and negative in the other.
+    p, q, r = Atom("p"), Atom("q"), Atom("r")
+    g = Imp(p, q)
+    shared = [And(g, Imp(g, r)), Imp(Imp(g, r), g), Or(Imp(Imp(g, Bottom()), Bottom()), g), Imp(g, g)]
+    for f, want in zip(shared, [[0, 1], [0, 2], [0], [0, 1]]):
+        check_search(f)
+        assert list(_compile(f)[2][0]) == want, f
+    assert len(_compile(shared[0])[1]) == 6
+    # with no positive-only atom, the search program is the program
+    names, prog, (searched, search) = _compile(parse("(p->q)|(q->p)"))
+    assert list(searched) == [0, 1] and search is prog
 
 
 def test_per_call_paths_leave_no_cyclic_garbage():
@@ -357,6 +394,17 @@ def _first_countermodel(fr, f):
     return None if cm is None else (cm.model.valuation_dict(), cm.world)
 
 
+def _all_searched(f):
+    # f & (a & b & ... -> a) over f's atoms: forced exactly where f is, so
+    # with the same first countermodel, and each atom occurs negatively, so
+    # the search ranges over every atom of f
+    names = sorted(atoms(f))
+    conj = Atom(names[0])
+    for name in names[1:]:
+        conj = And(conj, Atom(name))
+    return And(f, Imp(conj, Atom(names[0])))
+
+
 # frame_valid is checked against the naive oracle on every labeled poset
 # up to 4 worlds here, and in CI on the implication formulas at 5 worlds.
 ORACLE_CORPUS = [
@@ -388,6 +436,41 @@ def test_frame_valid_agrees_with_naive_oracle():
         check_against_naive_oracle(n, ORACLE_CORPUS)
 
 
+# Formulas with positive-only atoms (held at the empty upset by the
+# search), most beside atoms that also occur negatively; the last has no
+# positive-only atom.
+POLARITY_CORPUS = [
+    "p|q",
+    "(p->q)|r",
+    "((p->q)->p)->p",
+    "~~q|(p->~~p)",
+    "p&q->p|r",
+    "(p->q)|(q->p)|r",
+    "((q->r)->p)->(~p->q)|r",
+    "~~(p|~p)|q&r",
+    "(p->q)|(q->p)",
+]
+
+
+def test_frame_valid_with_positive_only_atoms_agrees_with_naive_oracle():
+    # every class representative up to 4 worlds, each formula searched
+    # twice in opposite orders, so a frame's layout for some number of
+    # searched atoms is read by formulas with different numbers of atoms
+    formulas = [parse(text) for text in POLARITY_CORPUS]
+    assert [len(_compile(f)[2][0]) for f in formulas] == [0, 1, 1, 1, 2, 2, 2, 1, 2]
+    frames = [fr for n in range(1, 5) for fr in enumerate_frames(n, dedup=True)]
+    expected = {}
+    for order in (formulas, formulas[::-1]):
+        for fr in frames:
+            for f in order:
+                if (fr.up, f) not in expected:
+                    names = sorted(atoms(f))
+                    expected[fr.up, f] = naive_first_countermodel(fr.size, fr.strict_pairs(), f, names)
+                assert _first_countermodel(fr, f) == expected[fr.up, f], (fr.up, render(f))
+    refuted = [want is not None for want in expected.values()]
+    assert 0 < refuted.count(True) < len(refuted)
+
+
 def test_frame_valid_first_countermodel_across_chunks():
     # 4 atoms on antichain(4), antichain(5) and the 5-world frame with
     # 3 < 0, 3 < 1 and 4 < 2 take 16**4, 32**4 and 15**4 valuations, more
@@ -395,7 +478,9 @@ def test_frame_valid_first_countermodel_across_chunks():
     # countermodels of p -> q|r|s (all three frames), p|q -> r|s
     # (antichain(5)) and (p->q)|(r->s)|~~(p&s) (the last frame) lie past
     # the first chunk; p|q -> r|s has another minimal refutation, first if
-    # the last atom were most significant.
+    # the last atom were most significant.  Most of these atoms occur only
+    # positively, and the search holds them at the empty upset, so each
+    # formula is also searched as _all_searched(f), over all four atoms.
     refuted = [
         "p|q->r|s",
         "p->q|r|s",
@@ -412,6 +497,8 @@ def test_frame_valid_first_countermodel_across_chunks():
             expected = naive_first_countermodel(fr.size, fr.strict_pairs(), f, names)
             assert expected is not None
             assert _first_countermodel(fr, f) == expected, (fr.up, text)
+            assert len(_compile(_all_searched(f))[2][0]) == 4
+            assert _first_countermodel(fr, _all_searched(f)) == expected, (fr.up, text)
     # Each world of an antichain is its own cone, so validity there is
     # classical validity.  The last frame's labels run against its order,
     # and its cone at 3 is a fork: the first tautology first fails there at
@@ -423,8 +510,10 @@ def test_frame_valid_first_countermodel_across_chunks():
         assert classical_taut(f)
         for fr in (antichain(4), antichain(5)):
             assert frame_valid(fr, f) is None, (fr.size, text)
+            assert frame_valid(fr, _all_searched(f)) is None, (fr.size, text)
         expected = naive_first_countermodel(5, last.strict_pairs(), f, names)
         assert _first_countermodel(last, f) == expected, text
+        assert _first_countermodel(last, _all_searched(f)) == expected, text
     assert _first_countermodel(last, parse(tautologies[0]))[1] == 3
 
 
@@ -445,6 +534,27 @@ def test_countermodel_constructor_rejects_forced_formula():
     model = make_model(chain(2), {"p": [0, 1]})
     with pytest.raises(ValueError):
         Countermodel(model, 0, parse("p"))
+
+
+def test_countermodel_recheck_reads_the_rows_a_searched_frame_keeps(monkeypatch):
+    # A searched frame's re-check reads its kept strict-below rows, and an
+    # unsearched frame's builds them; a non-countermodel raises on both.
+    rows = []
+    real = kripke._below
+    monkeypatch.setattr(kripke, "_below", lambda fr: rows.append(fr) or real(fr))
+    fr, f = fork(), parse("(p->q)|(q->p)")
+    cm = frame_valid(fr, f)
+    assert cm is not None and rows == [fr]
+    forced = make_model(fr, {"p": [1], "q": [1]})
+    with pytest.raises(ValueError, match="not a countermodel"):
+        Countermodel(forced, 0, f)
+    assert Countermodel(cm.model, cm.world, f) == cm and rows == [fr]
+    fresh = fork()
+    with pytest.raises(ValueError, match="not a countermodel"):
+        Countermodel(make_model(fresh, {"p": [1], "q": [1]}), 0, f)
+    assert rows == [fr, fresh]
+    assert force_set(make_model(fr, {"p": [1, 2]}), f) == {0, 1, 2}
+    assert len(rows) == 3
 
 
 @pytest.mark.parametrize("world", [5, -1, True, False, 0.0, None, "0"])
@@ -655,7 +765,9 @@ def test_frame_valid_cone_check_agrees_with_naive_oracle():
     # chunk (9**4 and 20**3 valuations), so frame_valid first searches the
     # cone of each minimal world.  Two 2-chains repeat one cone; the 6-world
     # frames put a fork and a 3-chain side by side, in both orders, and on
-    # each a formula is refuted by the last cone only.
+    # each a formula is refuted by the last cone only.  A formula with a
+    # positive-only atom is searched over fewer atoms, so each is also
+    # searched as _all_searched(f).
     two_chains = make_frame(4, [(0, 1), (2, 3)])
     fork_chain = make_frame(6, [(0, 1), (0, 2), (3, 4), (4, 5)])
     chain_fork = make_frame(6, [(0, 1), (1, 2), (3, 4), (3, 5)])
@@ -678,23 +790,27 @@ def test_frame_valid_cone_check_agrees_with_naive_oracle():
         expected = naive_first_countermodel(fr.size, fr.strict_pairs(), f, list(names))
         assert (expected is None) == all(cones_valid), text
         assert _first_countermodel(fr, f) == expected, (fr.up, text)
+        assert _first_countermodel(fr, _all_searched(f)) == expected, (fr.up, text)
 
 
 def check_cones_against_naive_oracle(n, corpus):
     # Every n-world class representative with several minimal worlds.  At
     # n = 5 a 3-atom search over more than 16 upsets takes more than one
-    # chunk, so it searches the cones first.  Each frame is searched twice
-    # for the whole corpus: the second round reads the cones, layouts and
-    # programs the first one kept.
+    # chunk, so it searches the cones first.  A positive-only atom is not
+    # searched, so each formula is also searched as _all_searched(f), over
+    # all its atoms.  Each frame is searched twice for the whole corpus: the
+    # second round reads the cones, layouts and programs the first one kept.
     formulas = [parse(text) for text in corpus]
+    whole = [_all_searched(f) for f in formulas]
     for fr in enumerate_frames(n, dedup=True):
         if len(_minimal_worlds(fr)) > 1:
             expected = [
                 naive_first_countermodel(n, fr.strict_pairs(), f, sorted(atoms(f))) for f in formulas
             ]
             for _ in range(2):
-                for f, want, text in zip(formulas, expected, corpus):
+                for f, g, want, text in zip(formulas, whole, expected, corpus):
                     assert _first_countermodel(fr, f) == want, (fr.up, text)
+                    assert _first_countermodel(fr, g) == want, (fr.up, text)
 
 
 def test_frame_valid_cone_check_runs_only_on_multi_chunk_searches(monkeypatch):
@@ -714,13 +830,32 @@ def test_frame_valid_cone_check_runs_only_on_multi_chunk_searches(monkeypatch):
         return list(worlds)
 
     # 16**4 valuations on antichain(4) were 16 chunks of the whole frame;
-    # its four cones are one 1-world frame, searched in one chunk.
-    assert chunks(antichain(4), "(p->q)|(q->r)|(r->p)|~~s") == [1]
+    # its four cones are one 1-world frame, searched in one chunk.  Each
+    # atom occurs on both sides of an implication, so each is searched.
+    assert chunks(antichain(4), "(p->q)|(q->r)|(r->s)|(s->p)") == [1]
     # A rooted frame has one cone, itself: 17**3 valuations in 17 chunks.
     rooted = make_frame(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     assert chunks(rooted, "(p->(q->r))->((p->q)->(p->r))") == [5] * 17
     # 16**3 valuations fit one chunk, so the cones are not searched.
     assert chunks(antichain(4), "(p->q)|(q->r)|(r->p)") == [4]
+
+
+def test_positive_only_atoms_are_left_out_of_the_slices(monkeypatch):
+    # s occurs only positively, so it is held at the empty upset: the search
+    # slices p, q and r alone, 16**3 valuations in one chunk, and keeps its
+    # layout under 3 searched atoms
+    built = _recorded_layouts(monkeypatch)
+    fr = antichain(4)
+    assert frame_valid(fr, parse("(p->q)|(q->r)|(r->p)|s")) is None
+    assert built == [fr._tables[0]] and list(fr._tables[2]) == [3]
+    sliced, ones, every, slices = fr._tables[2][3]
+    assert sliced == 3 and len(slices) == 3 and ones == (1 << 4 * 16 ** 3) - 1
+    # so does ~~s for s, which reads the kept layout
+    assert frame_valid(fr, parse("(p->q)|(q->r)|(r->p)|~~s")) is None
+    assert len(built) == 1
+    # a countermodel puts the empty upset at q and s
+    cm = frame_valid(chain(2), parse("(p->q)|~~s"))
+    assert cm.model.valuation == (("p", 2), ("q", 0), ("s", 0)) and cm.world == 0
 
 
 def test_frame_keeps_its_search_tables(monkeypatch):
@@ -831,8 +966,9 @@ def test_search_answered_by_its_cones_builds_no_layout_of_the_frame(monkeypatch)
     assert built == []
     assert fork_chain._tables[2] == {}
     # a cone that refutes reads its kept layout, then the whole frame's
-    # layout is built, and not kept
-    h = parse("(p->q)|(q->p)|r")
+    # layout is built, and not kept (r also occurs negatively, so all three
+    # atoms are searched)
+    h = parse("(p->q)|(q->p)|(~~r->r)")
     assert frame_valid(fork_chain, h) is not None
     assert built == [fork_chain._tables[0]]
     assert built[-1] is fork_chain._tables[0] and fork_chain._tables[2] == {}
