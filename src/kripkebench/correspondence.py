@@ -4,15 +4,8 @@ witness countermodels, and the paper's collapse as one such sweep."""
 from __future__ import annotations
 
 from .formula import And, Atom, Formula, Imp, Not, Or, _Record, render, substitute
-from .kripke import (
-    Countermodel,
-    Frame,
-    _bits,
-    _class_reps,
-    _first_failure,
-    frame_to_json,
-)
-from .kripke import chain, fork, frame_valid, make_model
+from .kripke import Countermodel, Frame, _bits, _class_reps, frame_to_json
+from .kripke import chain, fork, frame_valid, make_model, refutes
 
 
 class PreconditionFailed(Exception):
@@ -271,7 +264,9 @@ def check_correspondence(
     (smallest size first, then enumeration order).  Both sides are
     isomorphism-invariant, so each class representative counts for its
     labeled members, counted in growth (once with dedup); it is its class's
-    first labeled frame, so the first mismatch is always a representative."""
+    first labeled frame, so the first mismatch is always a representative.
+    Each frame is searched by kripke.refutes, which builds no countermodel
+    and holds every atom that occurs with one polarity fixed."""
     if type(max_n) is not int or max_n < 1:
         raise ValueError("check_correspondence needs max_n >= 1")
     sizes, first_mismatch = {}, None
@@ -280,7 +275,7 @@ def check_correspondence(
         for fr, labelings in zip(*_class_reps((), n)):
             weight = 1 if dedup else labelings
             frames += weight
-            valid = _first_failure(fr, schema) is None
+            valid = not refutes(fr, schema)
             holds = condition(fr)
             if valid:
                 schema_valid += weight

@@ -341,15 +341,17 @@ class Countermodel(_Record):
 
 
 # A formula compiles to one program over its distinct subterms, which
-# _eval runs bottom-up with one int per subterm.  _first_failure packs the
-# world bitmasks of a whole chunk of valuations side by side into each
-# int; forces and force_set run the same program on a one-valuation chunk.
+# _eval runs bottom-up with one int per subterm.  _search packs the world
+# bitmasks of a whole chunk of valuations side by side into each int;
+# forces and force_set run the same program on a one-valuation chunk.
 # Subterms are shared by their compiled node: equal subterms compile to
 # equal child indices, so looking up (op, a, b) never hashes a subtree.
 # Forcing is monotone in an atom that never sits under an odd number of
-# implication antecedents (~A is A -> F), so _first_failure searches a
+# implication antecedents (~A is A -> F), so frame_valid searches a
 # program in which each such positive-only atom reads as F, and its atom
-# nodes hold positions among the searched atoms.
+# nodes hold positions among the searched atoms.  refutes, which needs
+# only the verdict, searches that program with each negative-only atom
+# read as T and its constant subterms folded (_verdict_program).
 
 _Program = list[tuple[str, int, int]]
 
@@ -445,12 +447,13 @@ def _eval(prog, ones: int, every: int, below, atom_regs) -> int:
 
 
 # The programs of recent formulas, by id: an entry holds its formula, so its
-# id names no other object while it is kept.  A search and the re-check of
+# id names no other object while it is kept, then its _compile, and from
+# its first refutes on its _verdict_program.  A search and the re-check of
 # its countermodel compile once, and so does a formula object searched again
 # within 256 others, as audit_schemas's instances are on each frame.  A
 # full memo is cleared at once; nothing iterates over it.
 _PROGRAM_FORMULAS = 256
-_PROGRAMS: dict[int, tuple[Formula, tuple]] = {}
+_PROGRAMS: dict[int, tuple] = {}
 
 
 def _program(f: Formula) -> tuple[list[str], _Program, tuple[Sequence[int], _Program]]:
@@ -486,7 +489,7 @@ def force_set(model: Model, f: Formula) -> frozenset[int]:
     return _mask_to_set(_force_mask(model, f, _below(model.frame)))
 
 
-# Most valuations per chunk in _first_failure: bounds the size of every
+# Most valuations per chunk in _search: bounds the size of every
 # register while holding down the number of Python-level operations.
 _CHUNK_VALUATIONS = 4096
 
@@ -519,30 +522,136 @@ def frame_valid(fr: Frame, f: Formula) -> Countermodel | None:
     return Countermodel(Model(fr, tuple(zip(_program(f)[0], masks))), world, f)
 
 
+def refutes(fr: Frame, f: Formula) -> bool:
+    """Whether some monotone valuation refutes f at some world of fr, that
+    is, frame_valid(fr, f) is not None, decided without a countermodel.
+
+    The search holds each atom that occurs only positively at the empty
+    upset, as frame_valid's does, and each atom that occurs only
+    negatively at the full set: forcing is antitone in it, so if any
+    upset refutes f at a world, the full set refutes it there too.  The
+    subterms this makes constant are folded away (_verdict_program), so
+    only the atoms left are searched, and a formula that folds to T is
+    answered before the frame's search tables are built.
+    """
+    # f's _verdict_program is built on its first refutes and kept as a third
+    # item of its _PROGRAMS entry, so frame_valid, forces and force_set,
+    # whose callers often compile each formula once, never build one.
+    entry = _PROGRAMS.get(id(f))
+    if entry is None or len(entry) == 2:
+        program = _program(f)
+        entry = _PROGRAMS[id(f)] = (f, program, _verdict_program(program[2][1]))
+    return entry[2] is not None and _search(fr, *entry[2]) is not None
+
+
+def _verdict_program(search: _Program) -> tuple[int, _Program] | None:
+    """refutes' program from a search program: (atoms, program), or None
+    when its root folds to T.  An atom read only negatively reads as T;
+    then each node with a constant operand, or two equal ones, is folded
+    (A -> A is T, A & A is A), the nodes the root no longer reads are
+    dropped, and the atoms left are numbered in program order."""
+    # The polarities in one reverse pass, operands after the nodes reading
+    # them: 1 read positively, 2 negatively, 3 both, so a shared node read
+    # at both polarities gets both.  An antecedent swaps 1 and 2.
+    sign = [0] * len(search)
+    sign[-1] = 1
+    for i in range(len(search) - 1, -1, -1):
+        op, a, b = search[i]
+        if op in ("and", "or", "imp"):
+            sign[a] |= (0, 2, 1, 3)[sign[i]] if op == "imp" else sign[i]
+            sign[b] |= sign[i]
+    # Each node's value: "T", "F" or a position among the folded nodes,
+    # which index lists, each distinct node once, after its operands.
+    index: dict[tuple[str, int, int], int] = {}
+    value: list = []
+    for (op, a, b), s in zip(search, sign):
+        if op == "atom":
+            v = "T" if s == 2 else index.setdefault((op, a, 0), len(index))
+        elif op == "top" or op == "bot":
+            v = "T" if op == "top" else "F"
+        else:
+            a, b = value[a], value[b]
+            v = _fold(op, a, b)
+            if v is None:
+                if b == "F":  # A -> F
+                    b = index.setdefault(("bot", 0, 0), len(index))
+                v = index.setdefault((op, a, b), len(index))
+        value.append(v)
+    root = value[-1]
+    if root == "T":
+        return None
+    if root == "F":
+        return 0, [("bot", 0, 0)]
+    nodes = list(index)
+    read = [False] * root + [True]
+    for i in range(root, -1, -1):
+        op, a, b = nodes[i]
+        if read[i] and op in ("and", "or", "imp"):
+            read[a] = read[b] = True
+    prog, at, atoms = [], {}, 0
+    for i, (op, a, b) in enumerate(nodes[: root + 1]):
+        if read[i]:
+            if op == "atom":
+                a, atoms = atoms, atoms + 1
+            elif op != "bot":
+                a, b = at[a], at[b]
+            at[i] = len(prog)
+            prog.append((op, a, b))
+    return atoms, prog
+
+
+def _fold(op: str, a, b):
+    # op on two folded operands, each "T", "F" or a folded node's position:
+    # the constant or operand it equals, or None where the node stays.
+    if a == b:
+        return "T" if op == "imp" else a
+    if op == "imp":
+        return "T" if a == "F" or b == "T" else b if a == "T" else None
+    unit, zero = ("T", "F") if op == "and" else ("F", "T")
+    if zero in (a, b):
+        return zero
+    return b if a == unit else a if b == unit else None
+
+
 def _search_tables(
     fr: Frame,
 ) -> tuple[list[int], list[tuple[int, int]], dict[int, tuple], tuple[Frame, ...] | None]:
     """The search record of a frame, (ups, below, layouts, cones): its
     upsets, ascending, its strict-below rows (_below), the _layout of each
     of its one-chunk searches so far, by the number of searched atoms, and
-    None for the cones, which _first_failure fills in on the frame's first
+    None for the cones, which _search fills in on the frame's first
     search of several chunks."""
     return _closed_masks(fr.up), _below(fr), {}, None
 
 
 def _first_failure(fr: Frame, f: Formula) -> tuple[list[int], int] | None:
     """frame_valid's search: the atom masks and world of f's first
-    countermodel on fr, or None.  The frame keeps its _search_tables from
+    countermodel on fr, or None.  _search ranges over the searched atoms
+    of f's _compile, and the countermodel puts mask 0 at every other atom."""
+    names, _, (searched, prog) = _program(f)
+    found = _search(fr, len(searched), prog)
+    if found is None:
+        return None
+    regs, bit = found
+    n, full = len(fr.up), fr.full_mask
+    j, world = divmod(bit, n)
+    masks = [0] * len(names)
+    for i, reg in zip(searched, regs):
+        masks[i] = reg >> j * n & full
+    return masks, world
+
+
+def _search(fr: Frame, atoms: int, prog: _Program) -> tuple[list[int], int] | None:
+    """The first valuation of a program over atoms atoms on fr that fails
+    at some world, as the registers of its chunk and the index of its
+    lowest failing bit, or None.  The frame keeps its _search_tables from
     its first search on, and in them the _layout of a search that fits one
     chunk, so a later one-chunk search of it with as many atoms runs only
-    _eval.  Product, slices and layouts range over the searched atoms of
-    f's _compile, and a countermodel puts mask 0 at every other atom.  A
-    search of several chunks keeps no layout: it is shared by every chunk,
-    and it holds the widest ints.  It first searches the distinct cones of
-    the frame's minimal worlds, when there are several; the frame's first
-    such search publishes its record anew with them, so each cone builds
-    its own record and layouts once."""
-    names, _, (searched, prog) = _program(f)
+    _eval.  A search of several chunks keeps no layout: it is shared by
+    every chunk, and it holds the widest ints.  It first searches the
+    distinct cones of the frame's minimal worlds, when there are several;
+    the frame's first such search publishes its record anew with them, so
+    each cone builds its own record and layouts once."""
     if not fr.up:
         return None  # no world to fail
     try:
@@ -551,7 +660,6 @@ def _first_failure(fr: Frame, f: Formula) -> tuple[list[int], int] | None:
         tables = _search_tables(fr)
         object.__setattr__(fr, "_tables", tables)  # racing threads store equal ones
         ups, below, layouts, cones = tables
-    atoms = len(searched)
     layout = layouts.get(atoms)
     if layout is None:
         count, n = len(ups), len(fr.up)
@@ -572,7 +680,7 @@ def _first_failure(fr: Frame, f: Formula) -> tuple[list[int], int] | None:
                 minimal = [x for x in range(n) if x not in lower]
                 cones = tuple(dict.fromkeys(fr.cone(x)[0] for x in minimal)) if len(minimal) > 1 else ()
                 object.__setattr__(fr, "_tables", (ups, below, layouts, cones))  # racing threads store equal ones
-            if cones and not any(_first_failure(cone, f) for cone in cones):
+            if cones and not any(_search(cone, atoms, prog) for cone in cones):
                 return None
         layout = _layout(n, ups, sliced, per_chunk)
         if sliced == atoms:
@@ -582,13 +690,8 @@ def _first_failure(fr: Frame, f: Formula) -> tuple[list[int], int] | None:
         regs = [mask * every for mask in combo] + slices
         root = _eval(prog, ones, every, below, regs)
         if root != ones:
-            n, full = len(fr.up), fr.full_mask
             failing = ones & ~root
-            j, world = divmod((failing & -failing).bit_length() - 1, n)
-            masks = [0] * len(names)
-            for i, reg in zip(searched, regs):
-                masks[i] = reg >> j * n & full
-            return masks, world
+            return regs, (failing & -failing).bit_length() - 1
     return None
 
 
@@ -709,7 +812,7 @@ def _labeled_count(n: int) -> int:
 # The entries for rooted and for all frames of one size share the frames of
 # the classes both hold, so a frame's search record serves both.
 # Threads growing one entry at once all get the first equal tuple stored.
-# A frame keeps its search record once a search reads it (_first_failure),
+# A frame keeps its search record once a search reads it (_search),
 # so frames no search reads get none, and the record goes with the entry.
 _Entry = tuple[tuple[Frame, ...], tuple[int, ...]]
 _CLASS_REPS: dict[tuple[tuple, int, bool], _Entry] = {}

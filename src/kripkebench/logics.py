@@ -10,7 +10,7 @@ every rooted frame of the class.
 from __future__ import annotations
 
 from .formula import Formula, _Record
-from .kripke import Countermodel, Frame, _class_reps, _rooted_next_size, countermodel_to_json, frame_valid
+from .kripke import Countermodel, Frame, _class_reps, _rooted_next_size, countermodel_to_json, frame_valid, refutes
 from .correspondence import BD2_CHAIN, DISCRETE, LIN, FrameCondition
 # The schemas live beside their conditions; they are re-exported from here.
 from .correspondence import BD2_SCHEMA, GL_SCHEMA, LEM_SCHEMA, schema_instance
@@ -104,9 +104,11 @@ def decide(logic: LogicSpec, f: Formula, bound: int) -> Decision:
 
     Sizes are tried in increasing order, and at each size the rooted
     isomorphism-class representatives of the class, in enumeration
-    order.  A world refuting f refutes it in its cone, a rooted class
-    frame, so Refuted carries the first countermodel of the first
-    refuting representative of the smallest refuting size.  Valid is
+    order, each by kripke.refutes, which holds every atom that occurs
+    with one polarity fixed.  A world refuting f refutes it in its cone, a
+    rooted class frame, so Refuted carries the first countermodel, by
+    frame_valid, of the first refuting representative of the smallest
+    refuting size.  Valid is
     returned once every rooted class frame was searched (see LogicSpec):
     at the first size n with none, with bound n - 1, or at bound when no
     rooted class frame has bound + 1 worlds.  Otherwise the search was
@@ -121,9 +123,8 @@ def decide(logic: LogicSpec, f: Formula, bound: int) -> Decision:
         if not rooted:
             return Decision(Verdict.VALID, n - 1)
         for fr in rooted:
-            cm = frame_valid(fr, f)
-            if cm is not None:
-                return Decision(Verdict.REFUTED, n, cm)
+            if refutes(fr, f):
+                return Decision(Verdict.REFUTED, n, frame_valid(fr, f))
     if _rooted_next_size(conditions, bound):
         return Decision(Verdict.NO_COUNTERMODEL, bound)
     return Decision(Verdict.VALID, bound)

@@ -1,4 +1,4 @@
-"""Checks past tier-1's sizes, about 1.5 min in all.
+"""Checks past tier-1's sizes, about 2 min in all.
 
 The file name does not match test_*.py, so a bare pytest never collects
 it; run it by path:
@@ -140,12 +140,19 @@ def test_gl_bd2_frame_classes_are_one_store_entry_up_to_n7():
 
 
 def test_frame_valid_against_the_naive_oracle_on_every_labeled_poset_on_5_worlds():
-    """4,231 frames (A001035), the oracle corpus formulas that have an
-    implication, and three in which q occurs only positively, so the
-    search holds it at the empty upset; out of tier-1, which stops at
-    n = 4, and about 17 s."""
-    t.check_against_naive_oracle(5, [s for s in t.ORACLE_CORPUS if '->' in s or '~' in s]
-    + ['~~q|(~~p->p)', '(p->q)|~~q', '~~(p|q)|(p->q)'])
+    """4,231 frames (A001035): frame_valid's first countermodel and the
+    verdict of refutes, on the oracle corpus formulas that have an
+    implication, three in which q occurs only positively, so both
+    searches hold it at the empty upset, one in which r occurs only
+    negatively, which refutes holds at the full set, and one with a
+    subterm object at both polarities.  Out of tier-1, which stops at
+    n = 4 (the 3-atom formulas at its class representatives); about 70 s,
+    50 of them the naive search of the negative-only one."""
+    corpus = [s for s in t.ORACLE_CORPUS if '->' in s or '~' in s]
+    corpus += ['~~q|(~~p->p)', '(p->q)|~~q', '~~(p|q)|(p->q)', '(p->q)|(q->p)|~r']
+    g = t.Imp(t.Atom('p'), t.Atom('q'))
+    formulas = [parse(s) for s in corpus] + [t.And(g, t.Imp(g, t.Atom('r')))]
+    t.check_verdicts_against_naive_oracle(enumerate_frames(5), formulas)
 
 
 def test_frame_valid_cone_check_against_the_naive_oracle_on_5_worlds():

@@ -30,6 +30,7 @@ from kripkebench.kripke import (
     _extensions,
     _first_failure,
     _grow,
+    _verdict_program,
     antichain,
     chain,
     countermodel_to_json,
@@ -44,6 +45,7 @@ from kripkebench.kripke import (
     make_model,
     model_from_json,
     model_to_json,
+    refutes,
     to_dot,
 )
 from kripkebench.logics import IPC, LOGICS, audit_schemas, decide
@@ -471,6 +473,70 @@ def test_frame_valid_with_positive_only_atoms_agrees_with_naive_oracle():
     assert 0 < refuted.count(True) < len(refuted)
 
 
+# Formulas for refutes, whose search also holds each atom that occurs only
+# negatively at the full set and folds the constants that leaves: r is
+# negative-only in the first four, the next three fold to T, and g sits at
+# both polarities in the last.
+_g = Imp(Atom("p"), Atom("q"))
+VERDICT_FORMULAS = [parse(text) for text in (
+    "(p->q)|(q->p)|~r",
+    "p|(p->(q|~q))|~r",
+    "~~(p|~p)|~q",
+    "~(p&r)->(q->p)",
+    "q->(p|q)",
+    "((p|F)&(T->p))->p|q",
+    "(p->p)|q",
+)] + [And(_g, Imp(_g, Atom("r")))]
+
+
+def check_verdicts_against_naive_oracle(frames, formulas):
+    # frame_valid's first countermodel and refutes' verdict, both against
+    # one naive search over every atom of the formula
+    for fr in frames:
+        for f in formulas:
+            expected = naive_first_countermodel(fr.size, fr.strict_pairs(), f, sorted(atoms(f)))
+            assert _first_countermodel(fr, f) == expected, (fr.up, render(f))
+            assert refutes(fr, f) == (expected is not None), (fr.up, render(f))
+
+
+def test_refutes_agrees_with_naive_oracle():
+    # every class representative up to 4 worlds, the formulas above and
+    # random ones, which draw T and F
+    rng = random.Random(48)
+    formulas = VERDICT_FORMULAS + [random_formula(rng, rng.randint(0, 4), ["p", "q", "r"]) for _ in range(150)]
+    frames = [fr for n in range(1, 5) for fr in enumerate_frames(n, dedup=True)]
+    check_verdicts_against_naive_oracle(frames, formulas)
+    assert refutes(Frame(()), parse("F")) is False  # no world to fail
+
+
+def test_verdict_program_fixes_negative_only_atoms_and_folds_constants():
+    def verdict(text):
+        return _verdict_program(_compile(parse(text))[2][1])
+
+    # r reads as T, so ~r as F, and the disjunction is (p->q)|(q->p)'s program
+    assert verdict("(p->q)|(q->p)|~r") == (2, _compile(GL_INSTANCE)[1])
+    # q is negative-only, so ~q is F; p is positive and negative
+    assert verdict("~~(p|~p)|~q") == (1, _compile(parse("~~(p|~p)"))[1])
+    for text in ("q -> (p | q)", "((p|F)&(T->p))->p|q", "(p->p)|q", "T", "F->p", "p->T"):
+        assert verdict(text) is None, text
+    # p is positive-only, so F; A -> F stays a negation
+    for text in ("F", "p", "~T", "p&q", "(p->F)->F"):
+        assert verdict(text) == (0, [("bot", 0, 0)]), text
+    # the nodes no longer read are dropped: p -> q, and r with r -> r
+    assert verdict("((p->q)|T)&(q->p)") == (2, [("atom", 0, 0), ("atom", 1, 0), ("imp", 1, 0)])
+    assert verdict("((r->r)->p)|(p->q)") == (1, _compile(parse("p|~p"))[1])
+
+
+def test_refutes_answers_a_formula_that_folds_to_T_without_frame_work(monkeypatch):
+    def searched(rows):
+        raise AssertionError("built a frame's upsets")
+
+    monkeypatch.setattr(kripke, "_closed_masks", searched)
+    fr = antichain(40)
+    assert refutes(fr, parse("q -> (p | q)")) is False
+    assert not hasattr(fr, "_tables")
+
+
 def test_frame_valid_first_countermodel_across_chunks():
     # 4 atoms on antichain(4), antichain(5) and the 5-world frame with
     # 3 < 0, 3 < 1 and 4 < 2 take 16**4, 32**4 and 15**4 valuations, more
@@ -733,6 +799,65 @@ def test_threads_read_their_own_programs_through_eviction(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert results == [[want[75 * i:] + want[:75 * i]] * 3 for i in range(4)]
     # threads that test the size at once may each add one entry past it
+    assert len(kripke._PROGRAMS) <= 256 + 3
+
+
+def test_only_refutes_builds_a_verdict_program(monkeypatch):
+    # frame_valid, forces and force_set build none; a formula's first
+    # refutes builds one beside its program, which compiles once
+    compiled = _compiles(monkeypatch)
+    built = []
+    real = kripke._verdict_program
+    monkeypatch.setattr(kripke, "_verdict_program", lambda search: built.append(search) or real(search))
+    f, g = parse("(p->q)|(q->p)|~r"), parse("p|~p")
+    model = make_model(chain(2), {"p": [1]})
+    assert frame_valid(fork(), f) is not None and frame_valid(chain(3), f) is None
+    assert forces(model, 0, f) and force_set(model, f) == {0, 1}
+    assert compiled == [f] and built == []
+    assert refutes(fork(), f) and not refutes(chain(3), f)
+    assert compiled == [f] and len(built) == 1
+    assert refutes(fork(), f) and refutes(antichain(2), f) is False
+    assert len(built) == 1
+    # refuted first, then searched: one compile and one verdict program
+    assert refutes(chain(2), g) and frame_valid(chain(2), g).world == 0
+    assert compiled == [f, g] and len(built) == 2
+
+
+def test_threads_read_their_own_verdict_programs_through_eviction(monkeypatch):
+    # as test_threads_read_their_own_programs_through_eviction, with each
+    # formula refuted and searched in turn: refutes adds its verdict program
+    # to the entries frame_valid makes, and the memo is cleared under both
+    monkeypatch.setattr(kripke, "_PROGRAMS", {})
+    rng = random.Random(4848)
+    formulas = [random_formula(rng, 3, ["p", "q", "r"]) for _ in range(300)]
+    frames = [chain(2), fork(), antichain(2)]
+
+    def run(start):
+        order = formulas[start:] + formulas[:start]
+        return [[(refutes(fr, f), frame_valid(fr, f) is not None) for fr in frames] for f in order]
+
+    want = run(0)
+    verdicts = [pair for row in want for pair in row]
+    assert all(a == b for a, b in verdicts) and (True, True) in verdicts and (False, False) in verdicts
+    results = [None] * 4
+    barrier = threading.Barrier(4, timeout=60)
+
+    def work(i):
+        barrier.wait()
+        results[i] = [run(75 * i) for _ in range(3)]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[want[75 * i:] + want[:75 * i]] * 3 for i in range(4)]
     assert len(kripke._PROGRAMS) <= 256 + 3
 
 

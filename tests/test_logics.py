@@ -216,6 +216,20 @@ def _compiles(monkeypatch):
     return compiled
 
 
+def test_decide_builds_only_the_countermodel_it_returns(monkeypatch):
+    # decide asks refutes of each rooted frame and frame_valid of the first
+    # refuting one alone; r occurs only negatively, and the first refuting
+    # frame is the 3-world fork
+    calls = []
+    real = kripke.frame_valid
+    monkeypatch.setattr(sys.modules["kripkebench.logics"], "frame_valid", lambda fr, f: calls.append(fr) or real(fr, f))
+    found = decide(IPC, parse("(p->q)|(q->p)|~r"), 4)
+    assert found.verdict is Verdict.REFUTED and found.bound == 3
+    assert calls == [found.countermodel.model.frame] and found.countermodel.model.frame.width() == 2
+    calls.clear()
+    assert decide(IPC, parse("~~(p|~p)"), 4).verdict is Verdict.NO_COUNTERMODEL and calls == []
+
+
 def test_audit_schemas_compiles_each_instance_once_per_call(monkeypatch):
     # gl+bd2's two instances are searched in turn on each of its 44 class
     # frames up to 7 worlds, and kripke keeps both programs: 2 compiles, not 88
