@@ -347,39 +347,31 @@ class Countermodel(_Record):
 # Subterms are shared by their compiled node: equal subterms compile to
 # equal child indices, so looking up (op, a, b) never hashes a subtree.
 # Forcing is monotone in an atom that never sits under an odd number of
-# implication antecedents (~A is A -> F), so frame_valid searches a
-# program in which each such positive-only atom reads as F, and its atom
-# nodes hold positions among the searched atoms.  refutes, which needs
-# only the verdict, searches that program with each negative-only atom
-# read as T and its constant subterms folded (_verdict_program).
+# implication antecedents (~A is A -> F), so frame_valid holds each such
+# positive-only atom at the empty upset.  Atoms are numbered with those
+# that occur negatively first, so a search ranges over a prefix of them
+# and reads a zero register for each positive-only one.  refutes, which
+# needs only the verdict, searches that program with each negative-only
+# atom read as T and its constant subterms folded (_verdict_program).
 
 _Program = list[tuple[str, int, int]]
 
 
-def _compile(f: Formula) -> tuple[list[str], _Program, tuple[Sequence[int], _Program]]:
-    """The sorted atom names of f, its program, whose atom nodes hold the
-    index of their name in that list, and its search: the indices of the
-    atoms that occur negatively, ascending, and the search program."""
+def _compile(f: Formula) -> tuple[list[str], _Program, int]:
+    """The atom names of f, those that occur negatively first and then the
+    positive-only ones, each group in name order; its program, whose atom
+    nodes hold the index of their name in that list; and the number of
+    atoms that occur negatively, the ones a search ranges over."""
     index: dict[tuple[str, int, int], int] = {}  # node -> position in prog
     slot: dict[str, int] = {}  # atom name -> order of first occurrence
     negative: set[str] = set()  # atom names under an odd number of antecedents
     _walk(f, index, slot, negative, False)
     prog = list(index)
-    names = sorted(slot)
+    names = sorted(negative) + sorted(slot.keys() - negative)
     if names != list(slot):
         rank = {slot[name]: i for i, name in enumerate(names)}
         prog = [(op, rank[a], b) if op == "atom" else (op, a, b) for op, a, b in prog]
-    if len(negative) == len(names):
-        return names, prog, (range(len(names)), prog)
-    search, searched = prog.copy(), []
-    for i, name in enumerate(names):
-        at = index["atom", slot[name], 0]
-        if name in negative:
-            search[at] = ("atom", len(searched), 0)
-            searched.append(i)
-        else:
-            search[at] = ("bot", 0, 0)
-    return names, prog, (searched, search)
+    return names, prog, len(negative)
 
 
 # The op name of each binary node class in a program.
@@ -456,7 +448,7 @@ _PROGRAM_FORMULAS = 256
 _PROGRAMS: dict[int, tuple] = {}
 
 
-def _program(f: Formula) -> tuple[list[str], _Program, tuple[Sequence[int], _Program]]:
+def _program(f: Formula) -> tuple[list[str], _Program, int]:
     entry = _PROGRAMS.get(id(f))
     if entry is not None:
         return entry[1]
@@ -519,7 +511,7 @@ def frame_valid(fr: Frame, f: Formula) -> Countermodel | None:
     if found is None:
         return None
     masks, world = found
-    return Countermodel(Model(fr, tuple(zip(_program(f)[0], masks))), world, f)
+    return Countermodel(Model(fr, tuple(sorted(zip(_program(f)[0], masks)))), world, f)
 
 
 def refutes(fr: Frame, f: Formula) -> bool:
@@ -531,8 +523,8 @@ def refutes(fr: Frame, f: Formula) -> bool:
     negatively at the full set: forcing is antitone in it, so if any
     upset refutes f at a world, the full set refutes it there too.  The
     subterms this makes constant are folded away (_verdict_program), so
-    only the atoms left are searched, and a formula that folds to T is
-    answered before the frame's search tables are built.
+    only the atoms left are searched, with no zero register, and a formula
+    that folds to T is answered before the frame's search tables are built.
     """
     # f's _verdict_program is built on its first refutes and kept as a third
     # item of its _PROGRAMS entry, so frame_valid, forces and force_set,
@@ -540,23 +532,24 @@ def refutes(fr: Frame, f: Formula) -> bool:
     entry = _PROGRAMS.get(id(f))
     if entry is None or len(entry) == 2:
         program = _program(f)
-        entry = _PROGRAMS[id(f)] = (f, program, _verdict_program(program[2][1]))
-    return entry[2] is not None and _search(fr, *entry[2]) is not None
+        entry = _PROGRAMS[id(f)] = (f, program, _verdict_program(program[1], program[2]))
+    return entry[2] is not None and _search(fr, *entry[2], 0) is not None
 
 
-def _verdict_program(search: _Program) -> tuple[int, _Program] | None:
-    """refutes' program from a search program: (atoms, program), or None
-    when its root folds to T.  An atom read only negatively reads as T;
-    then each node with a constant operand, or two equal ones, is folded
-    (A -> A is T, A & A is A), the nodes the root no longer reads are
-    dropped, and the atoms left are numbered in program order."""
+def _verdict_program(prog: _Program, searched: int) -> tuple[int, _Program] | None:
+    """refutes' program from a _compile program and its searched count:
+    (atoms, program), or None when its root folds to T.  An atom numbered
+    searched or later, positive-only, reads as F, and one read only
+    negatively as T; then each node with a constant operand, or two equal
+    ones, is folded (A -> A is T, A & A is A), the nodes the root no longer
+    reads are dropped, and the atoms left are numbered in program order."""
     # The polarities in one reverse pass, operands after the nodes reading
     # them: 1 read positively, 2 negatively, 3 both, so a shared node read
     # at both polarities gets both.  An antecedent swaps 1 and 2.
-    sign = [0] * len(search)
+    sign = [0] * len(prog)
     sign[-1] = 1
-    for i in range(len(search) - 1, -1, -1):
-        op, a, b = search[i]
+    for i in range(len(prog) - 1, -1, -1):
+        op, a, b = prog[i]
         if op in ("and", "or", "imp"):
             sign[a] |= (0, 2, 1, 3)[sign[i]] if op == "imp" else sign[i]
             sign[b] |= sign[i]
@@ -564,9 +557,9 @@ def _verdict_program(search: _Program) -> tuple[int, _Program] | None:
     # which index lists, each distinct node once, after its operands.
     index: dict[tuple[str, int, int], int] = {}
     value: list = []
-    for (op, a, b), s in zip(search, sign):
+    for (op, a, b), s in zip(prog, sign):
         if op == "atom":
-            v = "T" if s == 2 else index.setdefault((op, a, 0), len(index))
+            v = "F" if a >= searched else "T" if s == 2 else index.setdefault((op, a, 0), len(index))
         elif op == "top" or op == "bot":
             v = "T" if op == "top" else "F"
         else:
@@ -625,28 +618,27 @@ def _search_tables(
 
 
 def _first_failure(fr: Frame, f: Formula) -> tuple[list[int], int] | None:
-    """frame_valid's search: the atom masks and world of f's first
-    countermodel on fr, or None.  _search ranges over the searched atoms
-    of f's _compile, and the countermodel puts mask 0 at every other atom."""
-    names, _, (searched, prog) = _program(f)
-    found = _search(fr, len(searched), prog)
+    """frame_valid's search: the masks of f's first countermodel on fr, one
+    per atom in _compile's order, and its world, or None.  _search ranges
+    over the searched atoms of f and reads mask 0 at every other atom."""
+    names, prog, searched = _program(f)
+    found = _search(fr, searched, prog, len(names) - searched)
     if found is None:
         return None
     regs, bit = found
     n, full = len(fr.up), fr.full_mask
     j, world = divmod(bit, n)
-    masks = [0] * len(names)
-    for i, reg in zip(searched, regs):
-        masks[i] = reg >> j * n & full
-    return masks, world
+    return [reg >> j * n & full for reg in regs], world
 
 
-def _search(fr: Frame, atoms: int, prog: _Program) -> tuple[list[int], int] | None:
-    """The first valuation of a program over atoms atoms on fr that fails
-    at some world, as the registers of its chunk and the index of its
-    lowest failing bit, or None.  The frame keeps its _search_tables from
-    its first search on, and in them the _layout of a search that fits one
-    chunk, so a later one-chunk search of it with as many atoms runs only
+def _search(fr: Frame, atoms: int, prog: _Program, unsearched: int) -> tuple[list[int], int] | None:
+    """The first valuation of a program on fr that fails at some world, as
+    the registers of its chunk, one per atom, and the index of its lowest
+    failing bit, or None.  The first atoms atoms range over fr's upsets,
+    and the unsearched ones after them read a zero register each, appended
+    once per call.  The frame keeps its _search_tables from its first
+    search on, and in them the _layout of a search that fits one chunk, so
+    a later one-chunk search of it with as many searched atoms runs only
     _eval.  A search of several chunks keeps no layout: it is shared by
     every chunk, and it holds the widest ints.  It first searches the
     distinct cones of the frame's minimal worlds, when there are several;
@@ -680,12 +672,14 @@ def _search(fr: Frame, atoms: int, prog: _Program) -> tuple[list[int], int] | No
                 minimal = [x for x in range(n) if x not in lower]
                 cones = tuple(dict.fromkeys(fr.cone(x)[0] for x in minimal)) if len(minimal) > 1 else ()
                 object.__setattr__(fr, "_tables", (ups, below, layouts, cones))  # racing threads store equal ones
-            if cones and not any(_search(cone, atoms, prog) for cone in cones):
+            if cones and not any(_search(cone, atoms, prog, unsearched) for cone in cones):
                 return None
         layout = _layout(n, ups, sliced, per_chunk)
         if sliced == atoms:
             layouts[atoms] = layout
     sliced, ones, every, slices = layout
+    if unsearched:
+        slices = slices + [0] * unsearched
     for combo in product(ups, repeat=atoms - sliced):
         regs = [mask * every for mask in combo] + slices
         root = _eval(prog, ones, every, below, regs)

@@ -285,16 +285,14 @@ def _structural_compile(f, slot):
 
 
 def check_search(f):
-    # The searched atoms are those with a negative occurrence, and the
-    # search program is the program with each other atom read as F.
-    names, prog, (searched, search) = _compile(f)
+    # The searched atoms are those with a negative occurrence: they are
+    # numbered first and the positive-only atoms after them, each group in
+    # name order, and the program's atom nodes hold those numbers.
     signs = polarities(f)
-    assert list(searched) == [i for i, name in enumerate(names) if "-" in signs[name]], f
-    place = {i: k for k, i in enumerate(searched)}
-    assert search == [
-        node if node[0] != "atom" else ("atom", place[node[1]], 0) if node[1] in place else ("bot", 0, 0)
-        for node in prog
-    ], f
+    searched = sorted(name for name in signs if "-" in signs[name])
+    names = searched + sorted(name for name in signs if "-" not in signs[name])
+    slot = {name: i for i, name in enumerate(names)}
+    assert _compile(f) == (names, _structural_compile(f, slot), len(searched)), f
 
 
 def test_compile_matches_structural_sharing():
@@ -303,9 +301,6 @@ def test_compile_matches_structural_sharing():
     formulas = [parse(text) for text in fixed]
     formulas += [random_formula(rng, rng.randint(0, 6), ["p", "q", "r"]) for _ in range(500)]
     for f in formulas:
-        names = sorted(atoms(f))
-        slot = {name: i for i, name in enumerate(names)}
-        assert _compile(f)[:2] == (names, _structural_compile(f, slot)), f
         check_search(f)
     assert len(_compile(parse("(p->q)&(p->q)"))[1]) == 4
     assert len(_compile(parse("~" * 100 + "p"))[1]) == 102
@@ -324,13 +319,16 @@ def test_compile_finds_the_polarity_of_every_occurrence_of_a_shared_subterm():
     p, q, r = Atom("p"), Atom("q"), Atom("r")
     g = Imp(p, q)
     shared = [And(g, Imp(g, r)), Imp(Imp(g, r), g), Or(Imp(Imp(g, Bottom()), Bottom()), g), Imp(g, g)]
-    for f, want in zip(shared, [[0, 1], [0, 2], [0], [0, 1]]):
+    want = [(["p", "q", "r"], 2), (["p", "r", "q"], 2), (["p", "q"], 1), (["p", "q"], 2)]
+    for f, (names, searched) in zip(shared, want):
         check_search(f)
-        assert list(_compile(f)[2][0]) == want, f
+        assert _compile(f)[0::2] == (names, searched), f
     assert len(_compile(shared[0])[1]) == 6
-    # with no positive-only atom, the search program is the program
-    names, prog, (searched, search) = _compile(parse("(p->q)|(q->p)"))
-    assert list(searched) == [0, 1] and search is prog
+    # with no positive-only atom, every atom is searched, in name order
+    assert _compile(parse("(p->q)|(q->p)"))[0::2] == (["p", "q"], 2)
+    # the positive-only p is numbered after the searched q
+    prog = [("atom", 1, 0), ("atom", 0, 0), ("bot", 0, 0), ("imp", 1, 2), ("or", 0, 3)]
+    assert _compile(parse("p|~q")) == (["q", "p"], prog, 1)
 
 
 def test_per_call_paths_leave_no_cyclic_garbage():
@@ -439,8 +437,9 @@ def test_frame_valid_agrees_with_naive_oracle():
 
 
 # Formulas with positive-only atoms (held at the empty upset by the
-# search), most beside atoms that also occur negatively; the last has no
-# positive-only atom.
+# search), most beside atoms that also occur negatively; the ninth has no
+# positive-only atom, and in the last three one sorts before a searched
+# atom, so _compile numbers the atoms out of name order.
 POLARITY_CORPUS = [
     "p|q",
     "(p->q)|r",
@@ -451,6 +450,9 @@ POLARITY_CORPUS = [
     "((q->r)->p)->(~p->q)|r",
     "~~(p|~p)|q&r",
     "(p->q)|(q->p)",
+    "p|~q",
+    "a|((p->q)|(q->p))",
+    "~~a|(b->c)",
 ]
 
 
@@ -459,7 +461,7 @@ def test_frame_valid_with_positive_only_atoms_agrees_with_naive_oracle():
     # twice in opposite orders, so a frame's layout for some number of
     # searched atoms is read by formulas with different numbers of atoms
     formulas = [parse(text) for text in POLARITY_CORPUS]
-    assert [len(_compile(f)[2][0]) for f in formulas] == [0, 1, 1, 1, 2, 2, 2, 1, 2]
+    assert [_compile(f)[2] for f in formulas] == [0, 1, 1, 1, 2, 2, 2, 1, 2, 1, 2, 1]
     frames = [fr for n in range(1, 5) for fr in enumerate_frames(n, dedup=True)]
     expected = {}
     for order in (formulas, formulas[::-1]):
@@ -511,7 +513,7 @@ def test_refutes_agrees_with_naive_oracle():
 
 def test_verdict_program_fixes_negative_only_atoms_and_folds_constants():
     def verdict(text):
-        return _verdict_program(_compile(parse(text))[2][1])
+        return _verdict_program(*_compile(parse(text))[1:])
 
     # r reads as T, so ~r as F, and the disjunction is (p->q)|(q->p)'s program
     assert verdict("(p->q)|(q->p)|~r") == (2, _compile(GL_INSTANCE)[1])
@@ -563,7 +565,7 @@ def test_frame_valid_first_countermodel_across_chunks():
             expected = naive_first_countermodel(fr.size, fr.strict_pairs(), f, names)
             assert expected is not None
             assert _first_countermodel(fr, f) == expected, (fr.up, text)
-            assert len(_compile(_all_searched(f))[2][0]) == 4
+            assert _compile(_all_searched(f))[2] == 4
             assert _first_countermodel(fr, _all_searched(f)) == expected, (fr.up, text)
     # Each world of an antichain is its own cone, so validity there is
     # classical validity.  The last frame's labels run against its order,
@@ -804,11 +806,11 @@ def test_threads_read_their_own_programs_through_eviction(monkeypatch):
 
 def test_only_refutes_builds_a_verdict_program(monkeypatch):
     # frame_valid, forces and force_set build none; a formula's first
-    # refutes builds one beside its program, which compiles once
+    # refutes builds one from its program, which compiles once
     compiled = _compiles(monkeypatch)
     built = []
     real = kripke._verdict_program
-    monkeypatch.setattr(kripke, "_verdict_program", lambda search: built.append(search) or real(search))
+    monkeypatch.setattr(kripke, "_verdict_program", lambda prog, n: built.append(prog) or real(prog, n))
     f, g = parse("(p->q)|(q->p)|~r"), parse("p|~p")
     model = make_model(chain(2), {"p": [1]})
     assert frame_valid(fork(), f) is not None and frame_valid(chain(3), f) is None
@@ -816,6 +818,7 @@ def test_only_refutes_builds_a_verdict_program(monkeypatch):
     assert compiled == [f] and built == []
     assert refutes(fork(), f) and not refutes(chain(3), f)
     assert compiled == [f] and len(built) == 1
+    assert built[0] is kripke._program(f)[1]  # the one program frame_valid runs
     assert refutes(fork(), f) and refutes(antichain(2), f) is False
     assert len(built) == 1
     # refuted first, then searched: one compile and one verdict program
