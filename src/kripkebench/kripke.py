@@ -507,11 +507,15 @@ def frame_valid(fr: Frame, f: Formula) -> Countermodel | None:
     countermodel is the frame's first, as without the cones.  The frame
     keeps its cones, so a later search reads their records too.
     """
-    found = _first_failure(fr, f)
+    names, prog, searched = _program(f)
+    found = _search(fr, searched, prog, len(names) - searched)
     if found is None:
         return None
-    masks, world = found
-    return Countermodel(Model(fr, tuple(sorted(zip(_program(f)[0], masks)))), world, f)
+    regs, bit = found
+    n, full = len(fr.up), fr.full_mask
+    j, world = divmod(bit, n)
+    masks = [reg >> j * n & full for reg in regs]
+    return Countermodel(Model(fr, tuple(sorted(zip(names, masks)))), world, f)
 
 
 def refutes(fr: Frame, f: Formula) -> bool:
@@ -524,7 +528,8 @@ def refutes(fr: Frame, f: Formula) -> bool:
     upset refutes f at a world, the full set refutes it there too.  The
     subterms this makes constant are folded away (_verdict_program), so
     only the atoms left are searched, with no zero register, and a formula
-    that folds to T is answered before the frame's search tables are built.
+    that folds to T or F is answered before the frame's search tables are
+    built: F, with no atom left, fails at every world of a nonempty frame.
     """
     # f's _verdict_program is built on its first refutes and kept as a third
     # item of its _PROGRAMS entry, so frame_valid, forces and force_set,
@@ -533,7 +538,12 @@ def refutes(fr: Frame, f: Formula) -> bool:
     if entry is None or len(entry) == 2:
         program = _program(f)
         entry = _PROGRAMS[id(f)] = (f, program, _verdict_program(program[1], program[2]))
-    return entry[2] is not None and _search(fr, *entry[2], 0) is not None
+    verdict = entry[2]
+    if verdict is None:  # folds to T
+        return False
+    if verdict[0] == 0:  # folds to F, the one program with no atom
+        return fr.size > 0
+    return _search(fr, *verdict, 0) is not None
 
 
 def _verdict_program(prog: _Program, searched: int) -> tuple[int, _Program] | None:
@@ -615,20 +625,6 @@ def _search_tables(
     None for the cones, which _search fills in on the frame's first
     search of several chunks."""
     return _closed_masks(fr.up), _below(fr), {}, None
-
-
-def _first_failure(fr: Frame, f: Formula) -> tuple[list[int], int] | None:
-    """frame_valid's search: the masks of f's first countermodel on fr, one
-    per atom in _compile's order, and its world, or None.  _search ranges
-    over the searched atoms of f and reads mask 0 at every other atom."""
-    names, prog, searched = _program(f)
-    found = _search(fr, searched, prog, len(names) - searched)
-    if found is None:
-        return None
-    regs, bit = found
-    n, full = len(fr.up), fr.full_mask
-    j, world = divmod(bit, n)
-    return [reg >> j * n & full for reg in regs], world
 
 
 def _search(fr: Frame, atoms: int, prog: _Program, unsearched: int) -> tuple[list[int], int] | None:

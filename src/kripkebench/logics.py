@@ -134,10 +134,10 @@ def audit_schemas(logic: LogicSpec, max_n: int) -> Countermodel | None:
     """Check that the logic's class validates its axiom schemas.
 
     Walks the class representatives up to max_n worlds, from the class
-    store decide reads, searches each by frame_valid for each schema's p, q
-    instance in turn, and returns the first countermodel, or None when every
-    class frame validates every schema.  kripke keeps each instance's
-    program, so each compiles once per call.
+    store decide reads, asks kripke.refutes of each for each schema's p, q
+    instance in turn, and returns frame_valid's countermodel of the first
+    refuting pair, or None when every class frame validates every schema.
+    kripke keeps each instance's program, so each compiles once per call.
     """
     if type(max_n) is not int or max_n < 1:
         raise ValueError("audit_schemas needs max_n >= 1")
@@ -147,7 +147,6 @@ def audit_schemas(logic: LogicSpec, max_n: int) -> Countermodel | None:
     for n in range(1, max_n + 1):
         for fr in _class_reps(tuple(logic.conditions), n)[0]:
             for f in instances:
-                cm = frame_valid(fr, f)
-                if cm is not None:
-                    return cm
+                if refutes(fr, f):
+                    return frame_valid(fr, f)
     return None

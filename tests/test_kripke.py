@@ -28,7 +28,6 @@ from kripkebench.kripke import (
     _closed_masks,
     _compile,
     _extensions,
-    _first_failure,
     _grow,
     _verdict_program,
     antichain,
@@ -537,6 +536,20 @@ def test_refutes_answers_a_formula_that_folds_to_T_without_frame_work(monkeypatc
     fr = antichain(40)
     assert refutes(fr, parse("q -> (p | q)")) is False
     assert not hasattr(fr, "_tables")
+
+
+def test_refutes_answers_a_formula_that_folds_to_F_without_frame_work(monkeypatch):
+    # p is held at the empty upset and q, read only negatively, at the full
+    # set, so each folds to F: refuted at every world, with no atom searched
+    def searched(rows):
+        raise AssertionError("built a frame's upsets")
+
+    monkeypatch.setattr(kripke, "_closed_masks", searched)
+    fr = antichain(40)
+    for text in ("~p", "p", "F", "p & ~q"):
+        assert refutes(fr, parse(text)) is True, text
+    assert not hasattr(fr, "_tables")
+    assert refutes(Frame(()), parse("F")) is False
 
 
 def test_frame_valid_first_countermodel_across_chunks():
@@ -1448,7 +1461,7 @@ def test_class_tables_are_the_frames_tables():
                 key = (tuple(logic.conditions), n, rooted)
                 entry = _class_reps(*key)
                 for fr in entry[0]:
-                    _first_failure(fr, p)
+                    frame_valid(fr, p)
                 assert _filled(key) == set(range(len(entry[0]))), key
                 _check_tables(key)
     # a regrown entry holds new frames with no tables, not the frames before

@@ -230,6 +230,19 @@ def test_decide_builds_only_the_countermodel_it_returns(monkeypatch):
     assert decide(IPC, parse("~~(p|~p)"), 4).verdict is Verdict.NO_COUNTERMODEL and calls == []
 
 
+def test_audit_schemas_builds_only_the_countermodel_it_returns(monkeypatch):
+    # audit_schemas asks refutes of each class frame and frame_valid of the
+    # first refuting one alone: lem fails first on the 2-chain, and gl+bd2's
+    # class validates both its schemas
+    calls = []
+    real = kripke.frame_valid
+    monkeypatch.setattr(sys.modules["kripkebench.logics"], "frame_valid", lambda fr, f: calls.append(fr) or real(fr, f))
+    cm = audit_schemas(LogicSpec("lin+lem", (LEM_SCHEMA,), (LIN,)), 5)
+    assert cm is not None and calls == [cm.model.frame] and cm.model.frame == chain(2)
+    calls.clear()
+    assert audit_schemas(GLBD2, 5) is None and calls == []
+
+
 def test_audit_schemas_compiles_each_instance_once_per_call(monkeypatch):
     # gl+bd2's two instances are searched in turn on each of its 44 class
     # frames up to 7 worlds, and kripke keeps both programs: 2 compiles, not 88
