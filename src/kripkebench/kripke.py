@@ -351,8 +351,8 @@ class Countermodel(_Record):
 # positive-only atom at the empty upset.  Atoms are numbered with those
 # that occur negatively first, so a search ranges over a prefix of them
 # and reads a zero register for each positive-only one.  refutes, which
-# needs only the verdict, searches that program with each negative-only
-# atom read as T and its constant subterms folded (_verdict_program).
+# needs only the verdict, compiles and searches f with each atom of one
+# polarity fixed and the constants that makes folded (_fixed).
 
 _Program = list[tuple[str, int, int]]
 
@@ -440,10 +440,11 @@ def _eval(prog, ones: int, every: int, below, atom_regs) -> int:
 
 # The programs of recent formulas, by id: an entry holds its formula, so its
 # id names no other object while it is kept, then its _compile, and from
-# its first refutes on its _verdict_program.  A search and the re-check of
-# its countermodel compile once, and so does a formula object searched again
-# within 256 others, as audit_schemas's instances are on each frame.  A
-# full memo is cleared at once; nothing iterates over it.
+# its first refutes on the program refutes searches, its own or its fold's.
+# A search and the re-check of its countermodel compile once, and so does a
+# formula object searched again within 256 others, as audit_schemas's
+# instances are on each frame.  A full memo is cleared at once; nothing
+# iterates over it.
 _PROGRAM_FORMULAS = 256
 _PROGRAMS: dict[int, tuple] = {}
 
@@ -526,94 +527,63 @@ def refutes(fr: Frame, f: Formula) -> bool:
     upset, as frame_valid's does, and each atom that occurs only
     negatively at the full set: forcing is antitone in it, so if any
     upset refutes f at a world, the full set refutes it there too.  The
-    subterms this makes constant are folded away (_verdict_program), so
-    only the atoms left are searched, with no zero register, and a formula
-    that folds to T or F is answered before the frame's search tables are
-    built: F, with no atom left, fails at every world of a nonempty frame.
+    formula is searched with those atoms fixed at F and T and the
+    constants that makes folded (_fixed), so it searches only the atoms
+    left, and holds those the fold leaves positive-only.  A formula that
+    folds to T or F is answered before the frame's search tables are
+    built: F fails at every world of a nonempty frame.
     """
-    # f's _verdict_program is built on its first refutes and kept as a third
-    # item of its _PROGRAMS entry, so frame_valid, forces and force_set,
-    # whose callers often compile each formula once, never build one.
+    # The program of f's fold is built on its first refutes and kept as a
+    # third item of its _PROGRAMS entry, so frame_valid, forces and
+    # force_set, whose callers often compile each formula once, fold none.
+    # It is f's own program when nothing folds, and None for a fold to T,
+    # so that decide's calls on such a tautology return at the first test.
+    # No closure here: its cell would be made on every call, a sixth of the
+    # cost of a call that returns there.
     entry = _PROGRAMS.get(id(f))
     if entry is None or len(entry) == 2:
-        program = _program(f)
-        entry = _PROGRAMS[id(f)] = (f, program, _verdict_program(program[1], program[2]))
+        program = names, _, searched = _program(f)
+        positive: set[str] = set()
+        _walk(f, {}, {}, positive, True)  # from a negated root: the atoms that occur positively
+        value = dict.fromkeys(names[searched:], Bottom())
+        value.update(dict.fromkeys(set(names[:searched]) - positive, Top()))
+        folded = _fixed(f, value)
+        verdict = None if isinstance(folded, Top) else program if folded is f else _compile(folded)
+        entry = _PROGRAMS[id(f)] = (f, program, verdict)
     verdict = entry[2]
     if verdict is None:  # folds to T
         return False
-    if verdict[0] == 0:  # folds to F, the one program with no atom
+    names, prog, searched = verdict
+    if prog[-1][0] == "bot":  # folds to F
         return fr.size > 0
-    return _search(fr, *verdict, 0) is not None
+    return _search(fr, searched, prog, len(names) - searched) is not None
 
 
-def _verdict_program(prog: _Program, searched: int) -> tuple[int, _Program] | None:
-    """refutes' program from a _compile program and its searched count:
-    (atoms, program), or None when its root folds to T.  An atom numbered
-    searched or later, positive-only, reads as F, and one read only
-    negatively as T; then each node with a constant operand, or two equal
-    ones, is folded (A -> A is T, A & A is A), the nodes the root no longer
-    reads are dropped, and the atoms left are numbered in program order."""
-    # The polarities in one reverse pass, operands after the nodes reading
-    # them: 1 read positively, 2 negatively, 3 both, so a shared node read
-    # at both polarities gets both.  An antecedent swaps 1 and 2.
-    sign = [0] * len(prog)
-    sign[-1] = 1
-    for i in range(len(prog) - 1, -1, -1):
-        op, a, b = prog[i]
-        if op in ("and", "or", "imp"):
-            sign[a] |= (0, 2, 1, 3)[sign[i]] if op == "imp" else sign[i]
-            sign[b] |= sign[i]
-    # Each node's value: "T", "F" or a position among the folded nodes,
-    # which index lists, each distinct node once, after its operands.
-    index: dict[tuple[str, int, int], int] = {}
-    value: list = []
-    for (op, a, b), s in zip(prog, sign):
-        if op == "atom":
-            v = "F" if a >= searched else "T" if s == 2 else index.setdefault((op, a, 0), len(index))
-        elif op == "top" or op == "bot":
-            v = "T" if op == "top" else "F"
-        else:
-            a, b = value[a], value[b]
-            v = _fold(op, a, b)
-            if v is None:
-                if b == "F":  # A -> F
-                    b = index.setdefault(("bot", 0, 0), len(index))
-                v = index.setdefault((op, a, b), len(index))
-        value.append(v)
-    root = value[-1]
-    if root == "T":
-        return None
-    if root == "F":
-        return 0, [("bot", 0, 0)]
-    nodes = list(index)
-    read = [False] * root + [True]
-    for i in range(root, -1, -1):
-        op, a, b = nodes[i]
-        if read[i] and op in ("and", "or", "imp"):
-            read[a] = read[b] = True
-    prog, at, atoms = [], {}, 0
-    for i, (op, a, b) in enumerate(nodes[: root + 1]):
-        if read[i]:
-            if op == "atom":
-                a, atoms = atoms, atoms + 1
-            elif op != "bot":
-                a, b = at[a], at[b]
-            at[i] = len(prog)
-            prog.append((op, a, b))
-    return atoms, prog
-
-
-def _fold(op: str, a, b):
-    # op on two folded operands, each "T", "F" or a folded node's position:
-    # the constant or operand it equals, or None where the node stays.
+def _fixed(f: Formula, value: dict[str, Formula]) -> Formula:
+    # f with each atom named in value replaced by its value, T or F, and each
+    # node with a constant operand or two equal ones folded (A -> A is T,
+    # A & A is A; A -> F stays, as ~A); f itself where nothing folds.  Not a
+    # closure, as formula._climb.
+    op = _OPS.get(type(f))
+    if op is None:
+        return value.get(f.name, f) if isinstance(f, Atom) else f
+    a, b = _fixed(f.left, value), _fixed(f.right, value)
     if a == b:
-        return "T" if op == "imp" else a
+        return Top() if op == "imp" else a
     if op == "imp":
-        return "T" if a == "F" or b == "T" else b if a == "T" else None
-    unit, zero = ("T", "F") if op == "and" else ("F", "T")
-    if zero in (a, b):
-        return zero
-    return b if a == unit else a if b == unit else None
+        if isinstance(a, Bottom) or isinstance(b, Top):
+            return Top()
+        if isinstance(a, Top):
+            return b
+    else:
+        zero = Bottom if op == "and" else Top
+        if isinstance(a, zero) or isinstance(b, zero):
+            return zero()
+        if isinstance(a, (Top, Bottom)):  # the unit
+            return b
+        if isinstance(b, (Top, Bottom)):
+            return a
+    return f if a is f.left and b is f.right else type(f)(a, b)
 
 
 def _search_tables(

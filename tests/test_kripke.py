@@ -29,7 +29,6 @@ from kripkebench.kripke import (
     _compile,
     _extensions,
     _grow,
-    _verdict_program,
     antichain,
     chain,
     countermodel_to_json,
@@ -331,11 +330,11 @@ def test_compile_finds_the_polarity_of_every_occurrence_of_a_shared_subterm():
 
 
 def test_per_call_paths_leave_no_cyclic_garbage():
-    # parse and _compile recurse through module-level functions, not closures:
-    # a recursive closure is a reference cycle, left for the garbage collector
-    # on every call.  cli.main runs in text mode: a plain command line builds
-    # no argparse parser, which is cyclic, and --format json leaves the json
-    # encoder's cycle.
+    # parse, _compile and _fixed recurse through module-level functions, not
+    # closures: a recursive closure is a reference cycle, left for the garbage
+    # collector on every call.  cli.main runs in text mode: a plain command
+    # line builds no argparse parser, which is cyclic, and --format json
+    # leaves the json encoder's cycle.
     fr, model = fork(), make_model(chain(2), {"p": [1]})
     gc.collect()
     gc.disable()
@@ -346,6 +345,7 @@ def test_per_call_paths_leave_no_cyclic_garbage():
             _compile(f)
             assert frame_valid(fr, f) is not None
             force_set(model, f)
+            assert refutes(fr, parse(f"(p{i}->q)|(q->p{i})|~r"))  # folds, then compiles the fold
         found = decide(IPC, parse("p|~p"), 3)
         assert found.countermodel is not None
         assert decide(IPC, parse("~~(p|~p)"), 3).countermodel is None
@@ -476,8 +476,9 @@ def test_frame_valid_with_positive_only_atoms_agrees_with_naive_oracle():
 
 # Formulas for refutes, whose search also holds each atom that occurs only
 # negatively at the full set and folds the constants that leaves: r is
-# negative-only in the first four, the next three fold to T, and g sits at
-# both polarities in the last.
+# negative-only in the first four, the next three fold to T, the fold
+# leaves the r of the eighth positive-only, and g sits at both polarities
+# in the last.
 _g = Imp(Atom("p"), Atom("q"))
 VERDICT_FORMULAS = [parse(text) for text in (
     "(p->q)|(q->p)|~r",
@@ -487,6 +488,7 @@ VERDICT_FORMULAS = [parse(text) for text in (
     "q->(p|q)",
     "((p|F)&(T->p))->p|q",
     "(p->p)|q",
+    "(p->q)|(q->p)|(r&(~r|T))",
 )] + [And(_g, Imp(_g, Atom("r")))]
 
 
@@ -510,22 +512,50 @@ def test_refutes_agrees_with_naive_oracle():
     assert refutes(Frame(()), parse("F")) is False  # no world to fail
 
 
-def test_verdict_program_fixes_negative_only_atoms_and_folds_constants():
-    def verdict(text):
-        return _verdict_program(*_compile(parse(text))[1:])
+def test_verdict_program_fixes_negative_only_atoms_and_folds_constants(monkeypatch):
+    compiled = _compiles(monkeypatch)
 
-    # r reads as T, so ~r as F, and the disjunction is (p->q)|(q->p)'s program
-    assert verdict("(p->q)|(q->p)|~r") == (2, _compile(GL_INSTANCE)[1])
+    def verdict(text):
+        # the formula refutes searches in place of text's: the last one it
+        # compiles, whose program it keeps, or T, for which it keeps None
+        f = parse(text)
+        refutes(fork(), f)
+        program = kripke._PROGRAMS[id(f)][2]
+        if program is None:
+            return Top()
+        assert program == _compile(compiled[-1]), text
+        return compiled[-1]
+
+    # r reads as T, so ~r as F, and the disjunction is (p->q)|(q->p)
+    assert verdict("(p->q)|(q->p)|~r") == GL_INSTANCE
     # q is negative-only, so ~q is F; p is positive and negative
-    assert verdict("~~(p|~p)|~q") == (1, _compile(parse("~~(p|~p)"))[1])
+    assert verdict("~~(p|~p)|~q") == parse("~~(p|~p)")
     for text in ("q -> (p | q)", "((p|F)&(T->p))->p|q", "(p->p)|q", "T", "F->p", "p->T"):
-        assert verdict(text) is None, text
+        assert verdict(text) == Top(), text
     # p is positive-only, so F; A -> F stays a negation
     for text in ("F", "p", "~T", "p&q", "(p->F)->F"):
-        assert verdict(text) == (0, [("bot", 0, 0)]), text
-    # the nodes no longer read are dropped: p -> q, and r with r -> r
-    assert verdict("((p->q)|T)&(q->p)") == (2, [("atom", 0, 0), ("atom", 1, 0), ("imp", 1, 0)])
-    assert verdict("((r->r)->p)|(p->q)") == (1, _compile(parse("p|~p"))[1])
+        assert verdict(text) == Bottom(), text
+    # the subterms folded away go: p -> q, and r with r -> r
+    assert verdict("((p->q)|T)&(q->p)") == parse("q->p")
+    assert verdict("((r->r)->p)|(p->q)") == parse("p|~p")
+    # r is at both polarities, so nothing is fixed, but ~r|T folds to T
+    assert verdict("(p->q)|(q->p)|(r&(~r|T))") == parse("(p->q)|(q->p)|r")
+
+
+def test_refutes_holds_an_atom_the_fold_leaves_positive_only(monkeypatch):
+    # r & (~r|T) folds to r, positive-only: the search ranges over p and q
+    # and holds r at the empty upset
+    searches = []
+    real = kripke._search
+
+    def search(fr, atoms, prog, unsearched):
+        searches.append((atoms, unsearched))
+        return real(fr, atoms, prog, unsearched)
+
+    monkeypatch.setattr(kripke, "_search", search)
+    f = parse("(p->q)|(q->p)|(r&(~r|T))")
+    assert refutes(fork(), f) and not refutes(chain(3), f)
+    assert searches == [(2, 1), (2, 1)]
 
 
 def test_refutes_answers_a_formula_that_folds_to_T_without_frame_work(monkeypatch):
@@ -818,25 +848,28 @@ def test_threads_read_their_own_programs_through_eviction(monkeypatch):
 
 
 def test_only_refutes_builds_a_verdict_program(monkeypatch):
-    # frame_valid, forces and force_set build none; a formula's first
-    # refutes builds one from its program, which compiles once
+    # frame_valid, forces and force_set fold nothing; a formula's first
+    # refutes folds it once and compiles the fold once, unless nothing
+    # folds.  _fixed recurses through its module name, so built lists the
+    # subterms too; none of them equals the whole formula.
     compiled = _compiles(monkeypatch)
     built = []
-    real = kripke._verdict_program
-    monkeypatch.setattr(kripke, "_verdict_program", lambda prog, n: built.append(prog) or real(prog, n))
+    real = kripke._fixed
+    monkeypatch.setattr(kripke, "_fixed", lambda h, value: built.append(h) or real(h, value))
     f, g = parse("(p->q)|(q->p)|~r"), parse("p|~p")
     model = make_model(chain(2), {"p": [1]})
     assert frame_valid(fork(), f) is not None and frame_valid(chain(3), f) is None
     assert forces(model, 0, f) and force_set(model, f) == {0, 1}
     assert compiled == [f] and built == []
     assert refutes(fork(), f) and not refutes(chain(3), f)
-    assert compiled == [f] and len(built) == 1
-    assert built[0] is kripke._program(f)[1]  # the one program frame_valid runs
+    assert built.count(f) == 1 and compiled == [f, GL_INSTANCE]
     assert refutes(fork(), f) and refutes(antichain(2), f) is False
-    assert len(built) == 1
-    # refuted first, then searched: one compile and one verdict program
+    assert built.count(f) == 1 and compiled == [f, GL_INSTANCE]
+    # refuted first, then searched: nothing folds, so one compile, and
+    # refutes searches g's own program
     assert refutes(chain(2), g) and frame_valid(chain(2), g).world == 0
-    assert compiled == [f, g] and len(built) == 2
+    assert built.count(g) == 1 and compiled == [f, GL_INSTANCE, g]
+    assert kripke._PROGRAMS[id(g)][2] is kripke._program(g)
 
 
 def test_threads_read_their_own_verdict_programs_through_eviction(monkeypatch):
