@@ -352,7 +352,8 @@ class Countermodel(_Record):
 # that occur negatively first, so a search ranges over a prefix of them
 # and reads a zero register for each positive-only one.  refutes, which
 # needs only the verdict, compiles and searches f with each atom of one
-# polarity fixed and the constants that makes folded (_fixed).
+# polarity fixed and the constants that makes folded (_fixed), again until
+# no atom of one polarity is left (_fold).
 
 _Program = list[tuple[str, int, int]]
 
@@ -528,35 +529,47 @@ def refutes(fr: Frame, f: Formula) -> bool:
     negatively at the full set: forcing is antitone in it, so if any
     upset refutes f at a world, the full set refutes it there too.  The
     formula is searched with those atoms fixed at F and T and the
-    constants that makes folded (_fixed), so it searches only the atoms
-    left, and holds those the fold leaves positive-only.  A formula that
+    constants that makes folded (_fixed), again until no atom of one
+    polarity is left, so it searches every atom left.  A formula that
     folds to T or F is answered before the frame's search tables are
     built: F fails at every world of a nonempty frame.
     """
-    # The program of f's fold is built on its first refutes and kept as a
-    # third item of its _PROGRAMS entry, so frame_valid, forces and
-    # force_set, whose callers often compile each formula once, fold none.
-    # It is f's own program when nothing folds, and None for a fold to T,
-    # so that decide's calls on such a tautology return at the first test.
-    # No closure here: its cell would be made on every call, a sixth of the
-    # cost of a call that returns there.
-    entry = _PROGRAMS.get(id(f))
-    if entry is None or len(entry) == 2:
-        program = names, _, searched = _program(f)
-        positive: set[str] = set()
-        _walk(f, {}, {}, positive, True)  # from a negated root: the atoms that occur positively
-        value = dict.fromkeys(names[searched:], Bottom())
-        value.update(dict.fromkeys(set(names[:searched]) - positive, Top()))
-        folded = _fixed(f, value)
-        verdict = None if isinstance(folded, Top) else program if folded is f else _compile(folded)
-        entry = _PROGRAMS[id(f)] = (f, program, verdict)
-    verdict = entry[2]
+    entry = _PROGRAMS.get(id(f))  # _fold's lookup, inline on this hot path
+    verdict = entry[2] if entry is not None and len(entry) == 3 else _fold(f)
     if verdict is None:  # folds to T
         return False
-    names, prog, searched = verdict
+    names, prog, _ = verdict
     if prog[-1][0] == "bot":  # folds to F
         return fr.size > 0
-    return _search(fr, searched, prog, len(names) - searched) is not None
+    return _search(fr, len(names), prog, 0) is not None
+
+
+def _fold(f: Formula) -> tuple[list[str], _Program, int] | None:
+    """The program refutes searches for f: f's, with each atom of one
+    polarity fixed and the constants folded until no such atom is left,
+    f's own program when nothing folds, or None when f folds to T.  It is
+    kept as a third item of f's _PROGRAMS entry, from f's first refutes or
+    decide on, so frame_valid, forces and force_set, whose callers often
+    compile each formula once, fold none."""
+    entry = _PROGRAMS.get(id(f))
+    if entry is not None and len(entry) == 3:
+        return entry[2]
+    program = names, _, searched = _program(f)
+    folded, negative = f, set(names[:searched])
+    while True:
+        slot: dict[str, int] = {}
+        positive: set[str] = set()
+        _walk(folded, {}, slot, positive, True)  # from a negated root: the atoms that occur positively
+        value = dict.fromkeys(slot.keys() - negative, Bottom())
+        value.update(dict.fromkeys(slot.keys() - positive, Top()))
+        changed = _fixed(folded, value)
+        if changed is folded:  # each pass that changes it drops an atom or a node
+            break
+        folded, negative = changed, set()
+        _walk(folded, {}, {}, negative, False)
+    verdict = None if isinstance(folded, Top) else program if folded is f else _compile(folded)
+    _PROGRAMS[id(f)] = (f, program, verdict)
+    return verdict
 
 
 def _fixed(f: Formula, value: dict[str, Formula]) -> Formula:
@@ -802,21 +815,35 @@ def _class_reps(conditions, n: int, rooted=False) -> _Entry:
     return entry
 
 
-_ROOTED_NEXT: dict[tuple[tuple, int], bool] = {}
+_COVERAGE: dict[tuple[tuple, int], tuple[int, bool]] = {}  # _coverage's answers
 
 
-def _rooted_next_size(conditions, n: int) -> bool:
-    """Whether some rooted class frame has n + 1 worlds.  Deleting a maximal
-    non-root world from one leaves a rooted class frame on n worlds, so it
-    is isomorphic to a child of a rooted class representative on n worlds.
-    Only those children are grown, and none is stored; the answer is kept
-    in _ROOTED_NEXT."""
-    found = _ROOTED_NEXT.get((conditions, n))
+def _rooted_reps(conditions, n: int, bound: int) -> list[Frame]:
+    # The rooted class representatives on n worlds, as decide reads them:
+    # from the full list below bound and the rooted one at it.
+    full = (1 << n) - 1  # the row of a least world
+    return [fr for fr in _class_reps(conditions, n, n == bound)[0] if full in fr.up]
+
+
+def _coverage(conditions, bound: int) -> tuple[int, bool]:
+    """(n, exact): decide's search up to bound covers every rooted class
+    frame on up to n worlds, and exact when that is every rooted class
+    frame.  It is (n - 1, True) at the first size n with none, and else
+    (bound, whether no rooted class frame has bound + 1 worlds).  Deleting
+    a maximal non-root world from one leaves a rooted class frame on bound
+    worlds, so only the children of those representatives are grown, and
+    none is stored.  It reads the store entries decide's search reads."""
+    found = _COVERAGE.get((conditions, bound))
     if found is None:
-        full = (1 << n + 1) - 1
-        children = _grow(_class_reps(conditions, n, True)[0])
-        found = any(full in fr.up and all(cond(fr) for cond in conditions) for fr in children)
-        _ROOTED_NEXT[conditions, n] = found
+        for n in range(1, bound + 1):
+            if not _rooted_reps(conditions, n, bound):
+                found = n - 1, True
+                break
+        else:
+            full = (1 << bound + 1) - 1
+            children = _grow(_class_reps(conditions, bound, True)[0])
+            found = bound, not any(full in fr.up and all(cond(fr) for cond in conditions) for fr in children)
+        _COVERAGE[conditions, bound] = found
     return found
 
 

@@ -10,7 +10,7 @@ every rooted frame of the class.
 from __future__ import annotations
 
 from .formula import Formula, _Record
-from .kripke import Countermodel, Frame, _class_reps, _rooted_next_size, countermodel_to_json, frame_valid, refutes
+from .kripke import Countermodel, Frame, _class_reps, _coverage, _fold, _rooted_reps, countermodel_to_json, frame_valid, refutes
 from .correspondence import BD2_CHAIN, DISCRETE, LIN, FrameCondition
 # The schemas live beside their conditions; they are re-exported from here.
 from .correspondence import BD2_SCHEMA, GL_SCHEMA, LEM_SCHEMA, schema_instance
@@ -108,26 +108,27 @@ def decide(logic: LogicSpec, f: Formula, bound: int) -> Decision:
     with one polarity fixed.  A world refuting f refutes it in its cone, a
     rooted class frame, so Refuted carries the first countermodel, by
     frame_valid, of the first refuting representative of the smallest
-    refuting size.  Valid is
-    returned once every rooted class frame was searched (see LogicSpec):
-    at the first size n with none, with bound n - 1, or at bound when no
-    rooted class frame has bound + 1 worlds.  Otherwise the search was
-    merely exhaustive up to the bound.
+    refuting size.  Valid is returned once every rooted class frame was
+    searched (see LogicSpec): at the first size n with none, with bound
+    n - 1, or at bound when no rooted class frame has bound + 1 worlds.
+    Otherwise the search was merely exhaustive up to the bound.  A
+    formula that refutes folds to T fails on no frame, so it searches
+    none and gets that coverage answer at once (kripke._coverage, kept
+    per conditions and bound).
     """
     if type(bound) is not int or bound < 1:
         raise ValueError("decide needs bound >= 1")
     conditions = tuple(logic.conditions)
-    for n in range(1, bound + 1):
-        full = (1 << n) - 1  # the row of a least world
-        rooted = [fr for fr in _class_reps(conditions, n, n == bound)[0] if full in fr.up]
-        if not rooted:
-            return Decision(Verdict.VALID, n - 1)
-        for fr in rooted:
-            if refutes(fr, f):
-                return Decision(Verdict.REFUTED, n, frame_valid(fr, f))
-    if _rooted_next_size(conditions, bound):
-        return Decision(Verdict.NO_COUNTERMODEL, bound)
-    return Decision(Verdict.VALID, bound)
+    if _fold(f) is not None:  # f does not fold to T
+        for n in range(1, bound + 1):
+            rooted = _rooted_reps(conditions, n, bound)
+            if not rooted:
+                break
+            for fr in rooted:
+                if refutes(fr, f):
+                    return Decision(Verdict.REFUTED, n, frame_valid(fr, f))
+    n, exact = _coverage(conditions, bound)
+    return Decision(Verdict.VALID if exact else Verdict.NO_COUNTERMODEL, n)
 
 
 def audit_schemas(logic: LogicSpec, max_n: int) -> Countermodel | None:

@@ -68,7 +68,7 @@ def test_decide_finds_each_completeness_bound_from_the_store_at_bound_8():
         spec = logics.LogicSpec(f'lin-depth{k}', (), (LIN, depth_le(k)))
         assert logics.decide(spec, f, 8).to_json() == {'verdict': 'valid', 'bound': k}
         assert k == 1 or logics.decide(spec, f, k - 1).to_json() == {'verdict': 'no-countermodel', 'bound': k - 1}
-    kripke._CLASS_REPS.clear(); kripke._ROOTED_NEXT.clear()
+    kripke._CLASS_REPS.clear(); kripke._COVERAGE.clear()
     got = {name: logics.decide(logic, f, 8).to_json() for name, logic in LOGICS.items()}
     searched = {'cpc': 1, 'gl+bd2': 2}
     assert got == {name: {'verdict': 'valid', 'bound': searched[name]} if name in searched

@@ -477,8 +477,8 @@ def test_frame_valid_with_positive_only_atoms_agrees_with_naive_oracle():
 # Formulas for refutes, whose search also holds each atom that occurs only
 # negatively at the full set and folds the constants that leaves: r is
 # negative-only in the first four, the next three fold to T, the fold
-# leaves the r of the eighth positive-only, and g sits at both polarities
-# in the last.
+# leaves the r of the eighth positive-only and its next round folds r
+# away, and g sits at both polarities in the last.
 _g = Imp(Atom("p"), Atom("q"))
 VERDICT_FORMULAS = [parse(text) for text in (
     "(p->q)|(q->p)|~r",
@@ -535,16 +535,19 @@ def test_verdict_program_fixes_negative_only_atoms_and_folds_constants(monkeypat
     # p is positive-only, so F; A -> F stays a negation
     for text in ("F", "p", "~T", "p&q", "(p->F)->F"):
         assert verdict(text) == Bottom(), text
-    # the subterms folded away go: p -> q, and r with r -> r
-    assert verdict("((p->q)|T)&(q->p)") == parse("q->p")
+    # the subterms folded away go: p -> q, and r with r -> r; the fold
+    # repeats until no atom of one polarity is left, so the q -> p left,
+    # whose q is negative-only and p positive-only, folds on to T -> F
+    assert verdict("((p->q)|T)&(q->p)") == Bottom()
     assert verdict("((r->r)->p)|(p->q)") == parse("p|~p")
     # r is at both polarities, so nothing is fixed, but ~r|T folds to T
-    assert verdict("(p->q)|(q->p)|(r&(~r|T))") == parse("(p->q)|(q->p)|r")
+    # and r & T to r, positive-only, so F
+    assert verdict("(p->q)|(q->p)|(r&(~r|T))") == GL_INSTANCE
 
 
 def test_refutes_holds_an_atom_the_fold_leaves_positive_only(monkeypatch):
-    # r & (~r|T) folds to r, positive-only: the search ranges over p and q
-    # and holds r at the empty upset
+    # r & (~r|T) folds to r, positive-only, which the next round folds to
+    # F: the search ranges over p and q and holds no atom
     searches = []
     real = kripke._search
 
@@ -555,7 +558,7 @@ def test_refutes_holds_an_atom_the_fold_leaves_positive_only(monkeypatch):
     monkeypatch.setattr(kripke, "_search", search)
     f = parse("(p->q)|(q->p)|(r&(~r|T))")
     assert refutes(fork(), f) and not refutes(chain(3), f)
-    assert searches == [(2, 1), (2, 1)]
+    assert searches == [(2, 0), (2, 0)]
 
 
 def test_refutes_answers_a_formula_that_folds_to_T_without_frame_work(monkeypatch):

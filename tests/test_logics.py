@@ -529,6 +529,26 @@ def test_decide_answers_the_same_cold_and_warm(monkeypatch):
     assert calls == []
 
 
+def test_decide_answers_a_formula_that_folds_to_T_from_the_coverage(monkeypatch):
+    # p -> p folds to T: decide searches no frame, yet it answers as the
+    # IPC theorem ~~(p|~p), which does not fold and is searched on every
+    # rooted class frame, and leaves the same store, from a cold start
+    logics, calls = sys.modules["kripkebench.logics"], []
+    for name in ("refutes", "frame_valid"):
+        real = getattr(logics, name)
+        monkeypatch.setattr(logics, name, lambda fr, f, real=real: calls.append(fr) or real(fr, f))
+    for logic in LOGICS.values():
+        for bound in range(1, 6):
+            got = {}
+            for text in ("p->p", "~~(p|~p)"):
+                kripke._CLASS_REPS.clear()
+                kripke._COVERAGE.clear()
+                calls.clear()
+                got[text] = decide(logic, parse(text), bound).to_json(), set(kripke._CLASS_REPS), bool(calls)
+            assert got["p->p"][2] is False and got["~~(p|~p)"][2] is True, (logic.name, bound)
+            assert got["p->p"][:2] == got["~~(p|~p)"][:2], (logic.name, bound)
+
+
 def test_decide_threads_share_the_store():
     texts = ["~~(p|~p)", "p|~p", "(p->q)|(q->p)", "p|(p->(q|~q))"]
     jobs = [(logic, parse(text)) for text in texts for logic in LOGICS.values()]
