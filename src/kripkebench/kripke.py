@@ -259,6 +259,8 @@ class Model(_Record):
     __slots__ = {"frame": "Frame", "valuation": "tuple[tuple[str, int], ...]"}
 
     def __post_init__(self):
+        if not isinstance(self.valuation, (tuple, list)):
+            raise InvalidModel("a valuation must be a tuple or a list of (atom, mask) pairs")
         names = [name for name, _ in self.valuation]
         for name in names:
             # On ASCII, isidentifier is exactly [A-Za-z_][A-Za-z0-9_]*, parse's atom names.
@@ -818,32 +820,31 @@ def _class_reps(conditions, n: int, rooted=False) -> _Entry:
 _COVERAGE: dict[tuple[tuple, int], tuple[int, bool]] = {}  # _coverage's answers
 
 
-def _rooted_reps(conditions, n: int, bound: int) -> list[Frame]:
-    # The rooted class representatives on n worlds, as decide reads them:
-    # from the full list below bound and the rooted one at it.
-    full = (1 << n) - 1  # the row of a least world
-    return [fr for fr in _class_reps(conditions, n, n == bound)[0] if full in fr.up]
+def _rooted_classes(conditions, bound: int) -> Iterator[tuple[int, list[Frame]]]:
+    # (n, the rooted class representatives on n worlds) for n = 1 to bound, from the full
+    # list below bound and the rooted one at it, up to the first size with none (LogicSpec).
+    for n in range(1, bound + 1):
+        full = (1 << n) - 1  # the row of a least world
+        rooted = [fr for fr in _class_reps(conditions, n, n == bound)[0] if full in fr.up]
+        if not rooted:
+            return
+        yield n, rooted
 
 
 def _coverage(conditions, bound: int) -> tuple[int, bool]:
-    """(n, exact): decide's search up to bound covers every rooted class
+    """(n, exact): _rooted_classes up to bound covers every rooted class
     frame on up to n worlds, and exact when that is every rooted class
-    frame.  It is (n - 1, True) at the first size n with none, and else
-    (bound, whether no rooted class frame has bound + 1 worlds).  Deleting
-    a maximal non-root world from one leaves a rooted class frame on bound
-    worlds, so only the children of those representatives are grown, and
-    none is stored.  It reads the store entries decide's search reads."""
+    frame: when the walk ends at n < bound, or when no rooted class frame
+    has bound + 1 worlds.  Deleting a maximal non-root world from one
+    leaves a rooted class frame on bound worlds, so only the children of
+    those representatives are grown, and none is stored."""
     found = _COVERAGE.get((conditions, bound))
     if found is None:
-        for n in range(1, bound + 1):
-            if not _rooted_reps(conditions, n, bound):
-                found = n - 1, True
-                break
-        else:
-            full = (1 << bound + 1) - 1
-            children = _grow(_class_reps(conditions, bound, True)[0])
-            found = bound, not any(full in fr.up and all(cond(fr) for cond in conditions) for fr in children)
-        _COVERAGE[conditions, bound] = found
+        n = max((n for n, _ in _rooted_classes(conditions, bound)), default=0)
+        full = (1 << n + 1) - 1  # the row of a least world of a child
+        children = _grow(_class_reps(conditions, n, True)[0]) if n == bound else ()
+        exact = not any(full in fr.up and all(cond(fr) for cond in conditions) for fr in children)
+        found = _COVERAGE[conditions, bound] = n, exact
     return found
 
 

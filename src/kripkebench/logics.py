@@ -10,7 +10,7 @@ every rooted frame of the class.
 from __future__ import annotations
 
 from .formula import Formula, _Record
-from .kripke import Countermodel, Frame, _class_reps, _coverage, _fold, _rooted_reps, countermodel_to_json, frame_valid, refutes
+from .kripke import Countermodel, Frame, _coverage, _fold, _rooted_classes, countermodel_to_json, frame_valid, refutes
 from .correspondence import BD2_CHAIN, DISCRETE, LIN, FrameCondition
 # The schemas live beside their conditions; they are re-exported from here.
 from .correspondence import BD2_SCHEMA, GL_SCHEMA, LEM_SCHEMA, schema_instance
@@ -23,9 +23,10 @@ class LogicSpec(_Record):
     deleting a world from a class frame leaves a class frame.  So the
     class is closed under cones, and deleting a maximal non-root world
     from a rooted class frame leaves a rooted class frame: once a size
-    has no rooted class frame, no larger size has one.  decide relies on
-    both.  Every built-in condition is hereditary, and a condition must be
-    one of them: an arbitrary predicate could make decide's Valid false.
+    has no rooted class frame, no larger size has one.  decide and
+    audit_schemas rely on both.  Every built-in condition is hereditary,
+    and a condition must be one of them: an arbitrary predicate could make
+    decide's Valid false.
     """
 
     __slots__ = {
@@ -35,6 +36,8 @@ class LogicSpec(_Record):
     }
 
     def __post_init__(self):
+        if not all(isinstance(field, (tuple, list)) for field in (self.axiom_schemas, self.conditions)):
+            raise ValueError("a logic's schemas and conditions must each be a tuple or a list")
         for cond in self.conditions:
             if not isinstance(cond, FrameCondition):
                 raise ValueError(f"a logic's condition must be a FrameCondition, not {cond!r}")
@@ -102,52 +105,48 @@ class Decision(_Record):
 def decide(logic: LogicSpec, f: Formula, bound: int) -> Decision:
     """Search the logic's frame class for a countermodel to f.
 
-    Sizes are tried in increasing order, and at each size the rooted
-    isomorphism-class representatives of the class, in enumeration
-    order, each by kripke.refutes, which holds every atom that occurs
-    with one polarity fixed.  A world refuting f refutes it in its cone, a
-    rooted class frame, so Refuted carries the first countermodel, by
-    frame_valid, of the first refuting representative of the smallest
-    refuting size.  Valid is returned once every rooted class frame was
-    searched (see LogicSpec): at the first size n with none, with bound
-    n - 1, or at bound when no rooted class frame has bound + 1 worlds.
-    Otherwise the search was merely exhaustive up to the bound.  A
-    formula that refutes folds to T fails on no frame, so it searches
-    none and gets that coverage answer at once (kripke._coverage, kept
-    per conditions and bound).
+    Refuted carries _first_refuted's countermodel: frame_valid's first, on
+    the first refuting rooted class representative of the least refuting
+    size.  Valid is returned once every rooted class frame was searched
+    (see LogicSpec): at the first size n with none, with bound n - 1, or at
+    bound when no rooted class frame has bound + 1 worlds.  Otherwise the
+    search was merely exhaustive up to the bound.  A formula that refutes
+    folds to T fails on no frame, so it searches none and gets that
+    coverage answer at once (kripke._coverage, per conditions and bound).
     """
     if type(bound) is not int or bound < 1:
         raise ValueError("decide needs bound >= 1")
     conditions = tuple(logic.conditions)
-    if _fold(f) is not None:  # f does not fold to T
-        for n in range(1, bound + 1):
-            rooted = _rooted_reps(conditions, n, bound)
-            if not rooted:
-                break
-            for fr in rooted:
-                if refutes(fr, f):
-                    return Decision(Verdict.REFUTED, n, frame_valid(fr, f))
+    found = _first_refuted(conditions, (f,), bound) if _fold(f) is not None else None  # T fails nowhere
+    if found is not None:
+        return Decision(Verdict.REFUTED, *found)
     n, exact = _coverage(conditions, bound)
     return Decision(Verdict.VALID if exact else Verdict.NO_COUNTERMODEL, n)
+
+
+def _first_refuted(conditions, formulas, bound: int) -> tuple[int, Countermodel] | None:
+    # (n, frame_valid's countermodel) for the first frame of kripke._rooted_classes'
+    # walk up to bound that one of formulas, tried in order, refutes, or None.  A world
+    # refuting a formula refutes it in its cone, a rooted class frame, so that is the
+    # first refuted class frame of the least refuted size.
+    for n, rooted in _rooted_classes(conditions, bound):
+        for fr in rooted:
+            for f in formulas:
+                if refutes(fr, f):
+                    return n, frame_valid(fr, f)
+    return None
 
 
 def audit_schemas(logic: LogicSpec, max_n: int) -> Countermodel | None:
     """Check that the logic's class validates its axiom schemas.
 
-    Walks the class representatives up to max_n worlds, from the class
-    store decide reads, asks kripke.refutes of each for each schema's p, q
-    instance in turn, and returns frame_valid's countermodel of the first
-    refuting pair, or None when every class frame validates every schema.
+    Returns the countermodel _first_refuted finds up to max_n worlds, as
+    decide's search does, with each schema's p, q instance tried in turn
+    on each frame, or None when the class validates every schema there.
     kripke keeps each instance's program, so each compiles once per call.
     """
     if type(max_n) is not int or max_n < 1:
         raise ValueError("audit_schemas needs max_n >= 1")
     instances = [schema_instance(schema) for schema in logic.axiom_schemas]
-    if not instances:
-        return None
-    for n in range(1, max_n + 1):
-        for fr in _class_reps(tuple(logic.conditions), n)[0]:
-            for f in instances:
-                if refutes(fr, f):
-                    return frame_valid(fr, f)
-    return None
+    found = _first_refuted(tuple(logic.conditions), instances, max_n) if instances else None
+    return None if found is None else found[1]

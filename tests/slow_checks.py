@@ -15,6 +15,7 @@ from kripkebench.correspondence import BD2_CHAIN, LIN, cone_size_le, depth_le
 from kripkebench.formula import parse
 from kripkebench.kripke import _class_reps, enumerate_frames
 from kripkebench.logics import LOGICS, audit_schemas
+from test_logics import _audit_schema_by_schema
 
 
 def test_each_logics_class_store_at_n7_is_the_class_subsequence():
@@ -29,11 +30,14 @@ def test_each_logics_class_store_at_n7_is_the_class_subsequence():
 
 
 def test_every_logics_class_validates_its_own_schemas_up_to_n7():
-    """audit_schemas searches each class representative up to 7 worlds
-    through frame_valid: at n = 7, 1 for cpc, 115 for gl, 164 for bd2
-    and 15 for gl+bd2, whose two schemas are searched in turn on each
-    (ipc has no schema).  Tier-1 stops at n = 6; about 2 s."""
+    """audit_schemas asks refutes of each schema instance in turn on each
+    rooted class representative up to 7 worlds, and stops at the first
+    size with none: 2 for cpc, 3 for gl+bd2 (ipc has no schema).  The
+    reference walk runs frame_valid on every class representative: at
+    n = 7, 1 for cpc, 115 for gl, 164 for bd2 and 15 for gl+bd2.  Both
+    find no countermodel.  Tier-1 stops at n = 6; about 2 s."""
     assert all(audit_schemas(l, 7) is None for l in LOGICS.values())
+    assert all(_audit_schema_by_schema(l, 7) is None for l in LOGICS.values() if l.axiom_schemas)
 
 
 def test_isomorphism_classes_at_n8():
@@ -48,7 +52,7 @@ def test_decide_answers_the_same_from_the_class_store_at_bound_8():
     """The second call reads the lists the first grew: the full ipc lists
     of sizes 1-7 and the rooted one at 8 follow A000112.  Out of tier-1,
     about 1 s."""
-    kripke._CLASS_REPS.clear()
+    kripke._CLASS_REPS.clear(); kripke._COVERAGE.clear()
     f = parse('~~(p|~p)'); first = logics.decide(logics.IPC, f, 8).to_json()
     assert logics.decide(logics.IPC, f, 8).to_json() == first
     sizes = {(n, rooted): len(frames) for (_, n, rooted), (frames, _) in kripke._CLASS_REPS.items()}
@@ -92,7 +96,7 @@ def test_decide_answers_the_same_from_the_stored_search_tables_at_bound_7():
     Every searched frame is rooted: the 178 multi-chunk ones keep no
     cones, (), and the others have not looked for any, None.  Out of
     tier-1, about 1 s."""
-    kripke._CLASS_REPS.clear()
+    kripke._CLASS_REPS.clear(); kripke._COVERAGE.clear()
     f = parse('(p->q)->((q->r)->(p->r))'); first = logics.decide(logics.IPC, f, 7).to_json()
     assert logics.decide(logics.IPC, f, 7).to_json() == first == {'verdict': 'no-countermodel', 'bound': 7}
     stored = [(fr, fr._tables) for frames, _ in kripke._CLASS_REPS.values() for fr in frames if hasattr(fr, '_tables')]

@@ -1477,15 +1477,20 @@ def test_class_tables_are_the_frames_tables():
     # decide's searches store tables for the frames it searched alone: at
     # sizes below its bound, the frames with a least world
     _CLASS_REPS.clear()
+    kripke._COVERAGE.clear()
     decide(IPC, parse("~~(p|~p)"), 5)
     for n in range(1, 5):
         frames = _class_reps((), n)[0]
         assert _filled(((), n, False)) == {i for i, fr in enumerate(frames) if _has_root(fr)}
-    # audit_schemas searches every frame of its own entries
+    # audit_schemas walks the same rooted frames: gl+bd2 has them on 1 and 2
+    # worlds alone, so it grows the full list of 3 worlds, finds none
+    # rooted and stops there
     gl_bd2 = tuple(LOGICS["gl+bd2"].conditions)
     assert audit_schemas(LOGICS["gl+bd2"], 5) is None
-    for n in range(1, 6):
-        assert _filled((gl_bd2, n, False)) == set(range(len(_class_reps(gl_bd2, n)[0]))), n
+    assert max(n for conditions, n, _ in _CLASS_REPS if conditions == gl_bd2) == 3
+    for n in range(1, 4):
+        frames = _class_reps(gl_bd2, n)[0]
+        assert _filled((gl_bd2, n, False)) == {i for i, fr in enumerate(frames) if _has_root(fr)}, n
     for key in _CLASS_REPS:
         if key[0] in ((), gl_bd2):
             _check_tables(key)
@@ -1503,6 +1508,7 @@ def test_class_tables_are_the_frames_tables():
     # a regrown entry holds new frames with no tables, not the frames before
     before = _class_reps((), 5)
     _CLASS_REPS.clear()
+    kripke._COVERAGE.clear()
     after = _class_reps((), 5)
     assert after[0] is not before[0] and not set(map(id, after[0])) & set(map(id, before[0]))
     assert all(_tables(fr) is not None for fr in before[0])
@@ -1511,6 +1517,15 @@ def test_class_tables_are_the_frames_tables():
     assert len(_filled(((), 4, False))) == 5 and len(_filled(((), 5, True))) == 16
     for key in [((), 4, False), ((), 5, True)]:
         _check_tables(key)
+
+
+def test_audit_schemas_grows_no_class_past_its_last_rooted_size():
+    # gl+bd2's rooted class frames end at 2 worlds, so a cold audit at 7
+    # grows the full lists of 1 to 3 worlds and nothing past them
+    _CLASS_REPS.clear()
+    assert audit_schemas(LOGICS["gl+bd2"], 7) is None
+    gl_bd2 = tuple(LOGICS["gl+bd2"].conditions)
+    assert set(_CLASS_REPS) == {(gl_bd2, n, False) for n in range(1, 4)}
 
 
 def test_cleared_store_keeps_no_search_tables(monkeypatch):
@@ -1524,6 +1539,7 @@ def test_cleared_store_keeps_no_search_tables(monkeypatch):
 
     monkeypatch.setattr(kripke, "_search_tables", recorded)
     _CLASS_REPS.clear()
+    kripke._COVERAGE.clear()
     decide(IPC, parse("~~(p|~p)"), 4)
     assert len(built) == 1 + 1 + 2 + 5  # the rooted frames of 1 to 4 worlds
     held = [_tables(fr) for frames, _ in _CLASS_REPS.values() for fr in frames]
@@ -1554,6 +1570,7 @@ def test_rooted_and_full_entries_share_their_class_frames(monkeypatch):
     monkeypatch.setattr(kripke, "_search_tables", recorded)
     for first, second in [(5, 6), (6, 5)]:
         _CLASS_REPS.clear()
+        kripke._COVERAGE.clear()
         decide(IPC, f, first)
         sizes.clear()
         decide(IPC, f, second)
@@ -1719,6 +1736,15 @@ def test_model_checks_its_own_valuation(valuation, message):
     # worlds before Model sees them.
     with pytest.raises(InvalidModel, match=message):
         Model(chain(2), valuation)
+
+
+def test_model_refuses_a_one_shot_valuation():
+    # a generator would pass the name check, which reads it, and leave the
+    # model empty: p forced nowhere
+    for valuation in ((x for x in [("p", 2)]), iter([("p", 2)]), {"p": 2}):
+        with pytest.raises(InvalidModel, match="tuple or a list"):
+            Model(chain(2), valuation)
+    assert Model(chain(2), [("p", 2)]).valuation_dict() == {"p": frozenset({1})}
 
 
 def test_model_accepts_empty_and_full_sets():

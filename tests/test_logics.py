@@ -6,9 +6,9 @@ import threading
 import pytest
 
 from kripkebench.formula import atoms, parse, render
-from kripkebench.kripke import chain, enumerate_frames, frame_valid, make_frame
+from kripkebench.kripke import chain, enumerate_frames, fork, frame_valid, make_frame
 from kripkebench import correspondence, kripke
-from kripkebench.correspondence import BD2_CHAIN, GL_INSTANCE, LIN, cone_size_le, depth_le, eval_condition
+from kripkebench.correspondence import BD2_CHAIN, DISCRETE, GL_INSTANCE, LIN, cone_size_le, depth_le, eval_condition
 from kripkebench.logics import (
     BD2,
     BD2_SCHEMA,
@@ -195,6 +195,18 @@ def test_logic_spec_takes_only_frame_conditions():
     assert LogicSpec("lin-list", (), [LIN]).conditions == [LIN]
 
 
+def test_logic_spec_refuses_a_one_shot_iterable():
+    # a generator of conditions would pass the check, which reads it, and
+    # leave ipc's class: decide refuting (p->q)|(q->p) on the fork, which
+    # LIN forbids, and audit_schemas failing gl's schema on it
+    for schemas, conditions in (((GL_SCHEMA,), (c for c in [LIN])), ((s for s in [GL_SCHEMA]), (LIN,)), ((), {LIN})):
+        with pytest.raises(ValueError, match="tuple or a list"):
+            LogicSpec("x", schemas, conditions)
+    lin = LogicSpec("x", [GL_SCHEMA], [LIN])
+    assert decide(lin, parse("(p->q)|(q->p)"), 3).verdict is Verdict.NO_COUNTERMODEL
+    assert not lin.frame_class(fork()) and audit_schemas(lin, 4) is None
+
+
 @pytest.mark.parametrize("max_n", [0, -3, True, 2.0, "2"])
 def test_audit_schemas_rejects_bad_bound(max_n):
     # A bound below 1 checks no frame, so None would claim a vacuous pass.
@@ -277,6 +289,22 @@ def test_audit_schemas_returns_the_first_refuted_schemas_countermodel():
             firsts.append(cm.formula)
     gl, bd2, lem = (schema_instance(s) for s in (GL_SCHEMA, BD2_SCHEMA, LEM_SCHEMA))
     assert firsts == [gl, gl, lem, bd2, bd2, lem]
+    # audit_schemas walks the rooted class frames alone and stops at the
+    # first size with none, and answers as the reference walk of every
+    # class frame: on other classes, and on random schemas over A and B
+    more = ((BD2_CHAIN,), (LIN, BD2_CHAIN), (depth_le(3),), (cone_size_le(3),), (DISCRETE,))
+    for conditions in more:
+        for schemas in ((GL_SCHEMA, BD2_SCHEMA), (BD2_SCHEMA, GL_SCHEMA), (LEM_SCHEMA,)):
+            logic = LogicSpec("x", schemas, conditions)
+            assert audit_schemas(logic, 4) == _audit_schema_by_schema(logic, 4), (conditions, schemas)
+    rng, refuted = random.Random(20261022), []
+    for _ in range(60):
+        schemas = tuple(random_formula(rng, 3, ("A", "B")) for _ in range(rng.randint(1, 2)))
+        logic, max_n = LogicSpec("x", schemas, rng.choice(((), (LIN,)) + more)), rng.randint(3, 5)
+        cm = audit_schemas(logic, max_n)
+        assert cm == _audit_schema_by_schema(logic, max_n), ([render(s) for s in schemas], logic.conditions, max_n)
+        refuted.append(cm is not None)
+    assert 0 < sum(refuted) < len(refuted)
 
 
 def test_decision_json():
@@ -491,11 +519,13 @@ def test_decide_answers_the_same_cold_and_warm(monkeypatch):
     for logic, f in cases:
         for bound in range(1, 5):
             kripke._CLASS_REPS.clear()
+            kripke._COVERAGE.clear()
             cold[logic.name, f, bound] = decide(logic, f, bound).to_json()
             assert decide(logic, f, bound).to_json() == cold[logic.name, f, bound]
     for bounds in (range(1, 5), range(4, 0, -1)):
         for logic, f in cases:
             kripke._CLASS_REPS.clear()
+            kripke._COVERAGE.clear()
             for bound in bounds:
                 assert decide(logic, f, bound).to_json() == cold[logic.name, f, bound], (
                     logic.name, render(f), bound, list(bounds))
@@ -504,6 +534,7 @@ def test_decide_answers_the_same_cold_and_warm(monkeypatch):
     kripke._CLASS_REPS.clear()
     cold_audit = audit_schemas(lin_lem, 5)
     kripke._CLASS_REPS.clear()
+    kripke._COVERAGE.clear()
     decide(GL, parse("~~(p|~p)"), 5)
     assert audit_schemas(lin_lem, 5) == cold_audit
     # conditions given as a list share the entries of their tuple
@@ -521,6 +552,7 @@ def test_decide_answers_the_same_cold_and_warm(monkeypatch):
 
     monkeypatch.setitem(correspondence.CONDITIONS, "LIN", (counted, takes_k))
     kripke._CLASS_REPS.clear()
+    kripke._COVERAGE.clear()
     decide(GL, parse("~~(p|~p)"), 5)
     assert calls
     calls.clear()
@@ -553,6 +585,7 @@ def test_decide_threads_share_the_store():
     texts = ["~~(p|~p)", "p|~p", "(p->q)|(q->p)", "p|(p->(q|~q))"]
     jobs = [(logic, parse(text)) for text in texts for logic in LOGICS.values()]
     kripke._CLASS_REPS.clear()
+    kripke._COVERAGE.clear()
     want = [decide(logic, f, 6).to_json() for logic, f in jobs]
     store = dict(kripke._CLASS_REPS)
 
@@ -564,6 +597,7 @@ def test_decide_threads_share_the_store():
         }
 
     kripke._CLASS_REPS.clear()
+    kripke._COVERAGE.clear()
     results = [None] * 4
     start = threading.Barrier(4, timeout=60)
 

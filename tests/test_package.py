@@ -169,3 +169,31 @@ def test_ci_runs_the_slow_checks_in_place_of_one_liners():
         "Tier-1 runs every line of src/kripkebench"
     ]
     assert "\n        run: PYTHONPATH=src python -m pytest -q tests/slow_checks.py\n" in workflow
+
+
+def test_readme_library_quick_start_runs_and_prints_its_comments():
+    # Each statement of the README's "Library quick start" block runs in
+    # order, and each expression's "# value" comment, read as Python,
+    # equals the expression's value.
+    import io
+    import tokenize
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start\n\n```python\n", 1)[1].split("```", 1)[0]
+    comments = {
+        tok.start[0]: tok.string[1:].strip()
+        for tok in tokenize.generate_tokens(io.StringIO(block).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    namespace: dict = {}
+    checked = 0
+    for node in ast.parse(block).body:
+        code = ast.Module([node], [])
+        if not isinstance(node, ast.Expr):
+            exec(compile(code, "README.md", "exec"), namespace)
+            continue
+        got = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        want = eval(comments[node.end_lineno], {"Verdict": kripkebench.Verdict})
+        assert got == want, (ast.unparse(node), got)
+        checked += 1
+    assert checked == 5
